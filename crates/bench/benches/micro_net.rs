@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the packet layer: SRH and packet encode/decode, flow
-//! key hashing.  These are the per-packet operations a real SRLB dataplane
-//! performs on every SYN.
+//! key hashing — the per-packet operations a real SRLB dataplane performs on
+//! every SYN — and what it costs the simulator to move a packet: the
+//! engine-loop ping-pong of `figures -- bench-micro`, bouncing a routed SYN.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use srlb_net::{AddressPlan, PacketBuilder, SegmentRoutingHeader, ServerId, TcpFlags};
@@ -36,6 +37,13 @@ fn bench(c: &mut Criterion) {
     c.bench_function("flow_key_stable_hash", |b| {
         let key = packet.flow_key_forward();
         b.iter(|| criterion::black_box(key.stable_hash()))
+    });
+    // 4 pairs × 251 events per iteration.
+    c.bench_function("engine_loop_packet_stepwise", |b| {
+        b.iter(|| criterion::black_box(srlb_bench::micro::packet_ping_pong(250, false)))
+    });
+    c.bench_function("engine_loop_packet_batched", |b| {
+        b.iter(|| criterion::black_box(srlb_bench::micro::packet_ping_pong(250, true)))
     });
 }
 

@@ -29,8 +29,7 @@ use srlb_net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
 };
 use srlb_sim::{
-    Context, ExecMode, Network, Node, NodeId, RunUntil, SimDuration, SimRng, SimTime, TimerToken,
-    Topology,
+    Context, ExecMode, Network, Node, NodeId, RunUntil, SimDuration, SimRng, SimTime, Topology,
 };
 
 /// Default output file name, written to the workspace root (see
@@ -259,63 +258,107 @@ fn engine_spec() -> ExperimentSpec {
         .with_seed(7)
 }
 
+/// What the pure-engine-loop ping-pong bounces: anything that can count
+/// its own bounces.  A `u64` shows the loop with nothing to move; a
+/// [`Packet`] shows the same loop moving what the SRLB nodes really send.
+trait Bounce: Send + 'static {
+    fn first() -> Self;
+    fn bounces(&self) -> u64;
+    fn bounce(&mut self);
+}
+
+impl Bounce for u64 {
+    fn first() -> Self {
+        0
+    }
+    fn bounces(&self) -> u64 {
+        *self
+    }
+    fn bounce(&mut self) {
+        *self += 1;
+    }
+}
+
+/// A hunted SYN (3-segment SRH, 216 bytes in memory) counting bounces in its
+/// TCP sequence number.
+impl Bounce for Packet {
+    fn first() -> Self {
+        let plan = AddressPlan::default();
+        let mut syn = PacketBuilder::tcp(plan.client_addr(0), plan.vip(0))
+            .ports(49_152, 80)
+            .flags(TcpFlags::SYN)
+            .build();
+        let route = [
+            plan.server_addr(ServerId(3)),
+            plan.server_addr(ServerId(7)),
+            plan.vip(0),
+        ];
+        syn.set_route(&route, 0).expect("3-segment route is valid");
+        syn
+    }
+    fn bounces(&self) -> u64 {
+        u64::from(self.tcp.sequence)
+    }
+    fn bounce(&mut self) {
+        self.tcp.sequence += 1;
+    }
+}
+
 /// A trivial ping-pong node for the pure-engine-loop entries: callbacks do
 /// nothing but bounce the message back, so the measured time is all engine
-/// (queue, dispatch, loop structure).
+/// (queue, dispatch, loop structure, and moving the message).
 struct Pinger {
-    peer: Option<NodeId>,
     bounces: u64,
 }
 
-impl Node<u64> for Pinger {
-    fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-        if let Some(peer) = self.peer {
-            ctx.send(peer, 0);
+impl<M: Bounce> Node<M> for Pinger {
+    fn on_message(&mut self, mut msg: M, from: NodeId, ctx: &mut Context<'_, M>) {
+        if msg.bounces() < self.bounces {
+            msg.bounce();
+            ctx.send(from, msg);
         }
     }
-    fn on_message(&mut self, msg: u64, from: NodeId, ctx: &mut Context<'_, u64>) {
-        if msg < self.bounces {
-            ctx.send(from, msg + 1);
-        }
-    }
-    fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Context<'_, u64>) {}
 }
 
-/// Events per wall-clock second for four concurrent ping-pong pairs with
-/// empty callbacks — the engine's loop overhead in isolation, without any
-/// load-balancer or packet logic on top.
-fn engine_loop_rate(batched: bool) -> f64 {
-    let mut net: Network<u64> = Network::new(1, Topology::uniform(SimDuration::from_micros(5)));
-    let ids: Vec<NodeId> = (0..8)
-        .map(|_| {
-            net.add_node(Pinger {
-                peer: None,
-                bounces: 1_000_000,
-            })
-        })
-        .collect();
+/// Runs four concurrent ping-pong pairs of `bounces` bounces each to
+/// completion and returns the number of events processed.
+fn ping_pong<M: Bounce>(bounces: u64, batched: bool) -> u64 {
+    let mut net: Network<M> = Network::new(1, Topology::uniform(SimDuration::from_micros(5)));
+    let ids: Vec<NodeId> = (0..8).map(|_| net.add_node(Pinger { bounces })).collect();
     for pair in ids.chunks(2) {
         let (a, b) = (pair[0], pair[1]);
-        net.control::<Pinger, _>(a, move |p, ctx| {
-            p.peer = Some(b);
-            ctx.send(b, 0);
-        })
-        .expect("pinger present");
+        net.control::<Pinger, _>(a, move |_, ctx| ctx.send(b, M::first()))
+            .expect("pinger present");
     }
-    let start = Instant::now(); // srlb-lint: allow(ambient-time) -- wall-clock events/sec is the quantity this engine bench reports
     let stats = if batched {
         net.run_until(RunUntil::Drained)
     } else {
         net.run_until_stepwise(RunUntil::Drained)
     };
-    stats.events_processed as f64 / start.elapsed().as_secs_f64()
+    stats.events_processed
+}
+
+/// [`ping_pong`] of a hunted SYN [`Packet`], for the criterion bench.
+pub fn packet_ping_pong(bounces: u64, batched: bool) -> u64 {
+    ping_pong::<Packet>(bounces, batched)
+}
+
+/// Events per wall-clock second of a million-bounce [`ping_pong`] with
+/// empty callbacks — the engine's loop overhead in isolation, without any
+/// load-balancer or server logic on top.
+fn engine_loop_rate<M: Bounce>(batched: bool) -> f64 {
+    let start = Instant::now(); // srlb-lint: allow(ambient-time) -- wall-clock events/sec is the quantity this engine bench reports
+    let events = ping_pong::<M>(1_000_000, batched);
+    events as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Measures whole-engine throughput (simulation events per wall-clock
 /// second), median of three runs per entry.
 ///
 /// The `engine_loop_*` entries drive a trivial ping-pong workload where the
-/// event loop is all that is measured; the `engine_*` entries drive the
+/// event loop is all that is measured — bouncing a `u64`, and
+/// (`engine_loop_packet_*`) bouncing a 216-byte [`Packet`], so the gap
+/// between the two is what moving the message costs; the `engine_*` entries drive the
 /// full SRLB experiment runner under each execution mode of the sharded
 /// event core.  All modes execute the identical event sequence — outcomes
 /// are byte-identical by construction — so every pair compares nothing but
@@ -353,14 +396,19 @@ pub fn engine_events_per_sec() -> BTreeMap<String, f64> {
     const ROUNDS: usize = 7;
     let mut samples: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for _ in 0..ROUNDS {
-        for (name, batched) in [
-            ("engine_loop_stepwise", false),
-            ("engine_loop_batched", true),
+        for (name, rate) in [
+            ("engine_loop_stepwise", engine_loop_rate::<u64>(false)),
+            ("engine_loop_batched", engine_loop_rate::<u64>(true)),
+            (
+                "engine_loop_packet_stepwise",
+                engine_loop_rate::<Packet>(false),
+            ),
+            (
+                "engine_loop_packet_batched",
+                engine_loop_rate::<Packet>(true),
+            ),
         ] {
-            samples
-                .entry(name)
-                .or_default()
-                .push(black_box(engine_loop_rate(batched)));
+            samples.entry(name).or_default().push(black_box(rate));
         }
         for (name, exec) in modes {
             let runner = Runner::new(spec.clone())
@@ -446,6 +494,15 @@ pub struct BenchReport {
     /// [`engine_events_per_sec`]).
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub events_per_sec: BTreeMap<String, f64>,
+    /// `std::thread::available_parallelism()` of the host that measured
+    /// (schema ≥ 3): with one core, the `engine_sharded_*` entries say
+    /// nothing about parallel speed-up.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub available_parallelism: Option<usize>,
+    /// The [`srlb_sim::PoolPolicy`] the `engine_sharded_*` entries ran under
+    /// (schema ≥ 3).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub pool_policy: Option<String>,
 }
 
 /// Runs every micro-bench and writes the JSON report to `dir`, returning
@@ -456,9 +513,13 @@ pub struct BenchReport {
 /// Returns any I/O error from writing the file.
 pub fn write_bench_micro(dir: &Path) -> std::io::Result<PathBuf> {
     let report = BenchReport {
-        schema: 2,
+        schema: 3,
         median_ns: run_all(),
         events_per_sec: engine_events_per_sec(),
+        available_parallelism: std::thread::available_parallelism()
+            .ok()
+            .map(std::num::NonZero::get),
+        pool_policy: Some(format!("{:?}", srlb_sim::PoolPolicy::default())),
     };
     let json = serde_json::to_string(&report)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -489,13 +550,17 @@ mod tests {
         let mut events_per_sec = BTreeMap::new();
         events_per_sec.insert("engine_batched".to_string(), 1.5e6);
         let report = BenchReport {
-            schema: 2,
+            schema: 3,
             median_ns,
             events_per_sec,
+            available_parallelism: Some(2),
+            pool_policy: Some("Auto".to_string()),
         };
         let json = serde_json::to_string(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema, 2);
+        assert_eq!(back.schema, 3);
+        assert_eq!(back.available_parallelism, Some(2));
+        assert_eq!(back.pool_policy.as_deref(), Some("Auto"));
         assert_eq!(back.median_ns.get("op"), Some(&42.5));
         assert_eq!(back.events_per_sec.get("engine_batched"), Some(&1.5e6));
     }
@@ -505,5 +570,14 @@ mod tests {
         let back: BenchReport =
             serde_json::from_str(r#"{"schema":1,"median_ns":{"op":1.0}}"#).unwrap();
         assert!(back.events_per_sec.is_empty());
+        assert_eq!(back.available_parallelism, None, "pre-stamp reports parse");
+    }
+
+    #[test]
+    fn packet_ping_pong_bounces_a_routed_syn() {
+        assert_eq!(<Packet as Bounce>::first().srh.unwrap().num_segments(), 3);
+        // Four pairs: the opening message plus `bounces` returns each.
+        assert_eq!(packet_ping_pong(10, true), 4 * 11);
+        assert_eq!(packet_ping_pong(10, false), ping_pong::<u64>(10, false));
     }
 }

@@ -20,7 +20,7 @@ use std::net::Ipv6Addr;
 
 use rand::RngCore;
 use srlb_metrics::{RequestClass, RequestOutcome, RequestRecord, ResponseTimeCollector};
-use srlb_net::{AddressPlan, Packet, PacketBuilder, RetransmitPolicy, TcpFlags};
+use srlb_net::{AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, RetransmitPolicy, TcpFlags};
 use srlb_server::server_node::encode_request_payload;
 use srlb_server::Directory;
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
@@ -282,16 +282,17 @@ impl ClientNode {
         &self.collector
     }
 
-    /// Sends a VIP-bound packet: the VIP is anycast to the load-balancer
-    /// tier, so the packet is ECMP-steered by its flow's 5-tuple hash —
-    /// the simulator's model of the routers in front of the LB fleet.
-    /// With a single load balancer the steering degenerates to that
-    /// instance and runs are identical to the pre-tier client.
-    fn send_to_vip(&self, ctx: &mut Context<'_, Packet>, vip: Ipv6Addr, packet: Packet) {
-        let hash = packet.flow_key_forward().stable_hash();
-        if let Some(node) = self.directory.lookup_flow(vip, hash) {
-            ctx.send(node, packet);
-        }
+    /// The load-balancer instance a VIP-bound packet of request `id` goes
+    /// to: the VIP is anycast to the load-balancer tier, so the packet is
+    /// ECMP-steered by its flow's 5-tuple hash — the simulator's model of
+    /// the routers in front of the LB fleet.  With a single load balancer
+    /// the steering degenerates to that instance and runs are identical to
+    /// the pre-tier client.
+    fn lb_of(&self, id: u64) -> Option<NodeId> {
+        let (addr, port) = request_endpoint(&self.plan, id);
+        let vip = self.vip_of(id);
+        let flow = FlowKey::new(addr, vip, port, VIP_PORT, Protocol::Tcp);
+        self.directory.lookup_flow(vip, flow.stable_hash())
     }
 
     /// Pulls the next request from the stream (if none is already pending)
@@ -348,8 +349,6 @@ impl ClientNode {
     }
 
     fn send_request_syn(&mut self, request: Request, ctx: &mut Context<'_, Packet>) {
-        let vip = self.vip_of(request.id);
-        let syn = self.syn_packet(request.id);
         self.in_flight.insert(
             request.id,
             InFlight {
@@ -362,7 +361,9 @@ impl ClientNode {
             },
         );
         self.sent += 1;
-        self.send_to_vip(ctx, vip, syn);
+        if let Some(lb) = self.lb_of(request.id) {
+            ctx.send(lb, self.syn_packet(request.id));
+        }
         self.arm_retransmit(request.id, ctx);
     }
 
@@ -404,9 +405,9 @@ impl ClientNode {
         };
         info.awaiting = Awaiting::RequestSent;
         let service = info.service;
-        let vip = self.vip_of(id);
-        let http_request = self.http_packet(id, service);
-        self.send_to_vip(ctx, vip, http_request);
+        if let Some(lb) = self.lb_of(id) {
+            ctx.send(lb, self.http_packet(id, service));
+        }
         self.arm_retransmit(id, ctx);
     }
 
@@ -434,17 +435,17 @@ impl ClientNode {
         self.retransmits += 1;
         let awaiting = info.awaiting;
         let service = info.service;
-        let vip = self.vip_of(id);
-        let packet = match awaiting {
-            // The LB treats every SYN as new and re-hunts, so the retry may
-            // land on a different (healthier) server.
-            Awaiting::SynSent => self.syn_packet(id),
-            // An established flow: the LB's flow table steers the copy to
-            // the server that accepted the connection.
-            Awaiting::RequestSent => self.http_packet(id, service),
-            Awaiting::Thinking => unreachable!("checked above"),
-        };
-        self.send_to_vip(ctx, vip, packet);
+        if let Some(lb) = self.lb_of(id) {
+            match awaiting {
+                // The LB treats every SYN as new and re-hunts, so the retry
+                // may land on a different (healthier) server.
+                Awaiting::SynSent => ctx.send(lb, self.syn_packet(id)),
+                // An established flow: the LB's flow table steers the copy
+                // to the server that accepted the connection.
+                Awaiting::RequestSent => ctx.send(lb, self.http_packet(id, service)),
+                Awaiting::Thinking => unreachable!("checked above"),
+            }
+        }
         self.arm_retransmit(id, ctx);
     }
 

@@ -35,10 +35,8 @@ use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use srlb_metrics::{EvictionBreakdown, EvictionCause, OccupancyGauge};
-use srlb_net::FlowKey;
+use srlb_net::{FlowKey, PassthroughHashBuilder};
 use srlb_sim::{SimDuration, SimTime};
-
-use crate::flow_table::PassthroughHashBuilder;
 
 /// Sentinel index terminating the intrusive lists.
 const NIL: u32 = u32::MAX;

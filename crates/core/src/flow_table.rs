@@ -6,77 +6,14 @@
 //! is always handled by the instance that accepted it.
 //!
 //! `FlowKey` carries a cached, finalised 64-bit hash computed once at
-//! construction, so the table uses a pass-through [`std::hash::BuildHasher`]
-//! ([`PassthroughHashBuilder`]) instead of re-hashing every key with SipHash
-//! on every map operation.
+//! construction, so the table uses the pass-through
+//! [`srlb_net::PassthroughHashBuilder`] instead of re-hashing every key with
+//! SipHash on every map operation.
 //!
 //! The table implementation itself lives in [`crate::flow_state`]: a
 //! sharded, optionally capacity-bounded store with incremental expiry.
 //! [`FlowTable`] is the legacy name for that type and keeps the original
 //! constructor surface (`new`, `with_default_timeout`) working unchanged.
-
-use std::hash::{BuildHasher, Hasher};
-
-/// A [`Hasher`] that passes an already-hashed `u64` straight through.
-///
-/// [`FlowKey`]'s `Hash` impl writes its cached FNV-1a + SplitMix64 hash as a
-/// single `write_u64`, which this hasher returns verbatim; hashing a flow
-/// key for a map operation is therefore a single field load.  Subsequent
-/// writes (keys that emit more than one value) are folded in with a
-/// SplitMix64 mix, and byte writes fall back to FNV-1a folding, so the
-/// hasher stays correct — every write influences the result — for any other
-/// key type it might be handed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassthroughHasher {
-    hash: u64,
-    written: bool,
-}
-
-impl Hasher for PassthroughHasher {
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        // Mixing the accumulated state *before* combining keeps the fold
-        // order-sensitive (a plain `hash ^ n` would make [a, b] and [b, a]
-        // collide).
-        self.hash = if self.written {
-            srlb_net::mix64(srlb_net::mix64(self.hash) ^ n)
-        } else {
-            n
-        };
-        self.written = true;
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-pre-hashed keys: FNV-1a over the bytes, seeded
-        // with any state already accumulated.
-        let mut h = if self.written {
-            self.hash
-        } else {
-            0xcbf2_9ce4_8422_2325
-        };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.hash = h;
-        self.written = true;
-    }
-}
-
-/// [`BuildHasher`] producing [`PassthroughHasher`]s; see there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PassthroughHashBuilder;
-
-impl BuildHasher for PassthroughHashBuilder {
-    type Hasher = PassthroughHasher;
-
-    fn build_hasher(&self) -> PassthroughHasher {
-        PassthroughHasher::default()
-    }
-}
 
 /// The flow → server stickiness table.
 ///
@@ -107,40 +44,6 @@ mod tests {
 
     fn server(n: u16) -> Ipv6Addr {
         Ipv6Addr::new(0xfd00, 0, 0, 1, 0, 0, 0, n)
-    }
-
-    #[test]
-    fn passthrough_hasher_returns_prehashed_value() {
-        let f = flow(77);
-        assert_eq!(PassthroughHashBuilder.hash_one(f), f.stable_hash());
-    }
-
-    #[test]
-    fn passthrough_hasher_folds_multiple_writes() {
-        let h = |vals: &[u64]| {
-            let mut hasher = PassthroughHashBuilder.build_hasher();
-            for &v in vals {
-                hasher.write_u64(v);
-            }
-            hasher.finish()
-        };
-        // Single pre-hashed write passes through verbatim …
-        assert_eq!(h(&[5]), 5);
-        // … but every write of a multi-value key influences the result.
-        assert_ne!(h(&[1, 2]), h(&[3, 2]));
-        assert_ne!(h(&[1, 2]), h(&[1, 3]));
-        assert_ne!(h(&[1, 2]), h(&[2, 1]));
-    }
-
-    #[test]
-    fn passthrough_hasher_fallback_distinguishes_byte_strings() {
-        let h = |bytes: &[u8]| {
-            let mut hasher = PassthroughHashBuilder.build_hasher();
-            hasher.write(bytes);
-            hasher.finish()
-        };
-        assert_ne!(h(b"abc"), h(b"abd"));
-        assert_eq!(h(b"abc"), h(b"abc"));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
 
-use srlb_net::{Packet, SegmentRoutingHeader};
+use srlb_net::Packet;
 use srlb_server::Directory;
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
@@ -136,6 +136,14 @@ pub struct LoadBalancerNode {
     flow_table: FlowTable,
     stats: LbStats,
     expiry_interval: Option<SimDuration>,
+    /// Start of the expiry sweep's `start + k × interval` grid (the node's
+    /// start time), and whether a sweep timer is currently armed.  A sweep
+    /// that leaves the table empty does not re-arm — otherwise an idle load
+    /// balancer would keep any run alive forever; the next `learn` re-arms
+    /// on the same grid, so every sweep that could expire something still
+    /// happens at the instant it always did.
+    sweep_start: SimTime,
+    sweep_armed: bool,
     /// When `true`, an established-flow packet with no flow-table entry is
     /// re-hunted through the candidate list (and the owning server adverts
     /// itself back) instead of being dropped — the in-band SYN-ACK-style
@@ -166,6 +174,8 @@ impl LoadBalancerNode {
             flow_table: FlowTable::with_default_timeout(),
             stats: LbStats::default(),
             expiry_interval: None,
+            sweep_start: SimTime::ZERO,
+            sweep_armed: false,
             recover_flows: false,
             failed_over_at: None,
             last_rehunt_at: None,
@@ -299,20 +309,23 @@ impl LoadBalancerNode {
         self.vips.contains(&addr)
     }
 
-    fn send_to_addr(&self, ctx: &mut Context<'_, Packet>, addr: Ipv6Addr, packet: Packet) {
-        if let Some(node) = self.directory.lookup(addr) {
-            ctx.send(node, packet);
-        }
-    }
-
-    /// Builds the Service Hunting SRH for `packet`'s flow and forwards the
-    /// packet to the first candidate.  Shared between new-flow dispatch and
-    /// post-failover re-hunting.
-    fn hunt(&mut self, mut packet: Packet, ctx: &mut Context<'_, Packet>) {
+    /// Gives `packet` the Service Hunting route of its flow and returns the
+    /// first candidate to forward it to.  Shared between new-flow dispatch
+    /// and, with the load balancer itself as a consumed leading segment,
+    /// post-failover re-hunting:
+    ///
+    /// * hunt — `[candidate₁, …, candidateₖ, VIP]`;
+    /// * re-hunt — `[lb, candidate₁, …, candidateₖ, VIP]`, the same identity
+    ///   trick acceptance SRHs use, so servers can tell a re-hunt from
+    ///   steered traffic (whose first segment is the owning server itself)
+    ///   for *any* candidate count, and route it by connection ownership.
+    fn hunt(
+        &mut self,
+        packet: &mut Packet,
+        rehunt: bool,
+        ctx: &mut Context<'_, Packet>,
+    ) -> Ipv6Addr {
         let flow = packet.flow_key_forward();
-        // The flow's own VIP terminates the route, so several VIPs can share
-        // one cluster.
-        let vip = flow.vip();
         // Dispatchers clear the buffer themselves, but the capacity
         // invariant belongs to the buffer's owner: clear defensively so a
         // third-party `Dispatcher` impl that only appends cannot overflow
@@ -320,61 +333,56 @@ impl LoadBalancerNode {
         self.route_scratch.clear();
         self.dispatcher
             .candidates_into(&flow, ctx.rng(), &mut self.route_scratch);
-        self.route_scratch.push(vip);
-        let srh = SegmentRoutingHeader::from_route(self.route_scratch.as_slice())
-            // srlb-lint: allow(panic-hygiene) -- the VIP was just pushed, so the route is non-empty and within MAX_SEGMENTS (checked at construction)
-            .expect("candidate list plus VIP is a non-empty route");
-        let first_hop = srh.active_segment();
-        packet.insert_srh(srh);
-        self.send_to_addr(ctx, first_hop, packet);
-    }
-
-    /// Handles a new flow: builds the Service Hunting SRH and forwards the
-    /// SYN to the first candidate.
-    fn dispatch_new_flow(&mut self, packet: Packet, ctx: &mut Context<'_, Packet>) {
-        self.stats.new_flows += 1;
-        self.hunt(packet, ctx);
-    }
-
-    /// Re-hunts an established-flow packet whose flow-table entry was lost:
-    /// the route is `[lb, candidate₁, …, candidateₖ, VIP]` with the load
-    /// balancer as the (already-consumed) first segment — the same identity
-    /// trick acceptance SRHs use — so servers can tell a re-hunt from
-    /// steered traffic (whose first segment is the owning server itself)
-    /// for *any* candidate count, and route it by connection ownership.
-    fn rehunt(&mut self, mut packet: Packet, ctx: &mut Context<'_, Packet>) {
-        let flow = packet.flow_key_forward();
-        let vip = flow.vip();
-        self.route_scratch.clear();
-        self.dispatcher
-            .candidates_into(&flow, ctx.rng(), &mut self.route_scratch);
-        let k = self.route_scratch.len();
-        debug_assert!(k <= MAX_RECOVERY_CANDIDATES, "checked at construction");
+        // The flow's own VIP terminates the route, so several VIPs can share
+        // one cluster.
         let mut route = [Ipv6Addr::UNSPECIFIED; srlb_net::MAX_SEGMENTS];
-        route[0] = self.addr;
-        route[1..=k].copy_from_slice(self.route_scratch.as_slice());
-        route[k + 1] = vip;
-        let mut srh = SegmentRoutingHeader::from_route(&route[..k + 2])
-            // srlb-lint: allow(panic-hygiene) -- k ≤ MAX_RECOVERY_CANDIDATES is enforced at construction, so k+2 segments always fit
-            .expect("lb marker, candidates and VIP fit one re-hunt route");
-        srh.set_segments_left(k as u8)
-            // srlb-lint: allow(panic-hygiene) -- k < k+2 segments, so the index is always in range
-            .expect("the first candidate is a valid active segment");
-        let first_hop = srh.active_segment();
-        packet.insert_srh(srh);
-        self.send_to_addr(ctx, first_hop, packet);
+        let candidates = self.route_scratch.as_slice();
+        let lead = usize::from(rehunt);
+        debug_assert!(!rehunt || candidates.len() <= MAX_RECOVERY_CANDIDATES);
+        let len = lead + candidates.len() + 1;
+        if rehunt {
+            route[0] = self.addr;
+        }
+        route[lead..len - 1].copy_from_slice(candidates);
+        route[len - 1] = flow.vip();
+        packet
+            .set_route(&route[..len], lead)
+            // srlb-lint: allow(panic-hygiene) -- the dispatcher's fan-out (plus the marker and the VIP) is checked against MAX_SEGMENTS at construction, and `lead < len`
+            .expect("marker, candidates and VIP fit one route")
     }
 
-    /// Handles a server's acceptance SYN-ACK: learn the flow and forward the
-    /// packet towards the client.
-    fn learn_and_forward(&mut self, mut packet: Packet, ctx: &mut Context<'_, Packet>) {
-        let Some(srh) = packet.srh.as_ref() else {
+    /// Re-arms a dormant expiry sweep at the first grid instant after now.
+    /// (Had the sweep never gone dormant, its firing *at* this instant, if
+    /// any, would find nothing but the entry just learned: skipping it
+    /// changes nothing.)
+    fn wake_sweep(&mut self, ctx: &mut Context<'_, Packet>) {
+        let Some(interval) = self.expiry_interval else {
             return;
         };
-        let server = srh.first_segment();
+        if self.sweep_armed {
+            return;
+        }
+        self.sweep_armed = true;
+        let since_start = ctx.now().duration_since(self.sweep_start).as_nanos();
+        let into_period = since_start % interval.as_nanos();
+        ctx.schedule_timer(
+            SimDuration::from_nanos(interval.as_nanos() - into_period),
+            EXPIRY_TIMER,
+        );
+    }
+
+    /// Handles a server's acceptance SYN-ACK: learn the flow and return the
+    /// next hop towards the client.
+    fn learn_and_forward(
+        &mut self,
+        packet: &mut Packet,
+        ctx: &mut Context<'_, Packet>,
+    ) -> Option<Ipv6Addr> {
+        let server = packet.srh.as_ref()?.first_segment();
         let flow = packet.flow_key_reverse();
         self.flow_table.learn(flow, server, ctx.now());
         self.stats.flows_learned += 1;
+        self.wake_sweep(ctx);
         // Acceptance SYN-ACKs and ownership adverts carry the server's load
         // hint; feed it to the dispatcher (a no-op for load-oblivious ones).
         if let Some((busy, workers, backlog)) =
@@ -386,34 +394,33 @@ impl LoadBalancerNode {
                     .observe_load(server, load, ctx.now().as_secs_f64());
             }
         }
-        // Advance past our own segment and forward to the client.
-        if let Ok(next_hop) = packet.advance_segment() {
-            self.send_to_addr(ctx, next_hop, packet);
-        }
+        // Advance past our own segment; the client is next.
+        packet.advance_segment().ok()
     }
 
     /// Handles an established-flow packet: steer it to the owning server,
     /// or — when flow recovery is enabled and the entry is missing (lost in
     /// a fail-over) — re-hunt it through the candidate list so the owner
     /// re-announces itself.
-    fn steer(&mut self, mut packet: Packet, ctx: &mut Context<'_, Packet>) {
+    fn steer(&mut self, packet: &mut Packet, ctx: &mut Context<'_, Packet>) -> Option<Ipv6Addr> {
         let flow = packet.flow_key_forward();
         match self.flow_table.lookup(&flow, ctx.now()) {
             Some(server) => {
-                let srh = SegmentRoutingHeader::from_route(&[server, flow.vip()])
+                self.stats.steered += 1;
+                let first_hop = packet
+                    .set_route(&[server, flow.vip()], 0)
                     // srlb-lint: allow(panic-hygiene) -- a fixed two-segment route can never be empty or exceed MAX_SEGMENTS
                     .expect("two-segment steering route is valid");
-                packet.insert_srh(srh);
-                self.stats.steered += 1;
-                self.send_to_addr(ctx, server, packet);
+                Some(first_hop)
             }
             None if self.recover_flows => {
                 self.stats.rehunts += 1;
                 self.last_rehunt_at = Some(ctx.now());
-                self.rehunt(packet, ctx);
+                Some(self.hunt(packet, true, ctx))
             }
             None => {
                 self.stats.missing_flow += 1;
+                None
             }
         }
     }
@@ -422,35 +429,44 @@ impl LoadBalancerNode {
 impl Node<Packet> for LoadBalancerNode {
     fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
         if let Some(interval) = self.expiry_interval {
+            self.sweep_start = ctx.now();
+            self.sweep_armed = true;
             ctx.schedule_timer(interval, EXPIRY_TIMER);
         }
     }
 
-    fn on_message(&mut self, packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
+    fn on_message(&mut self, mut packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
+        // The packet is rewritten where it arrived and sent once from here;
+        // the helpers only borrow it and name the next hop.
         let dest = packet.current_destination();
-        if dest == self.addr && packet.srh.is_some() {
+        let next_hop = if dest == self.addr && packet.srh.is_some() {
             // A packet whose active segment is the load balancer itself: a
             // connection-acceptance SYN-ACK (or post-failover ownership
             // advert) inserted by a server.
-            self.learn_and_forward(packet, ctx);
+            self.learn_and_forward(&mut packet, ctx)
         } else if self.is_vip(dest) || self.is_vip(packet.final_destination()) {
             if packet.is_syn() {
-                self.dispatch_new_flow(packet, ctx);
+                self.stats.new_flows += 1;
+                Some(self.hunt(&mut packet, false, ctx))
             } else {
-                self.steer(packet, ctx);
+                self.steer(&mut packet, ctx)
             }
         } else {
             // Plain destination routing for anything else (e.g. return
             // traffic transiting the load balancer).
             self.stats.forwarded += 1;
-            self.send_to_addr(ctx, dest, packet);
+            Some(dest)
+        };
+        if let Some(node) = next_hop.and_then(|addr| self.directory.lookup(addr)) {
+            ctx.send(node, packet);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Packet>) {
         if token == EXPIRY_TIMER {
             self.flow_table.expire_idle(ctx.now());
-            if let Some(interval) = self.expiry_interval {
+            self.sweep_armed = !self.flow_table.is_empty();
+            if let (true, Some(interval)) = (self.sweep_armed, self.expiry_interval) {
                 ctx.schedule_timer(interval, EXPIRY_TIMER);
             }
         }

@@ -17,7 +17,7 @@ use srlb_core::spec::{ExperimentSpec, FlowTableSpec, PolicyKind};
 use srlb_core::Runner;
 use srlb_metrics::{EvictionBreakdown, EvictionCause};
 use srlb_net::{AddressPlan, FlowKey, Protocol, ServerId};
-use srlb_sim::{ExecMode, SimDuration, SimTime};
+use srlb_sim::{ExecMode, PoolPolicy, SimDuration, SimTime};
 
 fn flow(client: u32, port: u16) -> FlowKey {
     let plan = AddressPlan::default();
@@ -284,5 +284,65 @@ fn bounded_runs_replay_identically_across_exec_modes() {
                 "case {case}"
             );
         }
+    }
+}
+
+/// The expiry sweep goes dormant once the table is empty, so a run with a
+/// sweep configured ends when its last flow has expired instead of spinning
+/// idle timers until the drain budget is spent: the committed bounded spec
+/// (scaled down) stops within one idle timeout plus one sweep interval of
+/// its last response, with identical results in every execution mode.
+#[test]
+fn committed_bounded_spec_ends_when_its_last_flow_expires() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/bounded_flow_table.json"
+    );
+    let spec: ExperimentSpec =
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let spec = spec.with_queries(2_000);
+    let table = spec.cluster.flow_table;
+    let slack_s = table.idle_timeout_s + table.sweep_interval_s.unwrap();
+
+    let reference = Runner::new(spec.clone())
+        .unwrap()
+        .with_exec(ExecMode::SerialStep)
+        .run();
+    let last_response_s = reference
+        .collector
+        .records()
+        .iter()
+        .filter_map(|r| Some(r.sent_at_seconds + r.response_time_ms? / 1e3))
+        .fold(0.0, f64::max);
+    assert!(last_response_s > 0.0);
+    assert!(
+        reference.duration_seconds <= last_response_s + slack_s,
+        "run lasted {} s, last response at {last_response_s} s",
+        reference.duration_seconds
+    );
+    assert!(
+        reference.events_processed < 60 * 2_000,
+        "{} events for 2000 requests: the sweep kept the run alive",
+        reference.events_processed
+    );
+    assert!(
+        reference.lb_stats.flow_expired > 0,
+        "the sweep still expires"
+    );
+
+    for exec in [
+        ExecMode::Batched,
+        ExecMode::Sharded { threads: 2 },
+        ExecMode::Sharded { threads: 4 },
+    ] {
+        let outcome = Runner::new(spec.clone())
+            .unwrap()
+            .with_exec(exec)
+            .with_pool_policy(PoolPolicy::Force)
+            .run();
+        assert_eq!(outcome.collector.records(), reference.collector.records());
+        assert_eq!(outcome.lb_stats, reference.lb_stats, "{exec:?}");
+        assert_eq!(outcome.events_processed, reference.events_processed);
+        assert_eq!(outcome.duration_seconds, reference.duration_seconds);
     }
 }

@@ -14,11 +14,15 @@ use proptest::prelude::*;
 use srlb_core::spec::{ExperimentSpec, PolicyKind, ScenarioEvent};
 use srlb_core::{RunOutcome, Runner};
 use srlb_metrics::RequestOutcome;
-use srlb_sim::ExecMode;
+use srlb_sim::{ExecMode, PoolPolicy};
 
 /// Serializes everything observable about an outcome, per-request records
 /// included — the order leftover records were drained in is part of it.
+/// `shard_plan` is left out: it describes how the run was executed, not
+/// what it computed, and differs between modes by design.
 fn fingerprint(outcome: &RunOutcome) -> String {
+    let mut outcome = outcome.clone();
+    outcome.shard_plan = None;
     format!("{outcome:?}")
 }
 
@@ -106,7 +110,13 @@ proptest! {
             ExecMode::Sharded { threads: 2 },
             ExecMode::Sharded { threads: 4 },
         ] {
-            let outcome = Runner::new(spec.clone()).unwrap().with_exec(exec).run();
+            // Forced, so the sharded arms run the worker pool on a one-core
+            // host too instead of collapsing to the batched loop.
+            let outcome = Runner::new(spec.clone())
+                .unwrap()
+                .with_exec(exec)
+                .with_pool_policy(PoolPolicy::Force)
+                .run();
             prop_assert_eq!(
                 &fingerprint(&outcome),
                 &reference,

@@ -4,7 +4,7 @@
 //! server that accepted them; this module defines the key of that table.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
@@ -198,6 +198,69 @@ impl Hash for FlowKey {
     }
 }
 
+/// A [`Hasher`] that passes an already-hashed `u64` straight through, and
+/// folds anything else cheaply and deterministically.
+///
+/// [`FlowKey`]'s `Hash` impl writes its cached FNV-1a + SplitMix64 hash as a
+/// single `write_u64`, which this hasher returns verbatim; hashing a flow
+/// key for a map operation is therefore a single field load.  Subsequent
+/// writes (keys that emit more than one value) are folded in with a
+/// SplitMix64 mix, and byte writes — an `Ipv6Addr` key — are folded a word
+/// at a time from a fixed seed, so the hasher stays correct (every write
+/// influences the result) for any key type it is handed, at a fraction of
+/// SipHash's cost.  There is no per-process random seed: use it only for
+/// keys the program itself generates, never for keys an adversary picks.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PassthroughHasher {
+    hash: u64,
+    written: bool,
+}
+
+impl Hasher for PassthroughHasher {
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // Mixing the accumulated state *before* combining keeps the fold
+        // order-sensitive (a plain `hash ^ n` would make [a, b] and [b, a]
+        // collide).
+        self.hash = if self.written {
+            mix64(mix64(self.hash) ^ n)
+        } else {
+            n
+        };
+        self.written = true;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Keys that are not pre-hashed: seeded (the FNV offset basis) so a
+        // lone word is never passed through unmixed, then one SplitMix64
+        // round per 8-byte word, the last one zero-padded.
+        if !self.written {
+            self.hash = 0xcbf2_9ce4_8422_2325;
+            self.written = true;
+        }
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.hash = mix64(self.hash ^ u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// [`BuildHasher`] producing [`PassthroughHasher`]s; see there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassthroughHashBuilder;
+
+impl BuildHasher for PassthroughHashBuilder {
+    type Hasher = PassthroughHasher;
+
+    fn build_hasher(&self) -> PassthroughHasher {
+        PassthroughHasher::default()
+    }
+}
+
 /// Wire/serde form of the key: exactly the 5 tuple fields, so the cached
 /// hash never appears in serialized output and is recomputed on load.
 #[derive(Serialize, Deserialize)]
@@ -262,6 +325,58 @@ mod tests {
             80,
             Protocol::Tcp,
         )
+    }
+
+    #[test]
+    fn passthrough_hasher_returns_prehashed_value() {
+        let f = key(77);
+        assert_eq!(PassthroughHashBuilder.hash_one(f), f.stable_hash());
+    }
+
+    #[test]
+    fn passthrough_hasher_folds_multiple_writes() {
+        let h = |vals: &[u64]| {
+            let mut hasher = PassthroughHashBuilder.build_hasher();
+            for &v in vals {
+                hasher.write_u64(v);
+            }
+            hasher.finish()
+        };
+        // Single pre-hashed write passes through verbatim …
+        assert_eq!(h(&[5]), 5);
+        // … but every write of a multi-value key influences the result.
+        assert_ne!(h(&[1, 2]), h(&[3, 2]));
+        assert_ne!(h(&[1, 2]), h(&[1, 3]));
+        assert_ne!(h(&[1, 2]), h(&[2, 1]));
+    }
+
+    #[test]
+    fn passthrough_hasher_fallback_distinguishes_byte_strings() {
+        let h = |bytes: &[u8]| {
+            let mut hasher = PassthroughHashBuilder.build_hasher();
+            hasher.write(bytes);
+            hasher.finish()
+        };
+        assert_ne!(h(b"abc"), h(b"abd"));
+        assert_eq!(h(b"abc"), h(b"abc"));
+        assert_ne!(h(&[7]), 7, "a lone short word is mixed, not passed through");
+        // Words beyond the first matter, in order.
+        assert_ne!(h(b"01234567abcdefgh"), h(b"01234567abcdefgH"));
+        assert_ne!(h(b"01234567abcdefgh"), h(b"abcdefgh01234567"));
+    }
+
+    #[test]
+    fn passthrough_hasher_spreads_neighbouring_addresses() {
+        // The directory's keys are addresses that differ in one low octet;
+        // a hash map takes its bucket from the low bits and its tag from the
+        // top seven, so both must vary across neighbours.
+        let hashes: Vec<u64> = (0..64u16)
+            .map(|n| PassthroughHashBuilder.hash_one(Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, n)))
+            .collect();
+        let low: std::collections::BTreeSet<u64> = hashes.iter().map(|h| h & 0xff).collect();
+        let top: std::collections::BTreeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(low.len() > 48, "low bits spread: {}", low.len());
+        assert!(top.len() > 32, "tag bits spread: {}", top.len());
     }
 
     #[test]

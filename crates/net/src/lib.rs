@@ -60,7 +60,7 @@ pub mod tcp;
 
 pub use addr::{AddressPlan, ServerId, Vip};
 pub use error::NetError;
-pub use flow::{mix64, FlowKey, Protocol};
+pub use flow::{mix64, FlowKey, PassthroughHashBuilder, PassthroughHasher, Protocol};
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
 pub use packet::{Packet, PacketBuilder};
 pub use srh::{SegmentRoutingHeader, MAX_SEGMENTS, SRH_FIXED_LEN};

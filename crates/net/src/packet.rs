@@ -158,6 +158,33 @@ impl Packet {
         self.normalize();
     }
 
+    /// Routes the packet along `route` (traversal order) with its first
+    /// `consumed` segments already visited: the SRH is written in place —
+    /// over the existing one, or straight into the packet if it had none —
+    /// and the IPv6 destination becomes the active segment
+    /// `route[consumed]`, which is returned.  Equivalent to
+    /// [`Packet::insert_srh`] of a freshly built header, without building
+    /// it aside and moving it in.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`SegmentRoutingHeader::set_route`]; the packet is unchanged
+    /// on error.
+    pub fn set_route(&mut self, route: &[Ipv6Addr], consumed: usize) -> Result<Ipv6Addr> {
+        let had_srh = self.srh.is_some();
+        let srh = self.srh.get_or_insert(SegmentRoutingHeader::BLANK);
+        if let Err(e) = srh.set_route(route, consumed) {
+            if !had_srh {
+                self.srh = None;
+            }
+            return Err(e);
+        }
+        let active = srh.active_segment();
+        self.ipv6.destination = active;
+        self.normalize();
+        Ok(active)
+    }
+
     /// Removes the SRH, if any, setting the IPv6 destination to the final
     /// segment (the behaviour of penultimate-segment decapsulation).
     pub fn strip_srh(&mut self) -> Option<SegmentRoutingHeader> {
@@ -307,6 +334,7 @@ pub struct PacketBuilder {
 
 impl PacketBuilder {
     /// Starts building a TCP packet from `source` to `destination`.
+    #[inline]
     pub fn tcp(source: Ipv6Addr, destination: Ipv6Addr) -> Self {
         PacketBuilder {
             packet: Packet {
@@ -319,6 +347,7 @@ impl PacketBuilder {
     }
 
     /// Sets source and destination ports.
+    #[inline]
     pub fn ports(mut self, source: u16, destination: u16) -> Self {
         self.packet.tcp.source_port = source;
         self.packet.tcp.destination_port = destination;
@@ -326,18 +355,21 @@ impl PacketBuilder {
     }
 
     /// Sets the TCP flags.
+    #[inline]
     pub fn flags(mut self, flags: TcpFlags) -> Self {
         self.packet.tcp.flags = flags;
         self
     }
 
     /// Sets the TCP sequence number.
+    #[inline]
     pub fn sequence(mut self, seq: u32) -> Self {
         self.packet.tcp.sequence = seq;
         self
     }
 
     /// Sets the TCP acknowledgment number.
+    #[inline]
     pub fn acknowledgment(mut self, ack: u32) -> Self {
         self.packet.tcp.acknowledgment = ack;
         self
@@ -345,18 +377,21 @@ impl PacketBuilder {
 
     /// Attaches a segment routing header; the IPv6 destination is rewritten
     /// to the SRH's active segment.
+    #[inline]
     pub fn segment_routing(mut self, srh: SegmentRoutingHeader) -> Self {
         self.packet.insert_srh(srh);
         self
     }
 
     /// Sets the payload.
+    #[inline]
     pub fn payload(mut self, payload: impl Into<Bytes>) -> Self {
         self.packet.payload = payload.into();
         self
     }
 
     /// Sets the hop limit.
+    #[inline]
     pub fn hop_limit(mut self, hops: u8) -> Self {
         self.packet.ipv6.hop_limit = hops;
         self
@@ -364,6 +399,7 @@ impl PacketBuilder {
 
     /// Finishes building the packet, normalising the length and next-header
     /// fields so the structured form agrees with the wire encoding.
+    #[inline]
     pub fn build(self) -> Packet {
         let mut packet = self.packet;
         packet.normalize();
@@ -433,6 +469,45 @@ mod tests {
         assert_eq!(srh.num_segments(), 3);
         assert_eq!(pkt.current_destination(), a(100));
         assert!(pkt.srh.is_none());
+    }
+
+    #[test]
+    fn set_route_equals_inserting_a_fresh_header() {
+        let route = [a(1), a(2), a(100)];
+        let bare = PacketBuilder::tcp(a(10), a(100))
+            .ports(50000, 80)
+            .flags(TcpFlags::SYN)
+            .build();
+        for consumed in 0..2 {
+            let mut expected = bare.clone();
+            let mut srh = SegmentRoutingHeader::from_route(&route).unwrap();
+            srh.set_segments_left((2 - consumed) as u8).unwrap();
+            expected.insert_srh(srh);
+            // Into a packet without an SRH, and over an existing one.
+            let mut fresh = bare.clone();
+            assert_eq!(fresh.set_route(&route, consumed).unwrap(), route[consumed]);
+            assert_eq!(fresh, expected);
+            let mut rerouted = syn_with_srh();
+            rerouted.set_route(&[a(7), a(8)], 0).unwrap();
+            rerouted.set_route(&route, consumed).unwrap();
+            assert_eq!(rerouted, expected);
+            assert_eq!(fresh.encode(), expected.encode());
+        }
+        // A bad route leaves the packet as it was, SRH or not.
+        let mut untouched = bare.clone();
+        assert!(untouched.set_route(&[], 0).is_err());
+        assert_eq!(untouched, bare);
+        let mut routed = syn_with_srh();
+        assert!(routed.set_route(&route, 3).is_err());
+        assert_eq!(routed, syn_with_srh());
+    }
+
+    #[test]
+    fn packet_stays_within_its_size_budget() {
+        // Every simulated hop moves a `Packet` into the event queue and out
+        // again; growing it makes every event dearer.
+        assert!(std::mem::size_of::<Packet>() <= 216);
+        assert!(std::mem::size_of::<Option<Packet>>() <= 216, "niche kept");
     }
 
     #[test]

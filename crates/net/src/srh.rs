@@ -66,26 +66,37 @@ struct SegmentList {
 }
 
 impl SegmentList {
-    /// Builds a list from a slice in the same order.
+    const EMPTY: SegmentList = SegmentList {
+        segments: [Ipv6Addr::UNSPECIFIED; MAX_SEGMENTS],
+        len: 0,
+    };
+
+    /// Checks that `n` segments fit a list.
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::EmptySegmentList`] for an empty slice and
-    /// [`NetError::SegmentListTooLong`] for more than [`MAX_SEGMENTS`]
-    /// entries.
-    fn from_slice(segments: &[Ipv6Addr]) -> Result<Self> {
-        if segments.is_empty() {
-            return Err(NetError::EmptySegmentList);
+    /// Returns [`NetError::EmptySegmentList`] for zero and
+    /// [`NetError::SegmentListTooLong`] for more than [`MAX_SEGMENTS`].
+    fn check_len(n: usize) -> Result<()> {
+        match n {
+            0 => Err(NetError::EmptySegmentList),
+            n if n > MAX_SEGMENTS => Err(NetError::SegmentListTooLong(n)),
+            _ => Ok(()),
         }
-        if segments.len() > MAX_SEGMENTS {
-            return Err(NetError::SegmentListTooLong(segments.len()));
+    }
+
+    /// Overwrites the list with `segments` (at most [`MAX_SEGMENTS`], checked
+    /// by the caller), in the same order or reversed.
+    fn fill(&mut self, segments: &[Ipv6Addr], reversed: bool) {
+        let n = segments.len();
+        if reversed {
+            for (slot, segment) in self.segments[..n].iter_mut().zip(segments.iter().rev()) {
+                *slot = *segment;
+            }
+        } else {
+            self.segments[..n].copy_from_slice(segments);
         }
-        let mut list = SegmentList {
-            segments: [Ipv6Addr::UNSPECIFIED; MAX_SEGMENTS],
-            len: segments.len() as u8,
-        };
-        list.segments[..segments.len()].copy_from_slice(segments);
-        Ok(list)
+        self.len = n as u8;
     }
 
     fn as_slice(&self) -> &[Ipv6Addr] {
@@ -94,11 +105,6 @@ impl SegmentList {
 
     fn len(&self) -> usize {
         self.len as usize
-    }
-
-    /// Reverses the live prefix in place (wire order ↔ traversal order).
-    fn reverse(&mut self) {
-        self.segments[..self.len as usize].reverse();
     }
 }
 
@@ -138,8 +144,11 @@ impl<'de> Deserialize<'de> for SegmentList {
         deserializer: D,
     ) -> std::result::Result<Self, D::Error> {
         let segments = Vec::<Ipv6Addr>::deserialize(deserializer)?;
-        SegmentList::from_slice(&segments)
-            .map_err(|e| <D::Error as serde::de::Error>::custom(e.to_string()))
+        SegmentList::check_len(segments.len())
+            .map_err(|e| <D::Error as serde::de::Error>::custom(e.to_string()))?;
+        let mut list = SegmentList::EMPTY;
+        list.fill(&segments, false);
+        Ok(list)
     }
 }
 
@@ -177,15 +186,44 @@ impl SegmentRoutingHeader {
     /// [`NetError::SegmentListTooLong`] for more than [`MAX_SEGMENTS`]
     /// segments.
     pub fn from_route(route: &[Ipv6Addr]) -> Result<Self> {
-        let mut segment_list = SegmentList::from_slice(route)?;
-        segment_list.reverse();
-        Ok(SegmentRoutingHeader {
-            next_header: NextHeader::Tcp,
-            segments_left: (segment_list.len() - 1) as u8,
-            flags: 0,
-            tag: 0,
-            segment_list,
-        })
+        let mut srh = Self::BLANK;
+        srh.set_route(route, 0)?;
+        Ok(srh)
+    }
+
+    /// A header with no segments yet: only ever a value about to be
+    /// overwritten by [`SegmentRoutingHeader::set_route`], so that a route
+    /// is written once, where it will live, instead of being built aside
+    /// and moved there.
+    pub(crate) const BLANK: SegmentRoutingHeader = SegmentRoutingHeader {
+        next_header: NextHeader::Tcp,
+        segments_left: 0,
+        flags: 0,
+        tag: 0,
+        segment_list: SegmentList::EMPTY,
+    };
+
+    /// Rewrites the header in place to `route` (traversal order, as in
+    /// [`SegmentRoutingHeader::from_route`]) with the first `consumed`
+    /// segments already visited, so `route[consumed]` becomes the active
+    /// segment.  Everything else is reset as in a freshly built header.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::EmptySegmentList`],
+    /// [`NetError::SegmentListTooLong`], or [`NetError::NoSegmentsLeft`] if
+    /// `consumed` covers the whole route; the header is unchanged on error.
+    pub fn set_route(&mut self, route: &[Ipv6Addr], consumed: usize) -> Result<()> {
+        SegmentList::check_len(route.len())?;
+        if consumed >= route.len() {
+            return Err(NetError::NoSegmentsLeft);
+        }
+        self.next_header = NextHeader::Tcp;
+        self.flags = 0;
+        self.tag = 0;
+        self.segment_list.fill(route, true);
+        self.segments_left = (route.len() - 1 - consumed) as u8;
+        Ok(())
     }
 
     /// Builds an SRH directly from a wire-order segment list and an explicit
@@ -196,20 +234,17 @@ impl SegmentRoutingHeader {
     /// Returns [`NetError::EmptySegmentList`], [`NetError::SegmentListTooLong`]
     /// or [`NetError::SegmentsLeftOutOfRange`] on invalid input.
     pub fn from_wire_order(segment_list: &[Ipv6Addr], segments_left: u8) -> Result<Self> {
-        let segment_list = SegmentList::from_slice(segment_list)?;
+        SegmentList::check_len(segment_list.len())?;
         if segments_left as usize >= segment_list.len() {
             return Err(NetError::SegmentsLeftOutOfRange {
                 segments_left,
                 segments: segment_list.len(),
             });
         }
-        Ok(SegmentRoutingHeader {
-            next_header: NextHeader::Tcp,
-            segments_left,
-            flags: 0,
-            tag: 0,
-            segment_list,
-        })
+        let mut srh = Self::BLANK;
+        srh.segment_list.fill(segment_list, false);
+        srh.segments_left = segments_left;
+        Ok(srh)
     }
 
     /// Number of segments in the list.
@@ -603,6 +638,33 @@ mod tests {
         assert_eq!(srh.active_segment(), list[1]);
         assert!(SegmentRoutingHeader::from_wire_order(&[], 0).is_err());
         assert!(SegmentRoutingHeader::from_wire_order(&list, 3).is_err());
+    }
+
+    #[test]
+    fn set_route_rewrites_in_place_like_a_fresh_header() {
+        let long = addrs(5);
+        let short = addrs(3);
+        let mut srh = SegmentRoutingHeader::from_route(&long).unwrap();
+        srh.tag = 0xbeef;
+        srh.flags = 0x08;
+        // Over a longer, decorated header: equal to a freshly built one,
+        // stale scratch segments notwithstanding.
+        srh.set_route(&short, 0).unwrap();
+        assert_eq!(srh, SegmentRoutingHeader::from_route(&short).unwrap());
+        // With a consumed first segment, the second one is active.
+        srh.set_route(&short, 1).unwrap();
+        assert_eq!(srh.segments_left(), 1);
+        assert_eq!(srh.active_segment(), short[1]);
+        assert_eq!(srh.first_segment(), short[0]);
+        // Invalid routes leave the header untouched.
+        let before = srh.clone();
+        assert_eq!(srh.set_route(&[], 0), Err(NetError::EmptySegmentList));
+        assert_eq!(
+            srh.set_route(&addrs(MAX_SEGMENTS + 1), 0),
+            Err(NetError::SegmentListTooLong(MAX_SEGMENTS + 1))
+        );
+        assert_eq!(srh.set_route(&short, 3), Err(NetError::NoSegmentsLeft));
+        assert_eq!(srh, before);
     }
 
     #[test]

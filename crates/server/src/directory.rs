@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::{Arc, RwLock};
 
+use srlb_net::PassthroughHashBuilder;
 use srlb_sim::{NodeId, Steering};
 
 /// Shared, mutable membership of one ECMP tier: the
@@ -39,10 +40,17 @@ pub fn tier_members(members: Vec<NodeId>) -> TierMembers {
 }
 
 /// An address → node lookup table with optional ECMP tiers.
+///
+/// Both maps are keyed by addresses the experiment's own address plan
+/// generates, so they use the cheap fixed-seed
+/// [`PassthroughHashBuilder`] rather than SipHash: every forwarded packet
+/// pays one lookup here.  The unicast table sits behind an [`Arc`], so the
+/// per-node clones of a large cluster share one copy; composing a directory
+/// ([`Directory::register`]) copies it only if it is already shared.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    entries: HashMap<Ipv6Addr, NodeId>,
-    tiers: HashMap<Ipv6Addr, TierMembers>,
+    entries: Arc<HashMap<Ipv6Addr, NodeId, PassthroughHashBuilder>>,
+    tiers: HashMap<Ipv6Addr, TierMembers, PassthroughHashBuilder>,
 }
 
 impl PartialEq for Directory {
@@ -68,7 +76,7 @@ impl Directory {
     /// Registers `addr` as hosted by `node`.  Registering the same address
     /// twice overwrites the previous owner and returns it.
     pub fn register(&mut self, addr: Ipv6Addr, node: NodeId) -> Option<NodeId> {
-        self.entries.insert(addr, node)
+        Arc::make_mut(&mut self.entries).insert(addr, node)
     }
 
     /// Registers `addr` as an ECMP anycast address advertised by the tier
@@ -110,7 +118,7 @@ impl Directory {
     /// engine does for server removal; to take a node out of a tier mid-run,
     /// mutate the shared [`TierMembers`] handle instead.
     pub fn unregister(&mut self, addr: Ipv6Addr) -> Option<NodeId> {
-        self.entries.remove(&addr)
+        Arc::make_mut(&mut self.entries).remove(&addr)
     }
 
     /// Number of registered addresses, unicast and tier alike (so

@@ -28,7 +28,7 @@ use std::net::Ipv6Addr;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use srlb_net::{FlowKey, Packet, PacketBuilder, TcpFlags};
+use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, TcpFlags};
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::agent::ApplicationAgent;
@@ -272,8 +272,10 @@ pub struct ServerNode {
     pool: WorkerPool,
     cpu: ProcessorSharingCpu,
     backlog: Backlog<PendingJob>,
-    connections: HashMap<FlowKey, Connection>,
-    running: HashMap<u64, RunningJob>,
+    /// Keyed by the flow key's cached hash (no re-hashing per packet).
+    connections: HashMap<FlowKey, Connection, PassthroughHashBuilder>,
+    /// Keyed by this server's own sequential job tokens.
+    running: HashMap<u64, RunningJob, PassthroughHashBuilder>,
     next_job_token: u64,
     /// Generation counter for the single CPU completion timer: any timer
     /// whose token does not match the current generation is stale and
@@ -299,8 +301,8 @@ impl ServerNode {
             pool,
             cpu,
             backlog,
-            connections: HashMap::new(),
-            running: HashMap::new(),
+            connections: HashMap::default(),
+            running: HashMap::default(),
             next_job_token: 0,
             cpu_timer_generation: 0,
             stats: ServerStats::default(),
@@ -375,23 +377,14 @@ impl ServerNode {
         }
     }
 
-    fn send_to_addr(&self, ctx: &mut Context<'_, Packet>, addr: Ipv6Addr, packet: Packet) {
-        if let Some(node) = self.directory.lookup(addr) {
-            ctx.send(node, packet);
-        }
-    }
-
-    /// Sends a packet to the load-balancer tier, ECMP-steered by the flow's
-    /// canonical (client → VIP) hash so it reaches the same instance the
-    /// client's own packets are steered to.  With a single load balancer
-    /// (`lb_addr` registered unicast) this degenerates to a plain lookup.
-    fn send_to_lb(&self, ctx: &mut Context<'_, Packet>, flow: &FlowKey, packet: Packet) {
-        if let Some(node) = self
-            .directory
+    /// The load-balancer tier instance serving `flow`: ECMP-steered by the
+    /// flow's canonical (client → VIP) hash, so a packet sent there reaches
+    /// the same instance the client's own packets are steered to.  With a
+    /// single load balancer (`lb_addr` registered unicast) this degenerates
+    /// to a plain lookup.
+    fn lb_of(&self, flow: &FlowKey) -> Option<NodeId> {
+        self.directory
             .lookup_flow(self.config.lb_addr, flow.stable_hash())
-        {
-            ctx.send(node, packet);
-        }
     }
 
     /// The load hint describing this server's instantaneous state, attached
@@ -430,21 +423,22 @@ impl ServerNode {
             },
         );
 
-        let srh = self
-            .router
-            .acceptance_srh(client)
-            .expect("acceptance SRH construction cannot fail for 3 segments");
-        let syn_ack = PacketBuilder::tcp(vip, client)
-            .ports(flow.vip_port(), flow.client_port())
-            .flags(TcpFlags::SYN_ACK)
-            .segment_routing(srh)
-            .payload(self.load_hint())
-            .build();
-        // The active segment of the acceptance SRH is the load balancer —
+        // The active segment of the acceptance route is the load balancer —
         // specifically the tier instance this flow is ECMP-steered to, so
         // the flow table that learns the owner is the one that will steer
         // the flow's subsequent packets.
-        self.send_to_lb(ctx, &flow, syn_ack);
+        let Some(lb) = self.lb_of(&flow) else {
+            return;
+        };
+        let mut syn_ack = PacketBuilder::tcp(vip, client)
+            .ports(flow.vip_port(), flow.client_port())
+            .flags(TcpFlags::SYN_ACK)
+            .payload(self.load_hint())
+            .build();
+        syn_ack
+            .set_route(&self.router.acceptance_route(client), 1)
+            .expect("a 3-segment acceptance route is valid");
+        ctx.send(lb, syn_ack);
     }
 
     /// Handles an established-flow request packet: serve, queue or reset.
@@ -501,11 +495,7 @@ impl ServerNode {
                     // tcp_abort_on_overflow: reset the connection.
                     self.stats.resets += 1;
                     self.connections.remove(&job.flow);
-                    let rst = PacketBuilder::tcp(job.flow.vip(), job.client)
-                        .ports(job.flow.vip_port(), job.flow.client_port())
-                        .flags(TcpFlags::RST)
-                        .build();
-                    self.send_to_addr(ctx, job.client, rst);
+                    self.send_reset(&job.flow, job.client, ctx);
                 }
             }
         } else {
@@ -573,6 +563,9 @@ impl ServerNode {
         request_id: u64,
         ctx: &mut Context<'_, Packet>,
     ) {
+        let Some(node) = self.directory.lookup(client) else {
+            return;
+        };
         let response = PacketBuilder::tcp(flow.vip(), client)
             .ports(flow.vip_port(), flow.client_port())
             .flags(TcpFlags::PSH | TcpFlags::ACK)
@@ -581,7 +574,19 @@ impl ServerNode {
                 self.config.server_index,
             ))
             .build();
-        self.send_to_addr(ctx, client, response);
+        ctx.send(node, response);
+    }
+
+    /// Resets `flow`'s connection towards `client`.
+    fn send_reset(&self, flow: &FlowKey, client: Ipv6Addr, ctx: &mut Context<'_, Packet>) {
+        let Some(node) = self.directory.lookup(client) else {
+            return;
+        };
+        let rst = PacketBuilder::tcp(flow.vip(), client)
+            .ports(flow.vip_port(), flow.client_port())
+            .flags(TcpFlags::RST)
+            .build();
+        ctx.send(node, rst);
     }
 
     /// Handles a *re-hunted* packet: a non-SYN packet carrying a Service
@@ -600,18 +605,25 @@ impl ServerNode {
     /// * another candidate may own it — forward along the SR list,
     /// * last candidate and nobody owned it — the connection is
     ///   unrecoverable: reset it so the client learns immediately.
-    fn handle_rehunted(&mut self, mut packet: Packet, ctx: &mut Context<'_, Packet>) {
+    ///
+    /// Returns the next hop when the packet must travel on along its SR list
+    /// (already advanced); every other outcome is handled here.
+    fn handle_rehunted(
+        &mut self,
+        packet: &mut Packet,
+        ctx: &mut Context<'_, Packet>,
+    ) -> Option<Ipv6Addr> {
         let flow = packet.flow_key_forward();
         let segments_left = packet.srh.as_ref().map_or(0, |s| s.segments_left());
         match self.connections.get(&flow).copied() {
             Some(conn) if conn.completed.is_none() => {
                 if packet.set_segments_left(0).is_err() {
-                    return;
+                    return None;
                 }
                 self.stats.ownership_adverts += 1;
                 self.send_ownership_advert(&flow, ctx);
                 self.deliver_established(packet, ctx);
-                return;
+                return None;
             }
             Some(conn) => {
                 // The connection completed and lingers only to answer
@@ -622,27 +634,22 @@ impl ServerNode {
                     if conn.completed == Some(request_id) {
                         self.stats.responses_replayed += 1;
                         self.send_response(&flow, conn.client, request_id, ctx);
-                        return;
+                        return None;
                     }
                 }
                 if packet.is_rst() || packet.is_fin() {
                     self.connections.remove(&flow);
-                    return;
+                    return None;
                 }
             }
             None => {}
         }
         if segments_left >= 2 {
-            if let Ok(next_hop) = packet.advance_segment() {
-                self.send_to_addr(ctx, next_hop, packet);
-            }
+            packet.advance_segment().ok()
         } else {
             self.stats.orphaned += 1;
-            let rst = PacketBuilder::tcp(flow.vip(), flow.client())
-                .ports(flow.vip_port(), flow.client_port())
-                .flags(TcpFlags::RST)
-                .build();
-            self.send_to_addr(ctx, flow.client(), rst);
+            self.send_reset(&flow, flow.client(), ctx);
+            None
         }
     }
 
@@ -650,58 +657,54 @@ impl ServerNode {
     /// acceptance SRH a SYN-ACK carries, so the (recovered) load balancer
     /// re-learns *flow → server* purely in-band.
     fn send_ownership_advert(&self, flow: &FlowKey, ctx: &mut Context<'_, Packet>) {
-        let srh = self
-            .router
-            .acceptance_srh(flow.client())
-            .expect("acceptance SRH construction cannot fail for 3 segments");
-        let advert = PacketBuilder::tcp(flow.vip(), flow.client())
+        let Some(lb) = self.lb_of(flow) else {
+            return;
+        };
+        let mut advert = PacketBuilder::tcp(flow.vip(), flow.client())
             .ports(flow.vip_port(), flow.client_port())
             .flags(TcpFlags::ACK)
-            .segment_routing(srh)
             .payload(self.load_hint())
             .build();
-        self.send_to_lb(ctx, flow, advert);
+        advert
+            .set_route(&self.router.acceptance_route(flow.client()), 1)
+            .expect("a 3-segment acceptance route is valid");
+        ctx.send(lb, advert);
     }
 
-    /// Handles a locally delivered non-SYN packet of an established flow.
-    fn deliver_established(&mut self, packet: Packet, ctx: &mut Context<'_, Packet>) {
-        if packet.is_rst() || packet.is_fin() {
-            // Connection aborted or closed by the peer.
-            self.connections.remove(&packet.flow_key_forward());
-        } else {
-            self.handle_request(&packet, ctx);
-        }
+    /// A non-SYN packet whose SRH leads with a *foreign* first segment is a
+    /// re-hunt (flow-table reconstruction after load-balancer failover): the
+    /// load balancer marks re-hunt routes with itself as the
+    /// already-consumed first segment, whereas steered traffic always
+    /// arrives as `[self, VIP]`.  Re-hunts are routed by connection
+    /// ownership, not load.
+    fn is_rehunt(&self, packet: &Packet) -> bool {
+        !packet.is_syn()
+            && packet.srh.as_ref().is_some_and(|srh| {
+                srh.segments_left() >= 1 && srh.first_segment() != self.config.addr
+            })
     }
-}
 
-impl Node<Packet> for ServerNode {
-    fn on_message(&mut self, packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
-        // A non-SYN packet whose SRH leads with a *foreign* first segment is
-        // a re-hunt (flow-table reconstruction after load-balancer
-        // failover): the load balancer marks re-hunt routes with itself as
-        // the already-consumed first segment, whereas steered traffic always
-        // arrives as `[self, VIP]`.  Re-hunts are routed by connection
-        // ownership, not load.
-        if !packet.is_syn() {
-            if let Some(srh) = packet.srh.as_ref() {
-                if srh.segments_left() >= 1 && srh.first_segment() != self.config.addr {
-                    self.handle_rehunted(packet, ctx);
-                    return;
-                }
-            }
-        }
+    /// Runs the virtual router on an inbound packet and acts on its verdict:
+    /// a locally delivered packet is consumed here (connection accepted, or
+    /// request served); for one passed on, the next candidate is returned.
+    fn route_hunted(
+        &mut self,
+        packet: &mut Packet,
+        ctx: &mut Context<'_, Packet>,
+    ) -> Option<Ipv6Addr> {
         let scoreboard = self.pool.scoreboard();
         let accepted_before = self.agent.accepted();
-        let action = match self.router.process(packet, &mut self.agent, scoreboard) {
-            Ok(action) => action,
-            Err(_) => return, // malformed SRH: drop
-        };
-        match action {
-            RouterAction::Forward { packet, next_hop } => {
+        // A malformed SRH drops the packet.
+        match self
+            .router
+            .process(packet, &mut self.agent, scoreboard)
+            .ok()?
+        {
+            RouterAction::Forward { next_hop } => {
                 self.stats.passed_on += 1;
-                self.send_to_addr(ctx, next_hop, packet);
+                Some(next_hop)
             }
-            RouterAction::DeliverLocal(packet) => {
+            RouterAction::DeliverLocal => {
                 if packet.is_syn() {
                     // A SYN accepted without consulting the agent was a
                     // forced acceptance (this server was the last candidate).
@@ -710,11 +713,37 @@ impl Node<Packet> for ServerNode {
                     } else {
                         self.stats.forced_accepts += 1;
                     }
-                    self.accept_connection(&packet, ctx);
+                    self.accept_connection(packet, ctx);
                 } else {
                     self.deliver_established(packet, ctx);
                 }
+                None
             }
+        }
+    }
+
+    /// Handles a locally delivered non-SYN packet of an established flow.
+    fn deliver_established(&mut self, packet: &Packet, ctx: &mut Context<'_, Packet>) {
+        if packet.is_rst() || packet.is_fin() {
+            // Connection aborted or closed by the peer.
+            self.connections.remove(&packet.flow_key_forward());
+        } else {
+            self.handle_request(packet, ctx);
+        }
+    }
+}
+
+impl Node<Packet> for ServerNode {
+    fn on_message(&mut self, mut packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
+        // The packet is rewritten where it arrived and, if it travels on,
+        // sent once from here; the helpers only borrow it.
+        let next_hop = if self.is_rehunt(&packet) {
+            self.handle_rehunted(&mut packet, ctx)
+        } else {
+            self.route_hunted(&mut packet, ctx)
+        };
+        if let Some(node) = next_hop.and_then(|addr| self.directory.lookup(addr)) {
+            ctx.send(node, packet);
         }
     }
 

@@ -10,20 +10,19 @@
 
 use std::net::Ipv6Addr;
 
-use srlb_net::{NetError, Packet, SegmentRoutingHeader};
+use srlb_net::{NetError, Packet};
 
 use crate::agent::ApplicationAgent;
 use crate::worker::Scoreboard;
 
-/// The outcome of processing a packet at the virtual router.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The verdict of processing a packet at the virtual router.  The packet
+/// itself is rewritten in place; the verdict only says where it goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterAction {
     /// Deliver the packet to the local application instance.
-    DeliverLocal(Packet),
-    /// Forward the packet towards `next_hop` (the new active segment).
+    DeliverLocal,
+    /// Forward the packet towards `next_hop` (its new active segment).
     Forward {
-        /// The rewritten packet.
-        packet: Packet,
         /// The address of the next candidate.
         next_hop: Ipv6Addr,
     },
@@ -34,7 +33,7 @@ pub enum RouterAction {
 pub struct VirtualRouter {
     /// The server's own physical address.
     server_addr: Ipv6Addr,
-    /// The load balancer's address (used when building acceptance SRHs).
+    /// The load balancer's address (used when building acceptance routes).
     lb_addr: Ipv6Addr,
 }
 
@@ -53,7 +52,8 @@ impl VirtualRouter {
         self.server_addr
     }
 
-    /// Processes an inbound packet per Algorithm 1.
+    /// Processes an inbound packet per Algorithm 1, rewriting its SRH and
+    /// destination in place.
     ///
     /// * No SRH, or `SegmentsLeft == 0` — the packet is addressed to this
     ///   server directly (steered traffic of an established flow): deliver
@@ -70,49 +70,40 @@ impl VirtualRouter {
     /// workspace's load balancer.
     pub fn process(
         &self,
-        mut packet: Packet,
+        packet: &mut Packet,
         agent: &mut ApplicationAgent,
         scoreboard: Scoreboard,
     ) -> Result<RouterAction, NetError> {
         let Some(srh) = packet.srh.as_ref() else {
-            return Ok(RouterAction::DeliverLocal(packet));
+            return Ok(RouterAction::DeliverLocal);
         };
         match srh.segments_left() {
-            0 => Ok(RouterAction::DeliverLocal(packet)),
+            0 => Ok(RouterAction::DeliverLocal),
             1 => {
                 // Penultimate segment: the application must not refuse.
                 packet.set_segments_left(0)?;
-                Ok(RouterAction::DeliverLocal(packet))
+                Ok(RouterAction::DeliverLocal)
             }
             _ => {
                 if agent.decide(scoreboard).is_accept() {
                     packet.set_segments_left(0)?;
-                    Ok(RouterAction::DeliverLocal(packet))
+                    Ok(RouterAction::DeliverLocal)
                 } else {
                     let next_hop = packet.advance_segment()?;
-                    Ok(RouterAction::Forward { packet, next_hop })
+                    Ok(RouterAction::Forward { next_hop })
                 }
             }
         }
     }
 
-    /// Builds the SRH a server inserts into its connection-acceptance packet
-    /// (SYN-ACK): the route `[server, load-balancer, client]` with the
-    /// load balancer as the active segment, so that the load balancer both
-    /// learns which server accepted the flow (the first, already-consumed
-    /// segment) and forwards the packet on to the client.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NetError`] from SRH construction (cannot happen for the
-    /// fixed 3-segment route used here).
-    pub fn acceptance_srh(&self, client: Ipv6Addr) -> Result<SegmentRoutingHeader, NetError> {
-        let route = [self.server_addr, self.lb_addr, client];
-        let mut srh = SegmentRoutingHeader::from_route(&route)?;
-        // The server itself is the (conceptually consumed) first segment; the
-        // active segment is the load balancer.
-        srh.set_segments_left(1)?;
-        Ok(srh)
+    /// The route a server gives its connection-acceptance packet (SYN-ACK):
+    /// `[server, load-balancer, client]`, to be installed with the first
+    /// segment consumed (`packet.set_route(&route, 1)`), so that the load
+    /// balancer is the active segment: it both learns which server accepted
+    /// the flow (the first, already-consumed segment) and forwards the
+    /// packet on to the client.
+    pub fn acceptance_route(&self, client: Ipv6Addr) -> [Ipv6Addr; 3] {
+        [self.server_addr, self.lb_addr, client]
     }
 }
 
@@ -120,7 +111,7 @@ impl VirtualRouter {
 mod tests {
     use super::*;
     use crate::policy::StaticThreshold;
-    use srlb_net::{PacketBuilder, TcpFlags};
+    use srlb_net::{PacketBuilder, SegmentRoutingHeader, TcpFlags};
 
     fn addr(n: u16) -> Ipv6Addr {
         Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, n)
@@ -148,15 +139,11 @@ mod tests {
     fn first_candidate_accepts_when_below_threshold() {
         let router = VirtualRouter::new(addr(1), addr(99));
         let mut agent = agent(4);
-        let packet = hunted_syn(&[addr(1), addr(2)], addr(200));
-        let action = router.process(packet, &mut agent, sb(2)).unwrap();
-        match action {
-            RouterAction::DeliverLocal(p) => {
-                assert_eq!(p.srh.as_ref().unwrap().segments_left(), 0);
-                assert_eq!(p.current_destination(), addr(200), "destination is the VIP");
-            }
-            other => panic!("expected local delivery, got {other:?}"),
-        }
+        let mut p = hunted_syn(&[addr(1), addr(2)], addr(200));
+        let action = router.process(&mut p, &mut agent, sb(2)).unwrap();
+        assert_eq!(action, RouterAction::DeliverLocal);
+        assert_eq!(p.srh.as_ref().unwrap().segments_left(), 0);
+        assert_eq!(p.current_destination(), addr(200), "destination is the VIP");
         assert_eq!(agent.consultations(), 1);
         assert_eq!(agent.accepted(), 1);
     }
@@ -165,16 +152,11 @@ mod tests {
     fn first_candidate_forwards_when_busy() {
         let router = VirtualRouter::new(addr(1), addr(99));
         let mut agent = agent(4);
-        let packet = hunted_syn(&[addr(1), addr(2)], addr(200));
-        let action = router.process(packet, &mut agent, sb(10)).unwrap();
-        match action {
-            RouterAction::Forward { packet, next_hop } => {
-                assert_eq!(next_hop, addr(2));
-                assert_eq!(packet.current_destination(), addr(2));
-                assert_eq!(packet.srh.as_ref().unwrap().segments_left(), 1);
-            }
-            other => panic!("expected forward, got {other:?}"),
-        }
+        let mut packet = hunted_syn(&[addr(1), addr(2)], addr(200));
+        let action = router.process(&mut packet, &mut agent, sb(10)).unwrap();
+        assert_eq!(action, RouterAction::Forward { next_hop: addr(2) });
+        assert_eq!(packet.current_destination(), addr(2));
+        assert_eq!(packet.srh.as_ref().unwrap().segments_left(), 1);
         assert_eq!(agent.accepted(), 0);
     }
 
@@ -185,8 +167,8 @@ mod tests {
         let mut packet = hunted_syn(&[addr(1), addr(2)], addr(200));
         // Simulate the first candidate having passed it on.
         packet.advance_segment().unwrap();
-        let action = router.process(packet, &mut agent, sb(32)).unwrap();
-        assert!(matches!(action, RouterAction::DeliverLocal(_)));
+        let action = router.process(&mut packet, &mut agent, sb(32)).unwrap();
+        assert_eq!(action, RouterAction::DeliverLocal);
         // The policy must not have been consulted for the forced acceptance.
         assert_eq!(agent.consultations(), 0);
     }
@@ -195,12 +177,12 @@ mod tests {
     fn steered_packet_without_srh_is_delivered() {
         let router = VirtualRouter::new(addr(1), addr(99));
         let mut agent = agent(0); // would refuse everything if consulted
-        let packet = PacketBuilder::tcp(addr(100), addr(1))
+        let mut packet = PacketBuilder::tcp(addr(100), addr(1))
             .ports(40_000, 80)
             .flags(TcpFlags::ACK)
             .build();
-        let action = router.process(packet, &mut agent, sb(32)).unwrap();
-        assert!(matches!(action, RouterAction::DeliverLocal(_)));
+        let action = router.process(&mut packet, &mut agent, sb(32)).unwrap();
+        assert_eq!(action, RouterAction::DeliverLocal);
         assert_eq!(agent.consultations(), 0);
     }
 
@@ -210,8 +192,8 @@ mod tests {
         let mut agent = agent(0);
         let mut packet = hunted_syn(&[addr(5), addr(1)], addr(200));
         packet.set_segments_left(0).unwrap();
-        let action = router.process(packet, &mut agent, sb(0)).unwrap();
-        assert!(matches!(action, RouterAction::DeliverLocal(_)));
+        let action = router.process(&mut packet, &mut agent, sb(0)).unwrap();
+        assert_eq!(action, RouterAction::DeliverLocal);
     }
 
     #[test]
@@ -229,17 +211,11 @@ mod tests {
         let mut hops = Vec::new();
         for i in 0..3 {
             match routers[i]
-                .process(packet.clone(), &mut agents[i], sb(16))
+                .process(&mut packet, &mut agents[i], sb(16))
                 .unwrap()
             {
-                RouterAction::Forward {
-                    packet: p,
-                    next_hop,
-                } => {
-                    hops.push(next_hop);
-                    packet = p;
-                }
-                RouterAction::DeliverLocal(_) => {
+                RouterAction::Forward { next_hop } => hops.push(next_hop),
+                RouterAction::DeliverLocal => {
                     hops.push(routers[i].server_addr());
                     break;
                 }
@@ -250,9 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn acceptance_srh_names_server_lb_and_client() {
+    fn acceptance_route_names_server_lb_and_client() {
         let router = VirtualRouter::new(addr(7), addr(99));
-        let srh = router.acceptance_srh(addr(100)).unwrap();
+        let mut syn_ack = PacketBuilder::tcp(addr(200), addr(100)).build();
+        let next = syn_ack
+            .set_route(&router.acceptance_route(addr(100)), 1)
+            .unwrap();
+        assert_eq!(next, addr(99));
+        let srh = syn_ack.srh.as_ref().unwrap();
         assert_eq!(srh.segments_left(), 1);
         assert_eq!(srh.active_segment(), addr(99), "LB is the active segment");
         assert_eq!(

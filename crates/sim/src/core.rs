@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::event::{EventPayload, EventQueue, ScheduledEvent};
+use crate::event::{EventHead, EventQueue, HeadKind, Mail};
 use crate::faults::{DropCause, FaultConfig, FaultState};
 use crate::link::Topology;
 use crate::node::{Context, Node, NodeId, ShardRouter};
@@ -331,19 +331,10 @@ impl<M> SimCore<M> {
         self.queue.scheduled_total()
     }
 
-    /// Ingests an event that another shard scheduled for a node owned by
-    /// this core.
-    pub(crate) fn ingest(&mut self, event: ScheduledEvent<M>) {
-        self.queue.admit(event);
-    }
-
-    /// Drains this core's cross-shard outboxes (empty when no router is
-    /// installed).
-    pub(crate) fn drain_outboxes(&mut self) -> Vec<(usize, Vec<ScheduledEvent<M>>)> {
-        self.router
-            .as_mut()
-            .map(ShardRouter::drain_outboxes)
-            .unwrap_or_default()
+    /// Ingests the messages other shards scheduled for nodes owned by this
+    /// core, leaving `mail` empty.
+    pub(crate) fn ingest(&mut self, mail: &mut Mail<M>) {
+        mail.deliver_into(&mut self.queue);
     }
 
     /// Whether any cross-shard outbox holds an undelivered event.
@@ -353,12 +344,8 @@ impl<M> SimCore<M> {
 
     /// Visits every per-destination-shard outbox (including empty ones, so
     /// callers can reset per-destination state) with `(dst, &mut outbox)`.
-    /// The pool swaps non-empty outboxes against its mailbox buffers in
-    /// place of the allocating [`SimCore::drain_outboxes`].
-    pub(crate) fn publish_outboxes(
-        &mut self,
-        mut f: impl FnMut(usize, &mut Vec<ScheduledEvent<M>>),
-    ) {
+    /// The pool swaps non-empty outboxes against its mailbox buffers.
+    pub(crate) fn publish_outboxes(&mut self, mut f: impl FnMut(usize, &mut Mail<M>)) {
         if let Some(router) = self.router.as_mut() {
             for (dst, outbox) in router.outbound_mut().iter_mut().enumerate() {
                 f(dst, outbox);
@@ -415,53 +402,65 @@ impl<M> SimCore<M> {
         }
     }
 
-    /// Dispatches one already-popped event.  `held` carries the most
-    /// recently used node between consecutive dispatches so a burst of
-    /// events for one target pays the registry take/put only once.
-    fn dispatch(&mut self, event: ScheduledEvent<M>, held: &mut HeldNode<M>) {
-        self.now = event.key.time;
-        self.stats.events_processed += 1;
-        self.stats.last_event_time = self.now;
-
-        // Fault layer: only messages traverse links (timers are node-local),
-        // and the verdict is taken before target resolution so a doomed
-        // message costs no registry traffic.  `event.key.src` is the sender.
-        if matches!(event.payload, EventPayload::Message { .. }) {
-            if let Some(faults) = self.faults.as_mut() {
-                if let Some(cause) = faults.judge(event.key, event.target, self.now) {
-                    self.stats.messages_dropped += 1;
-                    match cause {
-                        DropCause::Injected => self.stats.dropped_injected += 1,
-                        DropCause::Queue => self.stats.dropped_queue += 1,
-                        DropCause::LinkDown => self.stats.dropped_link_down += 1,
-                    }
-                    return;
-                }
-            }
-        }
-
-        let target = event.target;
+    /// Makes `held` hold the node in slot `target` (putting back whichever
+    /// node it held before) and returns that node.  Returns `None` —
+    /// counting the drop — when the slot does not exist or is empty.
+    fn hold<'h>(
+        &mut self,
+        target: NodeId,
+        held: &'h mut HeldNode<M>,
+    ) -> Option<&'h mut Box<dyn AnyNode<M>>> {
         if held.as_ref().is_none_or(|(id, _)| *id != target) {
-            if let Some((id, node)) = held.take() {
-                self.nodes[id.index()] = Some(node);
-            }
+            self.put_back(held.take());
             let Some(slot) = self.nodes.get_mut(target.index()) else {
                 self.stats.messages_dropped += 1;
                 self.stats.dropped_unroutable += 1;
-                return;
+                return None;
             };
             let Some(node) = slot.take() else {
                 self.stats.messages_dropped += 1;
                 self.stats.dropped_vacant += 1;
-                return;
+                return None;
             };
             *held = Some((target, node));
         }
-        let (_, node) = held.as_mut().expect("node held for dispatch"); // srlb-lint: allow(panic-hygiene) -- the block above either populated `held` or returned early
-        let meta = &mut self.meta[target.index()];
+        held.as_mut().map(|(_, node)| node)
+    }
 
-        match event.payload {
-            EventPayload::Message { from, msg } => {
+    /// Dispatches one already-popped event.  `held` carries the most
+    /// recently used node between consecutive dispatches so a burst of
+    /// events for one target pays the registry take/put only once.  A
+    /// message's body leaves the queue's slab right at the `on_message`
+    /// call; one that is dropped instead is destroyed in place.
+    fn dispatch(&mut self, event: EventHead, held: &mut HeldNode<M>) {
+        self.now = event.key.time;
+        self.stats.events_processed += 1;
+        self.stats.last_event_time = self.now;
+        let target = event.target;
+
+        match event.kind {
+            HeadKind::Message { from, body } => {
+                // Fault layer: only messages traverse links (timers are
+                // node-local), and the verdict is taken before target
+                // resolution so a doomed message costs no registry traffic.
+                // `event.key.src` is the sender.
+                if let Some(faults) = self.faults.as_mut() {
+                    if let Some(cause) = faults.judge(event.key, target, self.now) {
+                        self.stats.messages_dropped += 1;
+                        match cause {
+                            DropCause::Injected => self.stats.dropped_injected += 1,
+                            DropCause::Queue => self.stats.dropped_queue += 1,
+                            DropCause::LinkDown => self.stats.dropped_link_down += 1,
+                        }
+                        self.queue.discard_body(body);
+                        return;
+                    }
+                }
+                let Some(node) = self.hold(target, held) else {
+                    self.queue.discard_body(body);
+                    return;
+                };
+                let meta = &mut self.meta[target.index()];
                 self.stats.messages_delivered += 1;
                 if let Some(describe) = &self.trace_describe {
                     self.trace.record(TraceEntry {
@@ -469,9 +468,12 @@ impl<M> SimCore<M> {
                         kind: TraceKind::MessageDelivered,
                         target,
                         from: Some(from),
-                        description: describe(&msg),
+                        description: describe(self.queue.body(&body)),
                     });
                 }
+                // Taken only now, and borrowed by nothing else: the body's
+                // one move out of the slab lands in the callback's argument.
+                let msg = self.queue.take_body(body);
                 let mut ctx = Context {
                     now: self.now,
                     self_id: target,
@@ -485,7 +487,11 @@ impl<M> SimCore<M> {
                 };
                 node.on_message(msg, from, &mut ctx);
             }
-            EventPayload::Timer { token } => {
+            HeadKind::Timer { token } => {
+                let Some(node) = self.hold(target, held) else {
+                    return;
+                };
+                let meta = &mut self.meta[target.index()];
                 self.stats.timers_fired += 1;
                 if self.trace.is_enabled() {
                     self.trace.record(TraceEntry {
@@ -518,14 +524,7 @@ impl<M> SimCore<M> {
     /// defined as "produces exactly the per-event effects of repeated
     /// `step()` calls in key order".
     pub fn step(&mut self) -> StepOutcome {
-        let Some(event) = self.queue.pop() else {
-            return StepOutcome::Idle;
-        };
-        let time = event.key.time;
-        let mut held = None;
-        self.dispatch(event, &mut held);
-        self.put_back(held);
-        StepOutcome::Processed { time }
+        self.step_within(None)
     }
 
     /// [`SimCore::step`] with the time bound fused into the pop: dispatches
@@ -533,7 +532,7 @@ impl<M> SimCore<M> {
     /// operation instead of a separate peek + bounds check + pop.  `None`
     /// bounds nothing (identical to `step`).
     pub fn step_within(&mut self, until: Option<SimTime>) -> StepOutcome {
-        let Some(event) = self.queue.pop_within(until) else {
+        let Some(event) = self.queue.pop_head(until) else {
             return StepOutcome::Idle;
         };
         let time = event.key.time;
@@ -579,17 +578,14 @@ impl<M> SimCore<M> {
         held: &mut HeldNode<M>,
     ) -> u64 {
         let mut processed = 0u64;
-        loop {
-            let event = self.queue.pop().expect("peeked event exists"); // srlb-lint: allow(panic-hygiene) -- callers enter only after peek_time returned Some, and the loop re-peeks before iterating
+        while processed < budget && !self.stop_requested {
+            // `batch_time` is the head's own timestamp, so bounding the pop
+            // by it takes exactly the events of this time group.
+            let Some(event) = self.queue.pop_head(Some(batch_time)) else {
+                break;
+            };
             self.dispatch(event, held);
             processed += 1;
-            if self.stop_requested || processed >= budget {
-                break;
-            }
-            match self.queue.peek_time() {
-                Some(time) if time == batch_time => {}
-                _ => break,
-            }
         }
         processed
     }
@@ -598,15 +594,13 @@ impl<M> SimCore<M> {
     /// later than `until` surfaces, `budget` events have been dispatched, or
     /// a callback requests a stop — the batched engine loop.  Exactly
     /// equivalent to driving [`SimCore::step`] under the same bounds, but
-    /// with one fused queue peek per event instead of separate
-    /// peek/pop/policy passes, and the target node staying out of the
-    /// registry across consecutive events that hit it.  Returns the number
-    /// of events processed.
+    /// with the target node staying out of the registry across consecutive
+    /// events that hit it.  Returns the number of events processed.
     pub fn run_segment(&mut self, until: Option<SimTime>, budget: u64) -> u64 {
         let mut processed = 0u64;
         let mut held: HeldNode<M> = None;
         while processed < budget && !self.stop_requested {
-            let Some(event) = self.queue.pop_within(until) else {
+            let Some(event) = self.queue.pop_head(until) else {
                 break;
             };
             self.dispatch(event, &mut held);

@@ -7,8 +7,27 @@
 //! same order produce bit-identical keys no matter how the engine interleaves
 //! work across batches or worker shards.  That property is what lets the
 //! batched and sharded execution modes reproduce the serial loop exactly.
+//!
+//! ## Layout: one move in, one move out
+//!
+//! A queued event lives in three places, so that the only thing ever copied
+//! at message size is the message itself, and only twice:
+//!
+//! * the binary **heap** orders 32-byte `(key, slot)` entries — sift
+//!   operations never see a payload;
+//! * a **record** slab holds, per slot, the small `Copy` part of the event
+//!   (`target` plus `Message { from }` or `Timer { token }`);
+//! * a **body** slab holds, per slot, the message — written once, straight
+//!   from the sender's value into the slot [`EventQueue::claim_message`]
+//!   hands out, and moved out once by [`EventQueue::take_body`] right at the
+//!   node callback.
+//!
+//! [`EventQueue::pop_head`] returns only the small parts; a timer never
+//! touches the body slab on a warm queue, and a message the fault layer
+//! drops is destroyed in place by [`EventQueue::discard_body`].  The by-value
+//! [`EventQueue::push`] / [`EventQueue::pop`] family ([`EventPayload`],
+//! [`ScheduledEvent`]) is a thin convenience layer over those primitives.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -51,7 +70,7 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// An event scheduled for delivery.
+/// A whole event by value, as [`EventQueue::pop`] returns it.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<M> {
     /// Ordering key (delivery time + scheduling source + per-source seq).
@@ -62,55 +81,23 @@ pub struct ScheduledEvent<M> {
     pub payload: EventPayload<M>,
 }
 
-impl<M> PartialEq for ScheduledEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<M> Eq for ScheduledEvent<M> {}
-
-impl<M> PartialOrd for ScheduledEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for ScheduledEvent<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed key order, matching the queue's pop order (smallest key
-        // first).
-        other.key.cmp(&self.key)
-    }
-}
-
-/// A heap entry: the ordering key plus the slab slot holding the event's
-/// body.  Entries are small (32 bytes) and `Copy`, so heap sift operations
-/// move fixed-size keys instead of full message payloads — for a packet-level
-/// simulation the payload is an order of magnitude larger, and the heap is
-/// the engine's hottest data structure.
-#[derive(Debug, Clone, Copy)]
+/// A heap entry: the ordering key plus the slab slot holding the rest of the
+/// event.  Entries are small (32 bytes) and `Copy`, so heap sift operations
+/// move fixed-size keys instead of message payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeapEntry {
     key: EventKey,
     slot: u32,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.slot) == (other.key, other.slot)
-    }
-}
-
-impl Eq for HeapEntry {}
-
 impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; reverse so the smallest key pops first.
         // Keys are globally unique; the slot tie-break only keeps the order
         // total for hypothetical duplicates.
@@ -118,18 +105,60 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The slab-stored part of a scheduled event (everything but the key).
-struct EventBody<M> {
+/// The small, `Copy` part of a queued event that is not its ordering key.
+#[derive(Debug, Clone, Copy)]
+struct SlotRecord {
     target: NodeId,
-    payload: EventPayload<M>,
+    kind: RecordKind,
 }
 
-/// A key-ordered queue of [`ScheduledEvent`]s.
+#[derive(Debug, Clone, Copy)]
+enum RecordKind {
+    Message { from: NodeId },
+    Timer { token: TimerToken },
+}
+
+/// Claim on the body of a popped message, still sitting in the queue's body
+/// slab.  Redeem it exactly once, with [`EventQueue::take_body`] or
+/// [`EventQueue::discard_body`], on the queue that issued it; it is neither
+/// `Copy` nor `Clone`, so it cannot be redeemed twice.  Dropping it without
+/// redeeming leaks the slot until the queue is dropped.
+#[derive(Debug)]
+pub struct BodySlot(u32);
+
+/// What a popped event delivers, without the message body.
+#[derive(Debug)]
+pub enum HeadKind {
+    /// A message from `from`; the body waits behind `body`.
+    Message {
+        /// The sending node.
+        from: NodeId,
+        /// Claim on the message body.
+        body: BodySlot,
+    },
+    /// A timer scheduled by the target node itself.
+    Timer {
+        /// The token the node attached when scheduling the timer.
+        token: TimerToken,
+    },
+}
+
+/// A popped event's small parts, as [`EventQueue::pop_head`] returns them.
+#[derive(Debug)]
+pub struct EventHead {
+    /// Ordering key.
+    pub key: EventKey,
+    /// Node the event is delivered to.
+    pub target: NodeId,
+    /// Message or timer.
+    pub kind: HeadKind,
+}
+
+/// A key-ordered queue of events.
 ///
-/// Event bodies live in a free-listed slab; the binary heap orders small
-/// `(key, slot)` entries, so sift operations never move message payloads.
-/// No per-event `Box` is involved and freed slots are reused, so pushing and
-/// popping events on a warm queue (one whose heap and slab have already
+/// See the [module docs](self) for the heap / record / body split.  No
+/// per-event `Box` is involved and freed slots are reused, so pushing and
+/// popping events on a warm queue (one whose heap and slabs have already
 /// grown to their high-water mark) performs no heap allocation at all.  This
 /// property is pinned by the counting-allocator test in
 /// `tests/alloc_free_sim.rs`.
@@ -139,7 +168,11 @@ struct EventBody<M> {
 /// which is what makes cross-shard event exchange deterministic.
 pub struct EventQueue<M> {
     heap: BinaryHeap<HeapEntry>,
-    bodies: Vec<Option<EventBody<M>>>,
+    /// Per-slot record; `records.len() == bodies.len()` always.
+    records: Vec<SlotRecord>,
+    /// Per-slot message body: `Some` exactly while a message occupies the
+    /// slot (queued, or popped and not yet redeemed).
+    bodies: Vec<Option<M>>,
     free: Vec<u32>,
     admitted: u64,
 }
@@ -162,12 +195,7 @@ impl<M> Default for EventQueue<M> {
 impl<M> EventQueue<M> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            bodies: Vec::new(),
-            free: Vec::new(),
-            admitted: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` pending events, so
@@ -175,6 +203,7 @@ impl<M> EventQueue<M> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            records: Vec::with_capacity(capacity),
             bodies: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
             admitted: 0,
@@ -183,43 +212,147 @@ impl<M> EventQueue<M> {
 
     /// Number of pending events the queue can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.heap.capacity().min(self.bodies.capacity())
+        self.heap
+            .capacity()
+            .min(self.records.capacity())
+            .min(self.bodies.capacity())
     }
 
     /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
+        self.records.reserve(additional);
         self.bodies.reserve(additional);
         self.free.reserve(additional);
     }
 
-    /// Stores an event body, reusing a freed slab slot when one exists.
-    fn store(&mut self, target: NodeId, payload: EventPayload<M>) -> u32 {
-        let body = EventBody { target, payload };
-        match self.free.pop() {
+    /// Queues `record` under `key` in a free slot — reused if one exists,
+    /// freshly grown otherwise — whose body is `None`.
+    #[inline]
+    fn insert(&mut self, key: EventKey, record: SlotRecord) -> u32 {
+        let slot = match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.bodies[slot as usize].is_none());
-                self.bodies[slot as usize] = Some(body);
+                self.records[slot as usize] = record;
                 slot
             }
             None => {
-                let slot = u32::try_from(self.bodies.len()).expect("fewer than 2^32 pending"); // srlb-lint: allow(panic-hygiene) -- 2^32 pending events exceeds any feasible memory budget; overflow is unreachable in practice
-                self.bodies.push(Some(body));
+                let slot = u32::try_from(self.records.len()).expect("fewer than 2^32 pending"); // srlb-lint: allow(panic-hygiene) -- 2^32 pending events exceeds any feasible memory budget; overflow is unreachable in practice
+                self.records.push(record);
+                self.bodies.push(None);
                 slot
             }
+        };
+        self.heap.push(HeapEntry { key, slot });
+        slot
+    }
+
+    /// Schedules a message from `from` for delivery to `target`, ordered by
+    /// `key`, and returns its body slot for the caller to fill: the message
+    /// is written straight from the sender's value into the slab,
+    /// `*queue.claim_message(..) = Some(msg)`, with no by-value hop between.
+    /// The slot must be filled before the event is popped.
+    #[inline]
+    pub fn claim_message(&mut self, key: EventKey, target: NodeId, from: NodeId) -> &mut Option<M> {
+        self.admitted += 1;
+        let record = SlotRecord {
+            target,
+            kind: RecordKind::Message { from },
+        };
+        let slot = self.insert(key, record);
+        &mut self.bodies[slot as usize]
+    }
+
+    /// Schedules `msg` from `from` for delivery to `target`, ordered by
+    /// `key`.
+    #[inline]
+    pub fn push_message(&mut self, key: EventKey, target: NodeId, from: NodeId, msg: M) {
+        let slot = self.claim_message(key, target, from);
+        *slot = Some(msg);
+    }
+
+    /// Schedules a timer carrying `token` for `target`, ordered by `key`.
+    /// On a warm queue no message-body slot is touched.
+    #[inline]
+    pub fn push_timer(&mut self, key: EventKey, target: NodeId, token: TimerToken) {
+        self.admitted += 1;
+        let record = SlotRecord {
+            target,
+            kind: RecordKind::Timer { token },
+        };
+        self.insert(key, record);
+    }
+
+    /// Pops the earliest event's small parts if its delivery time is at or
+    /// before `bound` (no bound = always): a single fused peek-and-pop, the
+    /// engine loop's per-event queue operation.  A message's body stays in
+    /// the slab until its [`BodySlot`] is redeemed.
+    #[inline]
+    pub fn pop_head(&mut self, bound: Option<SimTime>) -> Option<EventHead> {
+        let top = self.heap.peek()?;
+        if bound.is_some_and(|u| top.key.time > u) {
+            return None;
         }
+        let HeapEntry { key, slot } = self.heap.pop()?;
+        let record = self.records[slot as usize];
+        let kind = match record.kind {
+            RecordKind::Message { from } => HeadKind::Message {
+                from,
+                body: BodySlot(slot),
+            },
+            RecordKind::Timer { token } => {
+                self.free.push(slot);
+                HeadKind::Timer { token }
+            }
+        };
+        Some(EventHead {
+            key,
+            target: record.target,
+            kind,
+        })
+    }
+
+    /// A popped message's body, still in the slab (for tracing it before the
+    /// hand-off).
+    pub fn body(&self, body: &BodySlot) -> &M {
+        self.bodies[body.0 as usize]
+            .as_ref()
+            // srlb-lint: allow(panic-hygiene) -- slab invariant: a BodySlot is issued only for a slot holding a message and is redeemed at most once, so the body is still there
+            .expect("an unredeemed body slot holds its message")
+    }
+
+    /// Moves a popped message's body out of the slab and frees its slot.
+    #[inline]
+    pub fn take_body(&mut self, body: BodySlot) -> M {
+        // Freed first, so that nothing stands between the move out of the
+        // slab and the return: anything in between costs a second copy.
+        self.free.push(body.0);
+        self.bodies[body.0 as usize]
+            .take()
+            // srlb-lint: allow(panic-hygiene) -- slab invariant: a BodySlot is issued only for a slot holding a message and is redeemed at most once, so the body is still there
+            .expect("an unredeemed body slot holds its message")
+    }
+
+    /// Destroys a popped message's body in place (no copy out) and frees its
+    /// slot — what the engine does with a message the fault layer drops or
+    /// whose target does not exist.
+    pub fn discard_body(&mut self, body: BodySlot) {
+        debug_assert!(self.bodies[body.0 as usize].is_some());
+        self.bodies[body.0 as usize] = None;
+        self.free.push(body.0);
     }
 
     /// Schedules `payload` for delivery to `target`, ordered by `key`.
+    #[inline]
     pub fn push(&mut self, key: EventKey, target: NodeId, payload: EventPayload<M>) {
-        self.admitted += 1;
-        let slot = self.store(target, payload);
-        self.heap.push(HeapEntry { key, slot });
+        match payload {
+            EventPayload::Message { from, msg } => self.push_message(key, target, from, msg),
+            EventPayload::Timer { token } => self.push_timer(key, target, token),
+        }
     }
 
     /// Admits an already-built event (first entry into this queue — counted
-    /// in [`EventQueue::scheduled_total`]).  Used when a worker shard ingests
-    /// an event that a *different* shard scheduled.
+    /// in [`EventQueue::scheduled_total`]).
     pub fn admit(&mut self, event: ScheduledEvent<M>) {
         self.push(event.key, event.target, event.payload);
     }
@@ -228,46 +361,35 @@ impl<M> EventQueue<M> {
     /// preserving its key.  Unlike [`EventQueue::admit`] this does not count
     /// towards [`EventQueue::scheduled_total`].
     pub fn restore(&mut self, event: ScheduledEvent<M>) {
-        let slot = self.store(event.target, event.payload);
-        self.heap.push(HeapEntry {
-            key: event.key,
-            slot,
-        });
+        self.admit(event);
+        self.admitted -= 1;
     }
 
-    /// Pops the earliest event if its delivery time is at or before `bound`
-    /// (no bound = always): a single fused peek-and-pop, the batched engine
-    /// loop's per-event queue operation.
+    /// [`EventQueue::pop_head`] plus [`EventQueue::take_body`]: the whole
+    /// event by value.  (Inlined, like `push` and `pop`, so the intermediate
+    /// head dissolves in the caller; out of line the round trip through it
+    /// measured ~7 ns per pop.)
+    #[inline]
     pub fn pop_within(&mut self, bound: Option<SimTime>) -> Option<ScheduledEvent<M>> {
-        let entry = self.heap.peek()?;
-        if bound.is_some_and(|u| entry.key.time > u) {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Removes and returns the event with the smallest key.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
-        let entry = self.heap.pop()?;
-        let body = self.bodies[entry.slot as usize]
-            .take()
-            // srlb-lint: allow(panic-hygiene) -- slab invariant: a slot is freed only when its heap entry is popped, so a live entry always has a body
-            .expect("heap entry points at a live slab slot");
-        self.free.push(entry.slot);
+        let head = self.pop_head(bound)?;
+        let payload = match head.kind {
+            HeadKind::Message { from, body } => EventPayload::Message {
+                from,
+                msg: self.take_body(body),
+            },
+            HeadKind::Timer { token } => EventPayload::Timer { token },
+        };
         Some(ScheduledEvent {
-            key: entry.key,
-            target: body.target,
-            payload: body.payload,
+            key: head.key,
+            target: head.target,
+            payload,
         })
     }
 
-    /// Pops every pending event whose delivery time equals `time` into
-    /// `out` (cleared first), in ascending key order.
-    pub fn pop_ties_into(&mut self, time: SimTime, out: &mut Vec<ScheduledEvent<M>>) {
-        out.clear();
-        while self.peek_time() == Some(time) {
-            out.push(self.pop().expect("peeked event exists")); // srlb-lint: allow(panic-hygiene) -- peek_time returned Some on this very iteration, so pop cannot be empty
-        }
+    /// Removes and returns the event with the smallest key.
+    #[inline]
+    pub fn pop(&mut self) -> Option<ScheduledEvent<M>> {
+        self.pop_within(None)
     }
 
     /// Delivery time of the earliest event, if any.
@@ -290,10 +412,82 @@ impl<M> EventQueue<M> {
         self.heap.is_empty()
     }
 
+    /// Slab slots created so far, in use or free: the high-water mark of
+    /// events held at once (pending, or popped with the body not yet
+    /// redeemed).  It stops growing once freed slots cover every push.
+    pub fn slot_count(&self) -> usize {
+        self.records.len()
+    }
+
     /// Total number of events ever scheduled on (or ingested into) this
     /// queue.  Re-insertions via [`EventQueue::restore`] are not counted.
     pub fn scheduled_total(&self) -> u64 {
         self.admitted
+    }
+}
+
+/// Cross-shard messages in transit (an outbox, a mailbox, or the
+/// coordinator's pending set).  Only messages cross shards — timers are
+/// always local to their node — so heads and bodies sit in parallel vectors
+/// and a body is moved once in (the sender fills the slot [`Mail::claim`]
+/// returns) and once out, into the destination queue's slab
+/// ([`Mail::deliver_into`]).
+pub(crate) struct Mail<M> {
+    /// `(key, target, from)` per held message.
+    heads: Vec<(EventKey, NodeId, NodeId)>,
+    /// Body slots: `bodies[i]` belongs to `heads[i]`.  Slots past
+    /// `heads.len()` are spent ones kept (as `None`) for reuse, so a warm
+    /// mailbox never pushes a message-sized `None`.
+    bodies: Vec<Option<M>>,
+}
+
+impl<M> Default for Mail<M> {
+    fn default() -> Self {
+        Mail {
+            heads: Vec::new(),
+            bodies: Vec::new(),
+        }
+    }
+}
+
+impl<M> Mail<M> {
+    /// Adds a message head and returns its (empty) body slot for the caller
+    /// to fill, exactly like [`EventQueue::claim_message`].
+    #[inline]
+    pub(crate) fn claim(&mut self, key: EventKey, target: NodeId, from: NodeId) -> &mut Option<M> {
+        let index = self.heads.len();
+        self.heads.push((key, target, from));
+        if index == self.bodies.len() {
+            self.bodies.push(None);
+        }
+        &mut self.bodies[index]
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Earliest delivery time among the held messages, if any.
+    pub(crate) fn min_time(&self) -> Option<SimTime> {
+        self.heads.iter().map(|(key, _, _)| key.time).min()
+    }
+
+    /// Moves every held message onto the end of `other`.
+    pub(crate) fn append_to(&mut self, other: &mut Mail<M>) {
+        for ((key, target, from), body) in self.heads.drain(..).zip(&mut self.bodies) {
+            std::mem::swap(other.claim(key, target, from), body);
+        }
+    }
+
+    /// Admits every held message into `queue` (counted in its
+    /// [`EventQueue::scheduled_total`]), leaving this mail empty with its
+    /// buffers intact.
+    pub(crate) fn deliver_into(&mut self, queue: &mut EventQueue<M>) {
+        for ((key, target, from), body) in self.heads.drain(..).zip(&mut self.bodies) {
+            // The claimed slot is `None`: the swap moves the body in and
+            // leaves this slot spent, with no temporary in between.
+            std::mem::swap(queue.claim_message(key, target, from), body);
+        }
     }
 }
 
@@ -322,9 +516,9 @@ mod tests {
 
     fn drain(q: &mut EventQueue<u32>) -> Vec<u32> {
         std::iter::from_fn(|| q.pop())
-            .map(|e| match e.payload {
-                EventPayload::Message { msg, .. } => msg,
-                _ => unreachable!(),
+            .filter_map(|e| match e.payload {
+                EventPayload::Message { msg, .. } => Some(msg),
+                EventPayload::Timer { .. } => None,
             })
             .collect()
     }
@@ -373,17 +567,52 @@ mod tests {
     }
 
     #[test]
-    fn pop_ties_into_drains_exactly_one_timestamp() {
-        let mut q = EventQueue::new();
-        msg(&mut q, key(5, 0, 0), 0, 1);
-        msg(&mut q, key(5, 1, 0), 0, 2);
-        msg(&mut q, key(6, 0, 1), 0, 3);
-        let mut out = Vec::new();
-        q.pop_ties_into(SimTime::from_nanos(5), &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].key, key(5, 0, 0));
-        assert_eq!(out[1].key, key(5, 1, 0));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(6)));
+    fn heads_pop_without_bodies_and_slots_are_reused() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push_message(key(1, 0, 0), NodeId(4), NodeId(9), 70);
+        q.push_timer(key(2, 0, 1), NodeId(5), TimerToken(3));
+        q.push_message(key(3, 0, 2), NodeId(6), NodeId(9), 90);
+        assert_eq!(q.records.len(), 3);
+
+        // A dropped message: the body is destroyed in place, the slot freed.
+        let head = q.pop_head(None).unwrap();
+        assert_eq!((head.key, head.target), (key(1, 0, 0), NodeId(4)));
+        let HeadKind::Message { from, body } = head.kind else {
+            panic!("expected a message head");
+        };
+        assert_eq!(from, NodeId(9));
+        q.discard_body(body);
+
+        // A timer frees its slot at the pop and never holds a body.
+        let head = q.pop_head(None).unwrap();
+        assert!(matches!(
+            head.kind,
+            HeadKind::Timer {
+                token: TimerToken(3)
+            }
+        ));
+        assert_eq!(q.free.len(), 2);
+        assert!(
+            q.pop_head(Some(SimTime::from_nanos(2))).is_none(),
+            "bounded"
+        );
+
+        // Both freed slots are reused before the slabs grow.
+        q.push_message(key(4, 0, 3), NodeId(7), NodeId(9), 40);
+        q.push_timer(key(5, 0, 4), NodeId(7), TimerToken(8));
+        assert_eq!(q.records.len(), 3);
+        assert_eq!(q.bodies.len(), 3);
+        assert_eq!(drain(&mut q), vec![90, 40], "bodies stay paired with keys");
+        assert_eq!(q.scheduled_total(), 5);
+    }
+
+    #[test]
+    fn what_the_queue_moves_stays_small() {
+        // Sift operations move heap entries and every pop copies a record;
+        // neither may silently grow towards message size.
+        assert!(std::mem::size_of::<HeapEntry>() <= 32);
+        assert!(std::mem::size_of::<SlotRecord>() <= 32);
+        assert!(std::mem::size_of::<EventHead>() <= 64);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! [`Context`] handed to nodes during callbacks.
 
 use std::fmt;
+use std::mem::ManuallyDrop;
 use std::sync::Arc;
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::event::{EventKey, EventPayload, EventQueue, ScheduledEvent};
+use crate::event::{EventKey, EventQueue, Mail};
 use crate::link::Topology;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -74,7 +75,7 @@ pub trait Node<M> {
 pub(crate) struct ShardRouter<M> {
     shard_of: Arc<[u32]>,
     my_shard: u32,
-    outbound: Vec<Vec<ScheduledEvent<M>>>,
+    outbound: Vec<Mail<M>>,
 }
 
 impl<M> fmt::Debug for ShardRouter<M> {
@@ -91,7 +92,7 @@ impl<M> ShardRouter<M> {
         ShardRouter {
             shard_of,
             my_shard,
-            outbound: (0..shards).map(|_| Vec::new()).collect(),
+            outbound: (0..shards).map(|_| Mail::default()).collect(),
         }
     }
 
@@ -105,24 +106,13 @@ impl<M> ShardRouter<M> {
 
     /// Whether any outbox holds an undelivered cross-shard event.
     pub(crate) fn has_outbound(&self) -> bool {
-        self.outbound.iter().any(|events| !events.is_empty())
+        self.outbound.iter().any(|mail| !mail.is_empty())
     }
 
-    /// Direct access to the per-destination-shard outbox vectors, for the
-    /// pool's swap-based (allocation-free) exchange.
-    pub(crate) fn outbound_mut(&mut self) -> &mut [Vec<ScheduledEvent<M>>] {
+    /// Direct access to the per-destination-shard outboxes, for the pool's
+    /// swap-based (allocation-free) exchange.
+    pub(crate) fn outbound_mut(&mut self) -> &mut [Mail<M>] {
         &mut self.outbound
-    }
-
-    /// Drains the non-empty outboxes as `(destination shard, events)` pairs.
-    pub(crate) fn drain_outboxes(&mut self) -> Vec<(usize, Vec<ScheduledEvent<M>>)> {
-        let mut out = Vec::new();
-        for (shard, events) in self.outbound.iter_mut().enumerate() {
-            if !events.is_empty() {
-                out.push((shard, std::mem::take(events)));
-            }
-        }
-        out
     }
 }
 
@@ -166,29 +156,36 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends `msg` to node `to`; it will be delivered after the link latency
     /// between this node and `to`.
+    ///
+    /// `msg` is copied exactly once, from the caller's value into its queue
+    /// slot.  Three things keep it that way, and each was measured (an
+    /// `LD_PRELOAD` `memcpy` counter around a `Packet` ping-pong): the
+    /// function is not inlined, so the optimizer can prove the argument is
+    /// only read and drop the call-site copy; the slot is claimed first and
+    /// written with `replace` (whose old value is always `None` and is
+    /// forgotten, not dropped), so no drop glue sits between building
+    /// `Some(msg)` and storing it; and `msg` is held in a `ManuallyDrop`
+    /// while the slot is claimed, so no unwind path needs its own copy of
+    /// it.  The price of the last one: if claiming panics (a capacity
+    /// overflow, i.e. a dying run) the message is leaked instead of dropped.
+    #[inline(never)]
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let latency = self.topology.latency(self.self_id, to);
-        self.send_with_extra_delay(to, msg, latency, SimDuration::ZERO);
+        let msg = ManuallyDrop::new(msg);
+        let slot = self.claim(to);
+        std::mem::forget(slot.replace(ManuallyDrop::into_inner(msg)));
     }
 
-    /// Sends `msg` to node `to` with an additional delay on top of the link
-    /// latency (e.g. to model serialisation or processing time).
-    pub fn send_after(&mut self, to: NodeId, msg: M, extra: SimDuration) {
+    /// Schedules a message to `to` — in the local queue, or in the outbox of
+    /// the shard that owns `to` — and returns its (empty) body slot.
+    fn claim(&mut self, to: NodeId) -> &mut Option<M> {
         let latency = self.topology.latency(self.self_id, to);
-        self.send_with_extra_delay(to, msg, latency, extra);
-    }
-
-    /// Replies to the sender of the message currently being handled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called outside of `on_message` (when there is no sender).
-    pub fn reply(&mut self, msg: M) {
-        let to = self
-            .from
-            // srlb-lint: allow(panic-hygiene) -- documented panic contract of reply(): calling outside on_message is caller error
-            .expect("reply() may only be used while handling a message");
-        self.send(to, msg);
+        let key = self.next_key(self.now + latency);
+        if let Some(router) = self.router.as_deref_mut() {
+            if let Some(shard) = router.remote_shard(to) {
+                return router.outbound[shard].claim(key, to, self.self_id);
+            }
+        }
+        self.queue.claim_message(key, to, self.self_id)
     }
 
     /// Claims the next ordering key from this node's private scheduling
@@ -203,38 +200,12 @@ impl<'a, M> Context<'a, M> {
         }
     }
 
-    fn send_with_extra_delay(
-        &mut self,
-        to: NodeId,
-        msg: M,
-        latency: SimDuration,
-        extra: SimDuration,
-    ) {
-        let deliver_at = self.now + latency + extra;
-        let key = self.next_key(deliver_at);
-        let payload = EventPayload::Message {
-            from: self.self_id,
-            msg,
-        };
-        if let Some(router) = self.router.as_deref_mut() {
-            if let Some(shard) = router.remote_shard(to) {
-                router.outbound[shard].push(ScheduledEvent {
-                    key,
-                    target: to,
-                    payload,
-                });
-                return;
-            }
-        }
-        self.queue.push(key, to, payload);
-    }
-
     /// Schedules a timer for this node to fire after `delay`, carrying
-    /// `token`.  Timers are always local to the shard owning the node.
+    /// `token`.  Timers are always local to the shard owning the node, and
+    /// never touch a message-body slot.
     pub fn schedule_timer(&mut self, delay: SimDuration, token: TimerToken) {
         let key = self.next_key(self.now + delay);
-        self.queue
-            .push(key, self.self_id, EventPayload::Timer { token });
+        self.queue.push_timer(key, self.self_id, token);
     }
 
     /// Requests that the simulation stop after the current callback returns.

@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::core::SimCore;
-use crate::event::ScheduledEvent;
+use crate::event::Mail;
 use crate::time::SimTime;
 
 /// Sentinel for "no event" in the atomic time slots.
@@ -183,7 +183,7 @@ struct Shared<M> {
     out_min: Vec<AtomicU64>,
     /// Double-buffered cross-shard mailboxes, flattened
     /// `[parity * shards² + src * shards + dst]`.
-    mail: Vec<Mutex<Vec<ScheduledEvent<M>>>>,
+    mail: Vec<Mutex<Mail<M>>>,
     /// Hand-off slots for the worker cores, indexed by shard (0 unused).
     slots: Vec<Mutex<Option<SimCore<M>>>>,
     /// Set when any compute phase panicked; the segment winds down through
@@ -212,14 +212,14 @@ impl<M> Shared<M> {
                 .map(|_| AtomicU64::new(NO_TIME))
                 .collect(),
             mail: (0..2 * shards * shards)
-                .map(|_| Mutex::new(Vec::new()))
+                .map(|_| Mutex::new(Mail::default()))
                 .collect(),
             slots: (0..shards).map(|_| Mutex::new(None)).collect(),
             poisoned: AtomicBool::new(false),
         }
     }
 
-    fn mail_slot(&self, parity: usize, src: usize, dst: usize) -> &Mutex<Vec<ScheduledEvent<M>>> {
+    fn mail_slot(&self, parity: usize, src: usize, dst: usize) -> &Mutex<Mail<M>> {
         &self.mail[parity * self.shards * self.shards + src * self.shards + dst]
     }
 
@@ -231,10 +231,7 @@ impl<M> Shared<M> {
             if src == shard {
                 continue;
             }
-            let mut mailbox = lock(self.mail_slot(parity, src, shard));
-            for event in mailbox.drain(..) {
-                core.ingest(event);
-            }
+            core.ingest(&mut lock(self.mail_slot(parity, src, shard)));
         }
     }
 
@@ -268,9 +265,8 @@ impl<M> Shared<M> {
             core.run_window(horizon, until, budget)
         };
         core.publish_outboxes(|dst, outbox| {
-            let min = outbox.iter().map(|e| e.key.time.as_nanos()).min();
-            self.out_min[shard * self.shards + dst]
-                .store(min.unwrap_or(NO_TIME), Ordering::Relaxed);
+            let min = outbox.min_time();
+            self.out_min[shard * self.shards + dst].store(enc(min), Ordering::Relaxed);
             if min.is_some() {
                 let mut mailbox = lock(self.mail_slot(parity, shard, dst));
                 std::mem::swap(&mut *mailbox, outbox);

@@ -60,7 +60,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::core::{SimCore, SimStats};
-use crate::event::ScheduledEvent;
+use crate::event::Mail;
 use crate::link::{Topology, TopologyModel};
 use crate::network::{drive_core, RunUntil};
 use crate::node::{Context, Node, NodeId};
@@ -301,7 +301,7 @@ pub struct ShardedNetwork<M> {
     pool: Option<WorkerPool<M>>,
     /// Cross-shard events awaiting ingestion, per destination shard (from
     /// barrier-time `control` / `on_start` callbacks).
-    pending: Vec<Vec<ScheduledEvent<M>>>,
+    pending: Vec<Mail<M>>,
     next_slot: usize,
 }
 
@@ -357,7 +357,7 @@ impl<M> ShardedNetwork<M> {
             plan,
             lookahead,
             pool: None,
-            pending: (0..shards).map(|_| Vec::new()).collect(),
+            pending: (0..shards).map(|_| Mail::default()).collect(),
             next_slot: 0,
         }
     }
@@ -516,20 +516,17 @@ impl<M> ShardedNetwork<M> {
     /// barrier-time `control` callbacks) into the owning core's queue or the
     /// coordinator's pending set.
     fn collect_outboxes(&mut self) {
-        for src in 0..self.cores.len() {
-            for (dest, events) in self.cores[src].drain_outboxes() {
-                self.pending[dest].extend(events);
-            }
+        let pending = &mut self.pending;
+        for core in &mut self.cores {
+            core.publish_outboxes(|dest, outbox| outbox.append_to(&mut pending[dest]));
         }
         self.flush_pending();
     }
 
     /// Ingests all coordinator-held cross-shard events into their cores.
     fn flush_pending(&mut self) {
-        for (shard, events) in self.pending.iter_mut().enumerate() {
-            for event in events.drain(..) {
-                self.cores[shard].ingest(event);
-            }
+        for (core, mail) in self.cores.iter_mut().zip(&mut self.pending) {
+            core.ingest(mail);
         }
     }
 

@@ -68,12 +68,13 @@ fn acceptance_syn_ack_wire_roundtrip_names_the_server() {
     use srlb::server::VirtualRouter;
     let plan = AddressPlan::default();
     let router = VirtualRouter::new(plan.server_addr(srlb::net::ServerId(5)), plan.lb_addr());
-    let srh = router.acceptance_srh(plan.client_addr(3)).unwrap();
-    let syn_ack = PacketBuilder::tcp(plan.vip(0), plan.client_addr(3))
+    let mut syn_ack = PacketBuilder::tcp(plan.vip(0), plan.client_addr(3))
         .ports(80, 51_000)
         .flags(TcpFlags::SYN_ACK)
-        .segment_routing(srh)
         .build();
+    syn_ack
+        .set_route(&router.acceptance_route(plan.client_addr(3)), 1)
+        .unwrap();
     let decoded = Packet::decode(&syn_ack.encode()).unwrap();
     let srh = decoded.srh.expect("SRH present");
     assert_eq!(
