@@ -46,7 +46,9 @@
 
 use std::net::Ipv6Addr;
 
-use srlb_metrics::{DisruptionCollector, PhaseStats, ResponseTimeCollector};
+use srlb_metrics::{
+    Cdf, DisruptionCollector, PhaseStats, RequestClass, RequestOutcome, ResponseTimeCollector,
+};
 use srlb_net::{AddressPlan, Packet, ServerId};
 use srlb_server::{tier_members, Directory, ServerConfig, ServerNode, ServerStats};
 use srlb_sim::{
@@ -117,6 +119,66 @@ pub struct RunOutcome {
     /// lookahead, or the pool policy collapsed a multi-shard plan).  Purely
     /// informational: placement never affects any other field.
     pub shard_plan: Option<String>,
+}
+
+impl RunOutcome {
+    /// Mean completed response time in seconds (how Figure 2 reports it).
+    pub fn mean_response_seconds(&self) -> f64 {
+        self.collector.summary(None).mean() / 1e3
+    }
+
+    /// CDF of completed response times in seconds, optionally filtered by
+    /// request class (Figures 3, 5 and 8).
+    pub fn cdf_seconds(&self, class: Option<RequestClass>) -> Cdf {
+        Cdf::from_samples(
+            self.collector
+                .response_times_ms(class)
+                .into_iter()
+                .map(|ms| ms / 1e3),
+        )
+    }
+
+    /// Fraction of sent requests whose connection was reset.
+    pub fn reset_fraction(&self) -> f64 {
+        match self.collector.len() {
+            0 => 0.0,
+            sent => self.collector.reset_count() as f64 / sent as f64,
+        }
+    }
+
+    /// Per-server completed-request counts.
+    pub fn per_server_completed(&self) -> Vec<u64> {
+        self.server_stats.iter().map(|s| s.completed).collect()
+    }
+
+    /// Connections reset by a failed in-band reconstruction (no candidate
+    /// owned the flow).
+    pub fn orphaned(&self) -> u64 {
+        self.server_stats.iter().map(|s| s.orphaned).sum()
+    }
+
+    /// Ownership adverts sent by servers during reconstruction.
+    pub fn ownership_adverts(&self) -> u64 {
+        self.server_stats.iter().map(|s| s.ownership_adverts).sum()
+    }
+
+    /// Requests that never finished (e.g. their connection was established
+    /// on a backend that was removed, or a packet was black-holed).
+    pub fn unfinished(&self) -> u64 {
+        self.collector
+            .records()
+            .iter()
+            .filter(|r| r.outcome == RequestOutcome::Unfinished)
+            .count() as u64
+    }
+
+    /// Established connections broken by the scenario's control events:
+    /// reconstruction orphans plus never-finished requests.  Load-induced
+    /// backlog resets are *not* counted here (they also occur in a static
+    /// cluster).
+    pub fn broken_established(&self) -> u64 {
+        self.orphaned() + self.unfinished()
+    }
 }
 
 /// How the runner assigns nodes to shards under [`ExecMode::Sharded`].

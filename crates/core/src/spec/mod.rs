@@ -24,6 +24,7 @@ use crate::dispatch::DispatcherConfig;
 use crate::flow_state::{DEFAULT_IDLE_TIMEOUT_SECS, DEFAULT_SHARDS};
 
 mod lower;
+mod presets;
 mod validate;
 
 // ---------------------------------------------------------------------------
@@ -635,47 +636,6 @@ pub struct ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// The paper's Poisson experiment at normalised rate `rho` with the
-    /// given policy: 12 servers × 32 workers, 20 000 queries, exp(100 ms)
-    /// service.
-    pub fn poisson_paper(rho: f64, policy: PolicyKind) -> Self {
-        ExperimentSpec {
-            name: format!("poisson-rho{rho:.2}-{}", policy.label()),
-            seed: 1,
-            workload: WorkloadSpec::Poisson {
-                rho,
-                lambda0: None,
-                queries: 20_000,
-                mean_service_ms: 100.0,
-            },
-            cluster: ClusterSpec::paper(),
-            topology: TopologyModel::paper(),
-            scenario: Vec::new(),
-            policy,
-            request_delay_ms: 0.0,
-            faults: FaultPlan::default(),
-        }
-    }
-
-    /// The paper's Wikipedia replay (24 hours at 50% of peak) with the
-    /// given policy.
-    pub fn wikipedia_paper(policy: PolicyKind) -> Self {
-        ExperimentSpec {
-            name: format!("wikipedia-{}", policy.label()),
-            seed: 1,
-            workload: WorkloadSpec::Wikipedia {
-                hours: 24.0,
-                load_fraction: 0.5,
-            },
-            cluster: ClusterSpec::paper(),
-            topology: TopologyModel::paper(),
-            scenario: Vec::new(),
-            policy,
-            request_delay_ms: 0.0,
-            faults: FaultPlan::default(),
-        }
-    }
-
     /// Overrides the name (builder style).
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
