@@ -8,7 +8,8 @@
 //! range.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use srlb_core::experiment::{ExperimentConfig, PolicyKind};
+use srlb_core::spec::{ExperimentSpec, PolicyKind};
+use srlb_core::Runner;
 use srlb_server::PolicyConfig;
 
 fn run_with_candidates(k: usize) -> f64 {
@@ -20,11 +21,12 @@ fn run_with_candidates(k: usize) -> f64 {
             policy: PolicyConfig::Static { threshold: 4 },
         }
     };
-    ExperimentConfig::poisson_paper(0.88, policy)
+    let spec = ExperimentSpec::poisson_paper(0.88, policy)
         .with_queries(500)
-        .with_seed(42)
+        .with_seed(42);
+    Runner::new(spec)
+        .expect("valid spec")
         .run()
-        .expect("valid configuration")
         .mean_response_seconds()
 }
 

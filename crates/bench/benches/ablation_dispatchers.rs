@@ -6,27 +6,22 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use srlb_core::dispatch::DispatcherConfig;
-use srlb_core::testbed::{Testbed, TestbedConfig};
+use srlb_core::spec::{ExperimentSpec, PolicyKind};
+use srlb_core::Runner;
 use srlb_server::PolicyConfig;
-use srlb_workload::{PoissonWorkload, ServiceTime};
 
 fn run_with_dispatcher(dispatcher: DispatcherConfig) -> f64 {
-    let config = TestbedConfig {
+    let policy = PolicyKind::Explicit {
         dispatcher,
-        record_load: false,
-        seed: 42,
-        ..TestbedConfig::paper(
-            PolicyConfig::Static { threshold: 4 },
-            DispatcherConfig::Random { k: 2 },
-        )
+        acceptance: PolicyConfig::Static { threshold: 4 },
     };
-    // rho = 0.88 against the 12 x 2-core cluster (lambda0 = 240/s).
-    let requests =
-        PoissonWorkload::new(0.88 * 240.0, 500, ServiceTime::paper_poisson()).generate(42);
-    let result = Testbed::new(config)
-        .expect("valid configuration")
-        .run(requests);
-    result.collector.summary(None).mean() / 1e3
+    let spec = ExperimentSpec::poisson_paper(0.88, policy)
+        .with_queries(500)
+        .with_seed(42);
+    Runner::new(spec)
+        .expect("valid spec")
+        .run()
+        .mean_response_seconds()
 }
 
 fn bench(c: &mut Criterion) {

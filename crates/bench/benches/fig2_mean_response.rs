@@ -3,14 +3,14 @@
 //! so regressions in experiment runtime are visible in `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use srlb_bench::{fig2_mean_response, Scale};
+use srlb_bench::{fig2_mean_response, Scale, Sweep};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2_mean_response");
     group.sample_size(10);
     group.bench_function("rho_sweep_tiny", |b| {
         b.iter(|| {
-            let series = fig2_mean_response(Scale::Tiny, 42, 1);
+            let series = fig2_mean_response(Sweep::serial(Scale::Tiny, 42));
             assert_eq!(series.len(), 5);
             criterion::black_box(series)
         })

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use srlb_core::dispatch::{
     CandidateList, ConsistentHashDispatcher, Dispatcher, MaglevDispatcher, RandomDispatcher,
 };
-use srlb_core::flow_table::FlowTable;
+use srlb_core::FlowState;
 use srlb_net::{AddressPlan, FlowKey, Protocol};
 use srlb_sim::{ecmp_steer, NodeId, SimRng, SimTime};
 
@@ -75,7 +75,7 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("flow_table_learn_and_lookup", |b| {
-        let mut table = FlowTable::with_default_timeout();
+        let mut table = FlowState::with_default_timeout();
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % keys.len();

@@ -26,16 +26,20 @@
 //!
 //! Orthogonally, `--sim-threads N` shards every *individual* simulation
 //! across `N` worker threads (the conservative-window parallel event core;
-//! it sets the `SRLB_SIM_THREADS` environment variable picked up by the
-//! runner).  Simulation outputs are byte-identical at every thread count,
-//! so `--jobs` × `--sim-threads` is a pure throughput matrix.
+//! the flag travels to every runner as an `ExecMode` value).  Simulation
+//! outputs are byte-identical at every thread count, so `--jobs` ×
+//! `--sim-threads` is a pure throughput matrix.
+//!
+//! A report or CSV that cannot be written is an error (exit status 1): CI
+//! byte-diffs these files, and a stale one must not pass for a fresh one.
 
 use srlb_bench::output::fmt;
 use srlb_bench::{
     default_jobs, fig2_mean_response, fig3_cdf_high_load, fig4_load_fairness, fig5_cdf_low_load,
     fig6_wiki_median, fig7_wiki_deciles, fig8_wiki_cdf, fig9_rackzone_hunting, write_bench_micro,
-    write_csv, Scale,
+    write_csv, Scale, Sweep,
 };
+use srlb_sim::ExecMode;
 
 const SEED: u64 = 42;
 
@@ -51,17 +55,20 @@ fn main() {
         Scale::Paper
     };
     let (jobs, sim_threads, which) = parse_args(&args);
-    let jobs = jobs.unwrap_or_else(default_jobs);
-    if let Some(n) = sim_threads {
-        // The runner reads the mode from the environment at construction,
-        // so one early set covers every simulation this process runs.
-        std::env::set_var(srlb_sim::ExecMode::ENV_VAR, n.to_string());
-    }
+    let sweep = Sweep {
+        scale,
+        seed: SEED,
+        jobs: jobs.unwrap_or_else(default_jobs),
+        exec: match sim_threads {
+            Some(threads) if threads > 1 => ExecMode::Sharded { threads },
+            _ => ExecMode::Batched,
+        },
+    };
 
     // `run <spec.json>` and `write-specs [dir]` take positional operands of
     // their own, so they are dispatched before figure-name validation.
     if which.first() == Some(&"run") {
-        run_spec_command(&which[1..], scale);
+        run_spec_command(&which[1..], sweep);
         return;
     }
     if which.first() == Some(&"write-specs") {
@@ -103,12 +110,12 @@ fn main() {
     }
 
     if which.contains(&"bench-macro") {
-        run_bench_macro(scale);
+        run_bench_macro(sweep);
         return;
     }
 
     if which.contains(&"scenarios") {
-        run_scenarios_sweep(scale, jobs);
+        run_scenarios_sweep(sweep);
         return;
     }
 
@@ -116,30 +123,30 @@ fn main() {
     let want = |name: &str| all || which.contains(&name);
 
     println!(
-        "# SRLB figure harness (scale: {scale:?}, seed: {SEED}, jobs: {jobs}, sim: {:?})",
-        srlb_sim::ExecMode::from_env()
+        "# SRLB figure harness (scale: {scale:?}, seed: {SEED}, jobs: {}, sim: {:?})",
+        sweep.jobs, sweep.exec
     );
 
     if want("fig2") {
-        run_fig2(scale, jobs);
+        run_fig2(sweep);
     }
     if want("fig3") {
-        run_poisson_cdf("fig3", 0.88, fig3_cdf_high_load(scale, SEED, jobs));
+        run_poisson_cdf("fig3", 0.88, fig3_cdf_high_load(sweep));
     }
     if want("fig4") {
-        run_fig4(scale, jobs);
+        run_fig4(sweep);
     }
     if want("fig5") {
-        run_poisson_cdf("fig5", 0.61, fig5_cdf_low_load(scale, SEED, jobs));
+        run_poisson_cdf("fig5", 0.61, fig5_cdf_low_load(sweep));
     }
     if want("fig6") || want("fig7") {
-        run_fig6_and_7(scale, jobs);
+        run_fig6_and_7(sweep);
     }
     if want("fig8") {
-        run_fig8(scale, jobs);
+        run_fig8(sweep);
     }
     if want("fig9") {
-        run_fig9(scale, jobs);
+        run_fig9(sweep);
     }
 }
 
@@ -193,7 +200,8 @@ fn parse_args(args: &[String]) -> (Option<usize>, Option<usize>, Vec<&str>) {
 /// `figures -- run <spec.json> [--quick|--tiny]`: execute one committed
 /// [`srlb_core::spec::ExperimentSpec`], print the summary and write a
 /// machine-readable report next to the figure CSVs.
-fn run_spec_command(operands: &[&str], scale: Scale) {
+fn run_spec_command(operands: &[&str], sweep: Sweep) {
+    let scale = sweep.scale;
     let [path] = operands else {
         eprintln!("error: `run` expects exactly one spec file, got {operands:?}");
         std::process::exit(2);
@@ -203,7 +211,7 @@ fn run_spec_command(operands: &[&str], scale: Scale) {
         "# SRLB spec runner (spec: {}, scale: {scale:?})",
         path.display()
     );
-    let report = match srlb_bench::run_spec_file(path, scale) {
+    let report = match srlb_bench::run_spec_file(path, scale, sweep.exec) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("error: could not run {}: {err}", path.display());
@@ -246,10 +254,7 @@ fn run_spec_command(operands: &[&str], scale: Scale) {
         println!("  shard plan: {plan}");
     }
     let dir = std::path::Path::new(srlb_bench::FIGURES_DIR);
-    match srlb_bench::write_spec_report(dir, &report) {
-        Ok(path) => println!("  -> wrote {}", path.display()),
-        Err(err) => eprintln!("  !! could not write report: {err}"),
-    }
+    report_write(srlb_bench::write_spec_report(dir, &report));
 }
 
 /// `figures -- write-specs [dir]`: regenerate the canonical example specs
@@ -281,12 +286,12 @@ fn write_specs_command(operands: &[&str]) {
 /// committed `BENCH_macro.json` at the workspace root; reduced scales
 /// write under `target/figures/` with timing fields zeroed, so two runs
 /// (any `--sim-threads`) are byte-identical — CI diffs them.
-fn run_bench_macro(scale: Scale) {
+fn run_bench_macro(sweep: Sweep) {
     println!(
-        "# SRLB macro-bench harness (scale: {scale:?}, seed: {SEED}, sim: {:?})",
-        srlb_sim::ExecMode::from_env()
+        "# SRLB macro-bench harness (scale: {:?}, seed: {SEED}, sim: {:?})",
+        sweep.scale, sweep.exec
     );
-    let report = srlb_bench::run_macro_bench(scale, SEED);
+    let report = srlb_bench::run_macro_bench(sweep);
     let fs = &report.flow_scale;
     println!(
         "flow-scale: {} flows -> {} x {} slots ({} shards each), timeout {:.0} ms",
@@ -380,27 +385,22 @@ fn run_bench_macro(scale: Scale) {
         ],
         &rows,
     ));
-    let dir = if scale == Scale::Paper {
+    let dir = if sweep.scale == Scale::Paper {
         srlb_bench::micro::workspace_root()
     } else {
         std::path::PathBuf::from(srlb_bench::FIGURES_DIR)
     };
-    match srlb_bench::write_bench_macro(&dir, &report) {
-        Ok(path) => println!("  -> wrote {}", path.display()),
-        Err(err) => eprintln!("  !! could not write macro-bench report: {err}"),
-    }
+    report_write(srlb_bench::write_bench_macro(&dir, &report));
 }
 
 fn run_bench_micro() {
     println!("# SRLB micro-bench harness (medians, ns/iter)");
-    match write_bench_micro(&srlb_bench::micro::workspace_root()) {
-        Ok(path) => {
-            let content = std::fs::read_to_string(&path).unwrap_or_default();
-            println!("{}", content.trim_end());
-            println!("  -> wrote {}", path.display());
-        }
-        Err(err) => eprintln!("  !! could not write bench report: {err}"),
+    let written = write_bench_micro(&srlb_bench::micro::workspace_root());
+    if let Ok(path) = &written {
+        let content = std::fs::read_to_string(path).unwrap_or_default();
+        println!("{}", content.trim_end());
     }
+    report_write(written);
 }
 
 fn run_bench_check() {
@@ -414,11 +414,12 @@ fn run_bench_check() {
     }
 }
 
-fn run_scenarios_sweep(scale: Scale, jobs: usize) {
+fn run_scenarios_sweep(sweep: Sweep) {
     println!(
-        "# SRLB dynamic-cluster scenario sweep (scale: {scale:?}, seed: {SEED}, jobs: {jobs})"
+        "# SRLB dynamic-cluster scenario sweep (scale: {:?}, seed: {SEED}, jobs: {})",
+        sweep.scale, sweep.jobs
     );
-    let doc = srlb_bench::run_scenarios(scale, SEED, jobs);
+    let doc = srlb_bench::run_scenarios(sweep);
     println!(
         "{:<16} {:<22} {:>6} {:>6} {:>7} {:>7} {:>8} {:>8}",
         "scenario", "dispatcher", "sent", "done", "broken", "orphans", "rehunts", "recon-ms"
@@ -486,15 +487,15 @@ fn run_scenarios_sweep(scale: Scale, jobs: usize) {
             report.aborted,
         );
     }
-    match srlb_bench::write_bench_scenarios(&srlb_bench::micro::workspace_root(), &doc) {
-        Ok(path) => println!("  -> wrote {}", path.display()),
-        Err(err) => eprintln!("  !! could not write scenario report: {err}"),
-    }
+    report_write(srlb_bench::write_bench_scenarios(
+        &srlb_bench::micro::workspace_root(),
+        &doc,
+    ));
 }
 
-fn run_fig2(scale: Scale, jobs: usize) {
+fn run_fig2(sweep: Sweep) {
     println!("\n## Figure 2 — mean response time vs load factor rho");
-    let series = fig2_mean_response(scale, SEED, jobs);
+    let series = fig2_mean_response(sweep);
     let mut rows = Vec::new();
     println!("{:<8} {:>6} {:>12}", "policy", "rho", "mean (s)");
     for s in &series {
@@ -529,9 +530,9 @@ fn run_poisson_cdf(name: &str, rho: f64, series: Vec<srlb_bench::CdfSeries>) {
     report_write(write_csv(name, &["policy", "response_s", "cdf"], &rows));
 }
 
-fn run_fig4(scale: Scale, jobs: usize) {
+fn run_fig4(sweep: Sweep) {
     println!("\n## Figure 4 — instantaneous server load (mean & fairness), rho = 0.88");
-    let series = fig4_load_fairness(scale, SEED, jobs);
+    let series = fig4_load_fairness(sweep);
     let mut rows = Vec::new();
     for s in &series {
         let mean_of_means: f64 =
@@ -553,9 +554,9 @@ fn run_fig4(scale: Scale, jobs: usize) {
     ));
 }
 
-fn run_fig6_and_7(scale: Scale, jobs: usize) {
+fn run_fig6_and_7(sweep: Sweep) {
     println!("\n## Figures 6 & 7 — Wikipedia replay: rate, median and deciles per bin");
-    let series = fig6_wiki_median(scale, SEED, jobs);
+    let series = fig6_wiki_median(sweep);
     let mut rows6 = Vec::new();
     let mut rows7 = Vec::new();
     for s in &series {
@@ -607,9 +608,9 @@ fn run_fig6_and_7(scale: Scale, jobs: usize) {
     let _ = fig7_wiki_deciles;
 }
 
-fn run_fig8(scale: Scale, jobs: usize) {
+fn run_fig8(sweep: Sweep) {
     println!("\n## Figure 8 — CDF of wiki-page load time over the whole replay");
-    let result = fig8_wiki_cdf(scale, SEED, jobs);
+    let result = fig8_wiki_cdf(sweep);
     println!("{:<8} {:>12} {:>12}", "policy", "median (s)", "Q3 (s)");
     let mut rows = Vec::new();
     for s in &result.series {
@@ -628,9 +629,9 @@ fn run_fig8(scale: Scale, jobs: usize) {
     ));
 }
 
-fn run_fig9(scale: Scale, jobs: usize) {
+fn run_fig9(sweep: Sweep) {
     println!("\n## Figure 9 — hunting cost vs rack placement x LB tier spread (1% loss column)");
-    let cells = fig9_rackzone_hunting(scale, SEED, jobs);
+    let cells = fig9_rackzone_hunting(sweep);
     println!(
         "{:<10} {:>4} {:>6} {:>6} {:>6} {:>9} {:>9} {:>8} {:>8} {:>7} {:>7}",
         "topology",
@@ -696,9 +697,14 @@ fn run_fig9(scale: Scale, jobs: usize) {
     ));
 }
 
+/// Reports where an output file landed — or exits with status 1 if it could
+/// not be written, so a byte-diff downstream never compares a stale file.
 fn report_write(result: std::io::Result<std::path::PathBuf>) {
     match result {
         Ok(path) => println!("  -> wrote {}", path.display()),
-        Err(err) => eprintln!("  !! could not write CSV: {err}"),
+        Err(err) => {
+            eprintln!("error: could not write output: {err}");
+            std::process::exit(1);
+        }
     }
 }

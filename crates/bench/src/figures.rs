@@ -1,18 +1,18 @@
 //! One function per figure of the paper's evaluation.
 //!
-//! Every figure function takes a `jobs` worker count: the underlying
-//! `(policy, ρ)` / replay points are independent seeded simulations and run
-//! through [`parallel_map`](crate::parallel::parallel_map), which returns
-//! results in input order — so output is byte-identical whatever the worker
-//! count, and `jobs = 1` is a fully serial run.
+//! Every figure function takes a [`Sweep`]: the underlying `(policy, ρ)` /
+//! replay points are independent seeded simulations and run through
+//! [`parallel_map`] across `sweep.jobs` workers, which returns results in
+//! input order — so output is byte-identical whatever the worker count, and
+//! `jobs = 1` is a fully serial run.  Each simulation executes under
+//! `sweep.exec`, which is equally invisible in the output.
 
 use srlb_core::dispatch::DispatcherConfig;
-use srlb_core::experiment::ExperimentResult;
-use srlb_core::runner::Runner;
+use srlb_core::runner::{RunOutcome, Runner};
 use srlb_core::spec::{ExperimentSpec, FaultLink, FaultPlan, LossSpec, PolicyKind};
 use srlb_metrics::{jain_fairness, Ewma, RequestClass};
 use srlb_server::PolicyConfig;
-use srlb_sim::TopologyModel;
+use srlb_sim::{ExecMode, TopologyModel};
 
 use crate::parallel::parallel_map;
 
@@ -71,6 +71,47 @@ impl Scale {
     }
 }
 
+/// How a sweep of experiments runs: at what size, from which seed, across
+/// how many workers, and how each individual simulation executes.  Only
+/// `scale` and `seed` can change an output byte.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sweep {
+    /// How large each experiment is.
+    pub scale: Scale,
+    /// Seed of every run.
+    pub seed: u64,
+    /// Worker threads the independent runs are spread across.
+    pub jobs: usize,
+    /// Execution mode of each run (the CLI's `--sim-threads`).
+    pub exec: ExecMode,
+}
+
+impl Sweep {
+    /// A single-worker sweep under the default (batched) execution mode.
+    pub fn serial(scale: Scale, seed: u64) -> Self {
+        Sweep {
+            scale,
+            seed,
+            jobs: 1,
+            exec: ExecMode::default(),
+        }
+    }
+
+    /// Runs one of the harness's own specs under this sweep's execution
+    /// mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid — the harness builds every spec it
+    /// passes here, so that is a bug in the harness.
+    pub fn run(&self, spec: ExperimentSpec) -> RunOutcome {
+        Runner::new(spec)
+            .expect("harness specs are valid")
+            .with_exec(self.exec)
+            .run()
+    }
+}
+
 /// The policies compared in the Poisson figures, in the paper's order.
 pub fn poisson_policies() -> Vec<PolicyKind> {
     vec![
@@ -82,25 +123,15 @@ pub fn poisson_policies() -> Vec<PolicyKind> {
     ]
 }
 
-/// Runs one paper-testbed Poisson point through the unified
-/// [`Runner`](srlb_core::runner::Runner).
-fn poisson_result(
-    scale: Scale,
-    seed: u64,
-    rho: f64,
-    policy: PolicyKind,
-    record_load: bool,
-) -> ExperimentResult {
+/// Runs one paper-testbed Poisson point.
+fn poisson_outcome(sweep: Sweep, rho: f64, policy: PolicyKind, record_load: bool) -> RunOutcome {
     let mut spec = ExperimentSpec::poisson_paper(rho, policy)
-        .with_queries(scale.poisson_queries())
-        .with_seed(seed);
+        .with_queries(sweep.scale.poisson_queries())
+        .with_seed(sweep.seed);
     if record_load {
         spec = spec.with_load_recording();
     }
-    let outcome = Runner::new(spec)
-        .expect("paper poisson spec is valid")
-        .run();
-    ExperimentResult::from_outcome(outcome, Some(rho))
+    sweep.run(spec)
 }
 
 /// One policy's mean-response-time curve for Figure 2.
@@ -115,18 +146,18 @@ pub struct Fig2Series {
 /// Figure 2: mean page load time as a function of the normalised request
 /// rate ρ, for RR and the SRc/SRdyn policies.
 ///
-/// The full `(policy, ρ)` cross product is swept across `jobs` workers;
-/// each point is an independent seeded simulation and the series are
-/// reassembled in the paper's policy order.
-pub fn fig2_mean_response(scale: Scale, seed: u64, jobs: usize) -> Vec<Fig2Series> {
+/// The full `(policy, ρ)` cross product is swept across `sweep.jobs`
+/// workers; each point is an independent seeded simulation and the series
+/// are reassembled in the paper's policy order.
+pub fn fig2_mean_response(sweep: Sweep) -> Vec<Fig2Series> {
     let policies = poisson_policies();
-    let rhos = scale.rho_values();
+    let rhos = sweep.scale.rho_values();
     let grid: Vec<(PolicyKind, f64)> = policies
         .iter()
         .flat_map(|&policy| rhos.iter().map(move |&rho| (policy, rho)))
         .collect();
-    let means = parallel_map(&grid, jobs, |&(policy, rho)| {
-        poisson_result(scale, seed, rho, policy, false).mean_response_seconds()
+    let means = parallel_map(&grid, sweep.jobs, |&(policy, rho)| {
+        poisson_outcome(sweep, rho, policy, false).mean_response_seconds()
     });
     policies
         .iter()
@@ -155,34 +186,30 @@ pub struct CdfSeries {
     pub third_quartile_s: f64,
 }
 
-fn cdf_series_for(
-    result: &ExperimentResult,
-    class: Option<RequestClass>,
-    points: usize,
-) -> CdfSeries {
-    let cdf = result.cdf_seconds(class);
+fn cdf_series_for(outcome: &RunOutcome, class: Option<RequestClass>, points: usize) -> CdfSeries {
+    let cdf = outcome.cdf_seconds(class);
     CdfSeries {
-        label: result.label.clone(),
+        label: outcome.label.clone(),
         points: cdf.points(points),
         median_s: cdf.median().unwrap_or(0.0),
         third_quartile_s: cdf.third_quartile().unwrap_or(0.0),
     }
 }
 
-fn poisson_cdf(scale: Scale, seed: u64, rho: f64, jobs: usize) -> Vec<CdfSeries> {
-    parallel_map(&poisson_policies(), jobs, |&policy| {
-        cdf_series_for(&poisson_result(scale, seed, rho, policy, false), None, 200)
+fn poisson_cdf(sweep: Sweep, rho: f64) -> Vec<CdfSeries> {
+    parallel_map(&poisson_policies(), sweep.jobs, |&policy| {
+        cdf_series_for(&poisson_outcome(sweep, rho, policy, false), None, 200)
     })
 }
 
 /// Figure 3: CDF of page load time at high load (ρ = 0.88).
-pub fn fig3_cdf_high_load(scale: Scale, seed: u64, jobs: usize) -> Vec<CdfSeries> {
-    poisson_cdf(scale, seed, 0.88, jobs)
+pub fn fig3_cdf_high_load(sweep: Sweep) -> Vec<CdfSeries> {
+    poisson_cdf(sweep, 0.88)
 }
 
 /// Figure 5: CDF of page load time at moderate load (ρ = 0.61).
-pub fn fig5_cdf_low_load(scale: Scale, seed: u64, jobs: usize) -> Vec<CdfSeries> {
-    poisson_cdf(scale, seed, 0.61, jobs)
+pub fn fig5_cdf_low_load(sweep: Sweep) -> Vec<CdfSeries> {
+    poisson_cdf(sweep, 0.61)
 }
 
 /// One policy's instantaneous-load trajectory for Figure 4.
@@ -198,15 +225,15 @@ pub struct Fig4Series {
 /// Figure 4: instantaneous server load (mean and Jain fairness over the 12
 /// servers) during a run at ρ = 0.88, for RR and SR4, smoothed with an EWMA
 /// of parameter `alpha = 1 - exp(-dt)`.
-pub fn fig4_load_fairness(scale: Scale, seed: u64, jobs: usize) -> Vec<Fig4Series> {
+pub fn fig4_load_fairness(sweep: Sweep) -> Vec<Fig4Series> {
     parallel_map(
         &[PolicyKind::RoundRobin, PolicyKind::Static { threshold: 4 }],
-        jobs,
+        sweep.jobs,
         |&policy| {
-            let result = poisson_result(scale, seed, 0.88, policy, true);
+            let outcome = poisson_outcome(sweep, 0.88, policy, true);
             Fig4Series {
-                label: result.label.clone(),
-                points: load_grid(&result.load_series, result.duration_seconds, 1.0),
+                points: load_grid(&outcome.load_series, outcome.duration_seconds, 1.0),
+                label: outcome.label,
             }
         },
     )
@@ -252,17 +279,15 @@ pub struct WikiBinSeries {
     pub deciles: Vec<(f64, [f64; 9])>,
 }
 
-fn wikipedia_result(scale: Scale, seed: u64, policy: PolicyKind) -> ExperimentResult {
-    let spec = ExperimentSpec::wikipedia_paper(policy)
-        .with_hours(scale.wiki_hours())
-        .with_seed(seed);
-    let outcome = Runner::new(spec)
-        .expect("paper wikipedia spec is valid")
-        .run();
-    ExperimentResult::from_outcome(outcome, None)
+fn wikipedia_outcome(sweep: Sweep, policy: PolicyKind) -> RunOutcome {
+    sweep.run(
+        ExperimentSpec::wikipedia_paper(policy)
+            .with_hours(sweep.scale.wiki_hours())
+            .with_seed(sweep.seed),
+    )
 }
 
-fn wiki_bins(result: &ExperimentResult, bin_seconds: f64) -> WikiBinSeries {
+fn wiki_bins(result: &RunOutcome, bin_seconds: f64) -> WikiBinSeries {
     let binned = result
         .collector
         .binned(bin_seconds, Some(RequestClass::WikiPage));
@@ -292,14 +317,14 @@ fn wiki_bins(result: &ExperimentResult, bin_seconds: f64) -> WikiBinSeries {
 
 /// Figure 6: wiki-page query rate and median load time per time bin over the
 /// Wikipedia replay, for RR and SR4.
-pub fn fig6_wiki_median(scale: Scale, seed: u64, jobs: usize) -> Vec<WikiBinSeries> {
+pub fn fig6_wiki_median(sweep: Sweep) -> Vec<WikiBinSeries> {
     parallel_map(
         &[PolicyKind::RoundRobin, PolicyKind::Static { threshold: 4 }],
-        jobs,
+        sweep.jobs,
         |&policy| {
             wiki_bins(
-                &wikipedia_result(scale, seed, policy),
-                scale.wiki_bin_seconds(),
+                &wikipedia_outcome(sweep, policy),
+                sweep.scale.wiki_bin_seconds(),
             )
         },
     )
@@ -307,8 +332,8 @@ pub fn fig6_wiki_median(scale: Scale, seed: u64, jobs: usize) -> Vec<WikiBinSeri
 
 /// Figure 7: deciles 1–9 of the wiki-page load time per time bin, for RR and
 /// SR4 (same runs as Figure 6).
-pub fn fig7_wiki_deciles(scale: Scale, seed: u64, jobs: usize) -> Vec<WikiBinSeries> {
-    fig6_wiki_median(scale, seed, jobs)
+pub fn fig7_wiki_deciles(sweep: Sweep) -> Vec<WikiBinSeries> {
+    fig6_wiki_median(sweep)
 }
 
 /// The whole-day CDF comparison of Figure 8.
@@ -321,13 +346,13 @@ pub struct WikiCdf {
 /// Figure 8: CDF of wiki-page load time over the whole replay, RR vs SR4
 /// (the paper reports the median dropping from 0.25 s to 0.20 s and the
 /// third quartile from 0.48 s to 0.28 s).
-pub fn fig8_wiki_cdf(scale: Scale, seed: u64, jobs: usize) -> WikiCdf {
+pub fn fig8_wiki_cdf(sweep: Sweep) -> WikiCdf {
     let series = parallel_map(
         &[PolicyKind::RoundRobin, PolicyKind::Static { threshold: 4 }],
-        jobs,
+        sweep.jobs,
         |&policy| {
-            let result = wikipedia_result(scale, seed, policy);
-            cdf_series_for(&result, Some(RequestClass::WikiPage), 200)
+            let outcome = wikipedia_outcome(sweep, policy);
+            cdf_series_for(&outcome, Some(RequestClass::WikiPage), 200)
         },
     );
     WikiCdf { series }
@@ -376,7 +401,7 @@ pub struct Fig9Cell {
 /// (`vnodes = 128, k = 2`) with the SR4 acceptance policy, so candidate
 /// hunting crosses rack boundaries and its latency cost — and its
 /// interaction with retransmission — is visible per cell.
-pub fn fig9_rackzone_hunting(scale: Scale, seed: u64, jobs: usize) -> Vec<Fig9Cell> {
+pub fn fig9_rackzone_hunting(sweep: Sweep) -> Vec<Fig9Cell> {
     let topologies = [
         ("uniform", TopologyModel::paper()),
         ("rackzone", TopologyModel::rack_zone_default()),
@@ -391,14 +416,14 @@ pub fn fig9_rackzone_hunting(scale: Scale, seed: u64, jobs: usize) -> Vec<Fig9Ce
             })
         })
         .collect();
-    parallel_map(&grid, jobs, |&(label, topology, lb_count, lossy)| {
+    parallel_map(&grid, sweep.jobs, |&(label, topology, lb_count, lossy)| {
         let policy = PolicyKind::Explicit {
             dispatcher: DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 },
             acceptance: PolicyConfig::Static { threshold: 4 },
         };
         let mut spec = ExperimentSpec::poisson_paper(0.88, policy)
-            .with_queries(scale.poisson_queries())
-            .with_seed(seed)
+            .with_queries(sweep.scale.poisson_queries())
+            .with_seed(sweep.seed)
             .with_topology(topology)
             .with_lb_count(lb_count)
             .with_name(format!("fig9-{label}-lb{lb_count}"));
@@ -412,7 +437,7 @@ pub fn fig9_rackzone_hunting(scale: Scale, seed: u64, jobs: usize) -> Vec<Fig9Ce
                 ..FaultPlan::default()
             });
         }
-        let outcome = Runner::new(spec).expect("fig9 spec is valid").run();
+        let outcome = sweep.run(spec);
         let summary = outcome.collector.summary(None);
         Fig9Cell {
             topology: label.to_string(),
@@ -471,7 +496,7 @@ mod tests {
 
     #[test]
     fn fig9_sweep_contrasts_topology_and_loss() {
-        let serial = fig9_rackzone_hunting(Scale::Tiny, 7, 1);
+        let serial = fig9_rackzone_hunting(Sweep::serial(Scale::Tiny, 7));
         // {uniform, rackzone} x {1, 2, 4} LBs x {fault-free, lossy}.
         assert_eq!(serial.len(), 12);
         for cell in &serial {
@@ -491,8 +516,12 @@ mod tests {
         // Consistent-hash dispatch with SR4 acceptance actually hunts at
         // rho = 0.88, in every topology / tier-spread cell.
         assert!(serial.iter().all(|c| c.passed_on > 0));
-        // Byte-identical whatever the worker count.
-        let parallel = fig9_rackzone_hunting(Scale::Tiny, 7, 4);
+        // Byte-identical whatever the worker count and execution mode.
+        let parallel = fig9_rackzone_hunting(Sweep {
+            jobs: 4,
+            exec: ExecMode::Sharded { threads: 2 },
+            ..Sweep::serial(Scale::Tiny, 7)
+        });
         assert_eq!(serial, parallel);
     }
 
@@ -501,8 +530,11 @@ mod tests {
         // Each (policy, rho) point is an independent seeded simulation and
         // results are reassembled by input index, so the figure data must be
         // identical whatever the worker count.
-        let serial = fig2_mean_response(Scale::Tiny, 7, 1);
-        let parallel = fig2_mean_response(Scale::Tiny, 7, 4);
+        let serial = fig2_mean_response(Sweep::serial(Scale::Tiny, 7));
+        let parallel = fig2_mean_response(Sweep {
+            jobs: 4,
+            ..Sweep::serial(Scale::Tiny, 7)
+        });
         assert_eq!(serial, parallel);
     }
 }

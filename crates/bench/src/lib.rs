@@ -10,10 +10,11 @@
 //!   scaled-down versions of the same code so the whole harness is exercised
 //!   quickly and regressions in experiment runtime are visible.
 //!
-//! Every function takes a [`Scale`] so the same code path serves both uses,
-//! plus a `jobs` worker count: independent `(policy, ρ)` simulation points
-//! run across scoped threads ([`parallel`]) with deterministic,
-//! byte-identical output regardless of the worker count.  The [`micro`]
+//! Every function takes a [`Sweep`] — a [`Scale`] so the same code path
+//! serves both uses, a seed, a `jobs` worker count and the execution mode of
+//! each simulation: independent `(policy, ρ)` simulation points run across
+//! scoped threads ([`parallel`]) with deterministic, byte-identical output
+//! regardless of the worker count and execution mode.  The [`micro`]
 //! module additionally writes machine-readable micro-bench medians
 //! (`BENCH_micro.json`) so PRs can diff the perf trajectory.
 
@@ -32,7 +33,7 @@ pub mod spec_run;
 pub use figures::{
     fig2_mean_response, fig3_cdf_high_load, fig4_load_fairness, fig5_cdf_low_load,
     fig6_wiki_median, fig7_wiki_deciles, fig8_wiki_cdf, fig9_rackzone_hunting, CdfSeries,
-    Fig2Series, Fig4Series, Fig9Cell, Scale, WikiBinSeries, WikiCdf, FIG9_LB_COUNTS,
+    Fig2Series, Fig4Series, Fig9Cell, Scale, Sweep, WikiBinSeries, WikiCdf, FIG9_LB_COUNTS,
 };
 pub use macrobench::{
     run_macro_bench, write_bench_macro, AblationCell, FlowScaleReport, MacroBenchReport,
@@ -42,8 +43,8 @@ pub use micro::{engine_events_per_sec, write_bench_micro, BenchReport, BENCH_MIC
 pub use output::{write_csv, FIGURES_DIR};
 pub use parallel::{default_jobs, parallel_map};
 pub use scenarios::{
-    run_scenarios, write_bench_scenarios, EcmpReshuffleReport, ScenariosDoc, BENCH_SCENARIOS_FILE,
-    ECMP_RESHUFFLE_LB_COUNTS,
+    run_scenarios, write_bench_scenarios, EcmpReshuffleReport, ScenarioReport, ScenariosDoc,
+    BENCH_SCENARIOS_FILE, ECMP_RESHUFFLE_LB_COUNTS,
 };
 pub use spec_run::{
     example_specs, load_spec, run_spec_file, scale_spec, write_example_specs, write_spec_report,

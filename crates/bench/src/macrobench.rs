@@ -14,7 +14,7 @@
 //! * **ablation** — the load-aware candidate policy versus the paper's
 //!   power-of-two-choices (`SR4`) and random assignment (`RR`) at
 //!   ρ ∈ {0.7, 0.89, 0.95}, mean/p95/p99 response times from full
-//!   [`Runner`] simulations.
+//!   [`Runner`](srlb_core::Runner) simulations.
 //!
 //! At `--tiny` scale the flow count shrinks to 4096, the ablation runs the
 //! tiny query count, and the wall-clock throughput fields are zeroed — so
@@ -30,11 +30,11 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use srlb_core::spec::{ExperimentSpec, PolicyKind};
-use srlb_core::{FlowState, FlowStateConfig, Runner};
+use srlb_core::{FlowState, FlowStateConfig};
 use srlb_net::{AddressPlan, FlowKey, Protocol};
 use srlb_sim::{SimDuration, SimTime};
 
-use crate::figures::Scale;
+use crate::figures::{Scale, Sweep};
 
 /// Default output file name, written to the workspace root at full scale
 /// (see [`crate::micro::workspace_root`]).
@@ -125,8 +125,8 @@ fn flow_key(i: u64, vip: Ipv6Addr) -> FlowKey {
     FlowKey::new(src, vip, (i & 0xffff) as u16, 80, Protocol::Tcp)
 }
 
-/// Runs the flow-scale section: `flows` distinct flows through
-/// [`INSTANCES`] bounded tables with total capacity `flows / 2`, plus two
+/// Runs the flow-scale section: `flows` distinct flows through four
+/// bounded tables with total capacity `flows / 2`, plus two
 /// churn passes that exercise the active- and idle-eviction causes.
 /// `timed` gates the wall-clock throughput fields.
 pub fn flow_scale(flows: usize, timed: bool) -> FlowScaleReport {
@@ -240,15 +240,16 @@ fn ablation_policies() -> Vec<PolicyKind> {
     ]
 }
 
-/// Runs the policy ablation grid at the given scale's query count.
-pub fn ablation(scale: Scale, seed: u64) -> Vec<AblationCell> {
+/// Runs the policy ablation grid at the sweep's query count, one cell at a
+/// time (`sweep.jobs` is not used).
+pub fn ablation(sweep: Sweep) -> Vec<AblationCell> {
     let mut cells = Vec::new();
     for &rho in &ABLATION_RHOS {
         for policy in ablation_policies() {
             let spec = ExperimentSpec::poisson_paper(rho, policy)
-                .with_queries(scale.poisson_queries())
-                .with_seed(seed);
-            let outcome = Runner::new(spec).expect("ablation spec is valid").run();
+                .with_queries(sweep.scale.poisson_queries())
+                .with_seed(sweep.seed);
+            let outcome = sweep.run(spec);
             let summary = outcome.collector.summary(None);
             cells.push(AblationCell {
                 policy: outcome.label,
@@ -280,11 +281,11 @@ pub fn macro_flows(scale: Scale) -> usize {
 /// Runs both sections and assembles the report.  Timing fields are only
 /// populated at paper scale, so reduced-scale reports are byte-stable
 /// across runs and execution modes.
-pub fn run_macro_bench(scale: Scale, seed: u64) -> MacroBenchReport {
+pub fn run_macro_bench(sweep: Sweep) -> MacroBenchReport {
     MacroBenchReport {
         schema: 1,
-        flow_scale: flow_scale(macro_flows(scale), scale == Scale::Paper),
-        ablation: ablation(scale, seed),
+        flow_scale: flow_scale(macro_flows(sweep.scale), sweep.scale == Scale::Paper),
+        ablation: ablation(sweep),
     }
 }
 
@@ -335,7 +336,7 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let report = run_macro_bench(Scale::Tiny, 42);
+        let report = run_macro_bench(Sweep::serial(Scale::Tiny, 42));
         assert_eq!(report.ablation.len(), 9, "3 policies x 3 rho values");
         let json = serde_json::to_string(&report).unwrap();
         let back: MacroBenchReport = serde_json::from_str(&json).unwrap();

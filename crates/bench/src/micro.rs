@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 use srlb_core::dispatch::{
     CandidateList, ConsistentHashDispatcher, Dispatcher, MaglevDispatcher, RandomDispatcher,
 };
-use srlb_core::flow_table::FlowTable;
 use srlb_core::spec::{ExperimentSpec, PolicyKind};
+use srlb_core::FlowState;
 use srlb_core::Runner;
 use srlb_net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
@@ -155,7 +155,7 @@ pub fn run_all() -> BTreeMap<String, f64> {
         }),
     );
 
-    let mut table = FlowTable::with_default_timeout();
+    let mut table = FlowState::with_default_timeout();
     let mut i = 0;
     record(
         "flow_table_learn_and_lookup",
@@ -338,7 +338,8 @@ fn ping_pong<M: Bounce>(bounces: u64, batched: bool) -> u64 {
     stats.events_processed
 }
 
-/// [`ping_pong`] of a hunted SYN [`Packet`], for the criterion bench.
+/// The engine-loop ping-pong of a hunted SYN [`Packet`], for the criterion
+/// bench.
 pub fn packet_ping_pong(bounces: u64, batched: bool) -> u64 {
     ping_pong::<Packet>(bounces, batched)
 }
@@ -373,10 +374,11 @@ fn engine_loop_rate<M: Bounce>(batched: bool) -> f64 {
 /// reference stepper batch — at which point it no longer cross-checks
 /// anything.
 ///
-/// Sharded entries run under the default pool policy: on a host without at
-/// least two available cores a multi-shard plan collapses to the single-core
-/// batched engine (windows cannot beat serial without real parallelism), so
-/// the recorded number reflects what that machine would actually get.
+/// Sharded entries run under the default pool policy, which nothing outside
+/// the code can override: on a host without at least two available cores a
+/// multi-shard plan collapses to the single-core batched engine (windows
+/// cannot beat serial without real parallelism), so the recorded number
+/// reflects what that machine would actually get.
 pub fn engine_events_per_sec() -> BTreeMap<String, f64> {
     let modes: [(&str, ExecMode); 6] = [
         ("engine_serial_step", ExecMode::SerialStep),
@@ -438,11 +440,14 @@ pub fn engine_events_per_sec() -> BTreeMap<String, f64> {
 /// loop and 2-way sharding (interleaved best-of rounds, like
 /// [`engine_events_per_sec`]) and fails if sharding falls below
 /// `tolerance × serial` throughput.  Under the default pool policy the
-/// sharded run either uses real worker threads (multi-core hosts, e.g. CI
-/// runners) or collapses to the batched single-core engine — in both cases
-/// dropping well below serial indicates a regression in the window
-/// protocol or the collapse heuristic, not machine noise, which the
-/// tolerance absorbs.
+/// sharded run collapses to the batched single-core engine on a one-core
+/// host, where the guard passes, and uses real worker threads wherever two
+/// cores are available — where, at this 12-server scale, it currently
+/// **fails**: measured ratios on 2-core hosts are 0.23–0.28 against the 0.7
+/// tolerance, because a window's barrier hand-offs cost more than the few
+/// events it holds.  The guard is kept red on purpose (in a CI job of its
+/// own, so it gates nothing else) until `PoolPolicy::Auto` learns a
+/// cluster-size threshold or the sharded engine wins at paper scale.
 ///
 /// # Errors
 ///

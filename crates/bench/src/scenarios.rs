@@ -10,15 +10,15 @@
 //!
 //! The **ECMP-reshuffle sweep** is appended to the same report: every
 //! dispatcher crossed with LB tier sizes {1, 2, 4}, withdrawing one tier
-//! instance mid-run ([`srlb_scenario::Scenario::ecmp_reshuffle`]).  It
+//! instance mid-run ([`ExperimentSpec::ecmp_reshuffle`]).  It
 //! demonstrates end-to-end that consistent-hash and Maglev candidates keep
 //! every established connection alive when flows are re-steered onto LB
 //! instances that have never seen them, while random candidates orphan
 //! them.
 //!
 //! Every `(preset, dispatcher)` cell is an independent seeded simulation
-//! run through [`parallel_map`](crate::parallel::parallel_map), so the
-//! output is byte-identical whatever the `--jobs` worker count.
+//! run through [`parallel_map`], so the output is byte-identical whatever
+//! the `--jobs` worker count.
 
 use std::io::Write;
 use std::net::Ipv6Addr;
@@ -27,10 +27,13 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use srlb_core::dispatch::DispatcherConfig;
+use srlb_core::lb_node::LbStats;
+use srlb_core::runner::RunOutcome;
+use srlb_core::spec::ExperimentSpec;
+use srlb_metrics::PhaseStats;
 use srlb_net::{AddressPlan, FlowKey, Protocol, ServerId};
-use srlb_scenario::{run, Scenario, ScenarioReport};
 
-use crate::figures::Scale;
+use crate::figures::{Scale, Sweep};
 use crate::parallel::parallel_map;
 
 /// Default output file name, written to the workspace root (see
@@ -178,6 +181,112 @@ fn remap_probe(label: &str, config: DispatcherConfig) -> Vec<RemapReport> {
     reports
 }
 
+/// Serde skip predicate for [`ScenarioReport::per_lb`].
+fn per_lb_is_trivial(per_lb: &[LbStats]) -> bool {
+    per_lb.is_empty()
+}
+
+/// Serde skip predicate for the fault counters: fault-free reports carry
+/// none of them, so pre-fault-layer report bytes stay stable.
+fn is_zero_u64(n: &u64) -> bool {
+    *n == 0
+}
+
+/// Machine-readable summary of a scenario run (one entry of
+/// `BENCH_scenarios.json`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScenarioReport {
+    /// Scenario name.
+    pub name: String,
+    /// Dispatcher report name.
+    pub dispatcher: String,
+    /// Requests sent.
+    pub sent: u64,
+    /// Requests completed.
+    pub completed: u64,
+    /// Requests whose connection was reset.
+    pub resets: u64,
+    /// Requests that never finished.
+    pub unfinished: u64,
+    /// Connections reset because no candidate owned the flow after a
+    /// fail-over.
+    pub orphaned: u64,
+    /// Established connections broken by control events
+    /// (`orphaned + unfinished`).
+    pub broken_established: u64,
+    /// Flow-table misses recovered by re-hunting.
+    pub rehunts: u64,
+    /// Ownership adverts sent by servers.
+    pub ownership_adverts: u64,
+    /// Load-balancer fail-overs applied.
+    pub failovers: u64,
+    /// Flow-table entries learned in-band (SYN-ACKs + adverts).
+    pub flows_learned: u64,
+    /// Milliseconds from fail-over to the last re-hunt, if any.
+    pub reconstruction_ms: Option<f64>,
+    /// Simulated duration in seconds.
+    pub duration_seconds: f64,
+    /// Requests aborted after exhausting the retransmission budget
+    /// (fault-injection runs only; omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub aborted: u64,
+    /// Total client retransmissions (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub retransmits: u64,
+    /// Messages dropped by injected faults (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub dropped_injected: u64,
+    /// Messages tail-dropped by bounded queues (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub dropped_queue: u64,
+    /// Messages dropped inside link down windows (omitted when zero).
+    #[serde(default, skip_serializing_if = "is_zero_u64")]
+    pub dropped_link_down: u64,
+    /// Per-phase disruption statistics.
+    pub phases: Vec<PhaseStats>,
+    /// Per-instance load-balancer counters (omitted for single-LB tiers).
+    #[serde(default, skip_serializing_if = "per_lb_is_trivial")]
+    pub per_lb: Vec<LbStats>,
+}
+
+impl ScenarioReport {
+    /// Condenses a [`RunOutcome`] into the report.
+    pub fn from_outcome(outcome: &RunOutcome) -> Self {
+        ScenarioReport {
+            name: outcome.name.clone(),
+            dispatcher: outcome.dispatcher_name.clone(),
+            sent: outcome.collector.len() as u64,
+            completed: outcome.collector.completed_count() as u64,
+            resets: outcome.collector.reset_count() as u64,
+            unfinished: outcome.unfinished(),
+            orphaned: outcome.orphaned(),
+            broken_established: outcome.broken_established(),
+            rehunts: outcome.lb_stats.rehunts,
+            ownership_adverts: outcome.ownership_adverts(),
+            failovers: outcome.lb_stats.failovers,
+            flows_learned: outcome.lb_stats.flows_learned,
+            reconstruction_ms: outcome.reconstruction_latency_s.map(|s| s * 1e3),
+            duration_seconds: outcome.duration_seconds,
+            aborted: outcome.aborted,
+            retransmits: outcome.retransmits,
+            dropped_injected: outcome.dropped_injected,
+            dropped_queue: outcome.dropped_queue,
+            dropped_link_down: outcome.dropped_link_down,
+            phases: outcome.phases.clone(),
+            // Populated only for multi-instance tiers (a single instance
+            // adds nothing over the aggregate counters), so the report's
+            // "empty" and the JSON's "omitted" coincide and value -> JSON
+            // -> value round trips are exact -- and pre-tier report bytes
+            // stay stable.
+            per_lb: if outcome.per_lb_stats.len() > 1 {
+                outcome.per_lb_stats.clone()
+            } else {
+                Vec::new()
+            },
+        }
+    }
+}
+
 /// One cell of the ECMP-reshuffle sweep: an `lb_count`-instance LB tier
 /// with the last instance withdrawn mid-run (`lb_count = 1` is the
 /// event-free degenerate control).
@@ -220,18 +329,20 @@ pub struct ScenariosDoc {
 /// with.
 pub const ECMP_RESHUFFLE_LB_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Runs the scenario sweep across `jobs` workers.
-pub fn run_scenarios(scale: Scale, seed: u64, jobs: usize) -> ScenariosDoc {
-    let queries = scenario_queries(scale);
-    let mut grid: Vec<Scenario> = Vec::new();
+/// Runs the scenario sweep across `sweep.jobs` workers.
+pub fn run_scenarios(sweep: Sweep) -> ScenariosDoc {
+    let queries = scenario_queries(sweep.scale);
+    let report = |spec: &ExperimentSpec| {
+        ScenarioReport::from_outcome(&sweep.run(spec.clone().with_seed(sweep.seed)))
+    };
+
+    let mut grid: Vec<ExperimentSpec> = Vec::new();
     for (_, dispatcher) in dispatchers() {
-        grid.push(Scenario::lb_failover(dispatcher, queries).with_seed(seed));
-        grid.push(Scenario::rolling_upgrade(dispatcher, queries).with_seed(seed));
-        grid.push(Scenario::scale_out_2x(dispatcher, queries).with_seed(seed));
+        grid.push(ExperimentSpec::lb_failover(dispatcher, queries));
+        grid.push(ExperimentSpec::rolling_upgrade(dispatcher, queries));
+        grid.push(ExperimentSpec::scale_out_2x(dispatcher, queries));
     }
-    let scenarios = parallel_map(&grid, jobs, |scenario| {
-        run(scenario).expect("preset scenarios are valid").report()
-    });
+    let scenarios = parallel_map(&grid, sweep.jobs, report);
     let remap = dispatchers()
         .into_iter()
         .filter(|(label, _)| *label != "random")
@@ -239,40 +350,38 @@ pub fn run_scenarios(scale: Scale, seed: u64, jobs: usize) -> ScenariosDoc {
         .collect();
 
     // The ECMP-reshuffle sweep: dispatcher × tier size.
-    let mut reshuffle_grid: Vec<(String, usize, Scenario)> = Vec::new();
+    let mut reshuffle_grid: Vec<(&str, usize, ExperimentSpec)> = Vec::new();
     for (label, dispatcher) in dispatchers() {
         for lb_count in ECMP_RESHUFFLE_LB_COUNTS {
             reshuffle_grid.push((
-                label.to_string(),
+                label,
                 lb_count,
-                Scenario::ecmp_reshuffle(dispatcher, lb_count, queries).with_seed(seed),
+                ExperimentSpec::ecmp_reshuffle(dispatcher, lb_count, queries),
             ));
         }
     }
-    let ecmp_reshuffle = parallel_map(&reshuffle_grid, jobs, |(label, lb_count, scenario)| {
+    let ecmp_reshuffle = parallel_map(&reshuffle_grid, sweep.jobs, |(label, lb_count, spec)| {
         EcmpReshuffleReport {
-            dispatcher: label.clone(),
+            dispatcher: label.to_string(),
             lb_count: *lb_count,
-            report: run(scenario).expect("reshuffle preset is valid").report(),
+            report: report(spec),
         }
     });
 
     // The fault-injection sweep: lossy failover, incast into a hot server,
     // and a saturated client uplink, per dispatcher.
-    let mut fault_grid: Vec<Scenario> = Vec::new();
+    let mut fault_grid: Vec<ExperimentSpec> = Vec::new();
     for (_, dispatcher) in dispatchers() {
-        fault_grid.push(Scenario::lossy_lb_failover(dispatcher, queries).with_seed(seed));
-        fault_grid.push(Scenario::incast(dispatcher, queries).with_seed(seed));
-        fault_grid.push(Scenario::saturated_uplink(dispatcher, queries).with_seed(seed));
+        fault_grid.push(ExperimentSpec::lossy_lb_failover(dispatcher, queries));
+        fault_grid.push(ExperimentSpec::incast(dispatcher, queries));
+        fault_grid.push(ExperimentSpec::saturated_uplink(dispatcher, queries));
     }
-    let faults = parallel_map(&fault_grid, jobs, |scenario| {
-        run(scenario).expect("fault presets are valid").report()
-    });
+    let faults = parallel_map(&fault_grid, sweep.jobs, report);
 
     ScenariosDoc {
         schema: 1,
-        scale: format!("{scale:?}"),
-        seed,
+        scale: format!("{:?}", sweep.scale),
+        seed: sweep.seed,
         scenarios,
         remap,
         ecmp_reshuffle,
@@ -394,8 +503,11 @@ mod tests {
 
     #[test]
     fn tiny_sweep_is_deterministic_across_jobs() {
-        let serial = run_scenarios(Scale::Tiny, 42, 1);
-        let parallel = run_scenarios(Scale::Tiny, 42, 4);
+        let serial = run_scenarios(Sweep::serial(Scale::Tiny, 42));
+        let parallel = run_scenarios(Sweep {
+            jobs: 4,
+            ..Sweep::serial(Scale::Tiny, 42)
+        });
         assert_eq!(serial, parallel);
         assert_eq!(serial.scenarios.len(), 9);
         // The acceptance property: deterministic dispatchers lose zero
@@ -481,5 +593,67 @@ mod tests {
                 other => panic!("unexpected fault preset {other}"),
             }
         }
+    }
+
+    const CH: DispatcherConfig = DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 };
+
+    fn report_of(spec: ExperimentSpec) -> ScenarioReport {
+        ScenarioReport::from_outcome(&Sweep::serial(Scale::Tiny, 0).run(spec))
+    }
+
+    #[test]
+    fn reports_are_deterministic_and_round_trip() {
+        let maglev = DispatcherConfig::Maglev {
+            table_size: 251,
+            k: 2,
+        };
+        let spec = ExperimentSpec::rolling_upgrade(maglev, 300).with_seed(13);
+        let a = report_of(spec.clone());
+        let b = report_of(spec);
+        assert_eq!(a, b);
+        let json = serde_json::to_string(&a).unwrap();
+        assert_eq!(json, serde_json::to_string(&b).unwrap());
+        assert!(json.contains("\"rolling_upgrade\""));
+        let back: ScenarioReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, a);
+    }
+
+    #[test]
+    fn reports_carry_only_the_fault_counters_that_fired() {
+        let lossy = report_of(ExperimentSpec::lossy_lb_failover(CH, 400).with_seed(7));
+        let json = serde_json::to_string(&lossy).unwrap();
+        assert!(json.contains("\"dropped_injected\""));
+        assert!(!json.contains("\"dropped_queue\""));
+        assert!(!json.contains("\"dropped_link_down\""));
+        let back: ScenarioReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, lossy);
+
+        let clean = report_of(ExperimentSpec::lb_failover(CH, 200).with_seed(7));
+        let json = serde_json::to_string(&clean).unwrap();
+        for key in [
+            "aborted",
+            "retransmits",
+            "dropped_injected",
+            "dropped_queue",
+            "dropped_link_down",
+        ] {
+            assert!(
+                !json.contains(key),
+                "fault-free report leaked {key}: {json}"
+            );
+        }
+    }
+
+    #[test]
+    fn reports_carry_per_instance_counters_for_multi_lb_tiers_only() {
+        // Omitted for the degenerate single-LB case, keeping the pre-tier
+        // BENCH_scenarios.json entries byte-stable.
+        let tier = report_of(ExperimentSpec::ecmp_reshuffle(CH, 2, 300).with_seed(7));
+        assert_eq!(tier.per_lb.len(), 2);
+        assert!(serde_json::to_string(&tier).unwrap().contains("\"per_lb\""));
+        let single = report_of(ExperimentSpec::ecmp_reshuffle(CH, 1, 300).with_seed(7));
+        assert!(!serde_json::to_string(&single)
+            .unwrap()
+            .contains("\"per_lb\""));
     }
 }

@@ -18,6 +18,7 @@ use srlb_core::runner::{RunOutcome, Runner};
 use srlb_core::spec::{ExperimentSpec, PolicyKind, ScenarioEvent, WorkloadSpec};
 use srlb_metrics::PhaseStats;
 use srlb_server::PolicyConfig;
+use srlb_sim::ExecMode;
 
 use crate::figures::Scale;
 
@@ -31,9 +32,8 @@ use crate::figures::Scale;
 ///   change, with λ₀ re-derived analytically from the larger capacity),
 /// * `wikipedia_replay` — the 24-hour Wikipedia replay under `SR4`
 ///   (Section VI),
-/// * `lb_failover_wikipedia` — the scenario × workload cross product the
-///   two old orchestration stacks could not express: a load-balancer
-///   failover (with in-band flow-table reconstruction over
+/// * `lb_failover_wikipedia` — a scenario × workload cross product: a
+///   load-balancer failover (with in-band flow-table reconstruction over
 ///   consistent-hash candidates) in the middle of a Wikipedia replay
 ///   slice,
 /// * `multi_lb_ecmp` — a four-instance LB tier behind deterministic
@@ -72,12 +72,11 @@ pub fn example_specs() -> Vec<(&'static str, ExperimentSpec)> {
     // stay inside even the `--tiny` scaled-down slice.
     .at(60.0, ScenarioEvent::LbFailover);
     failover_wiki.cluster.recover_flows = true;
-    let multi_lb = srlb_scenario::Scenario::ecmp_reshuffle(
+    let multi_lb = ExperimentSpec::ecmp_reshuffle(
         DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 },
         4,
         800,
     )
-    .to_spec()
     .with_seed(42)
     .with_name("multi_lb_ecmp");
     let lossy_poisson = ExperimentSpec::poisson_paper(0.89, PolicyKind::Dynamic)
@@ -91,12 +90,9 @@ pub fn example_specs() -> Vec<(&'static str, ExperimentSpec)> {
             recovery: Some(srlb_net::RetransmitPolicy::default()),
             ..srlb_core::spec::FaultPlan::default()
         });
-    let incast = srlb_scenario::Scenario::incast(
-        DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 },
-        800,
-    )
-    .to_spec()
-    .with_seed(42);
+    let incast =
+        ExperimentSpec::incast(DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 }, 800)
+            .with_seed(42);
     let bounded_flow_table = ExperimentSpec::poisson_paper(
         0.89,
         PolicyKind::LoadAware {
@@ -311,19 +307,20 @@ impl SpecRunReport {
     }
 }
 
-/// Runs a spec file at the given scale and returns the report.
+/// Runs a spec file at the given scale under `exec` and returns the report
+/// (which is the same whatever the execution mode).
 ///
 /// # Errors
 ///
 /// Returns an I/O-flavoured error for unreadable/malformed files and an
 /// [`std::io::ErrorKind::InvalidInput`] error for specs that fail
 /// validation.
-pub fn run_spec_file(path: &Path, scale: Scale) -> std::io::Result<SpecRunReport> {
+pub fn run_spec_file(path: &Path, scale: Scale, exec: ExecMode) -> std::io::Result<SpecRunReport> {
     let spec = scale_spec(load_spec(path)?, scale);
     let seed = spec.seed;
     let runner = Runner::new(spec)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
-    let outcome = runner.run();
+    let outcome = runner.with_exec(exec).run();
     Ok(SpecRunReport::from_outcome(&outcome, seed))
 }
 
@@ -398,7 +395,12 @@ mod tests {
         }
         // The scenario-driven Wikipedia replay runs end to end at tiny
         // scale, failover included.
-        let report = run_spec_file(&dir.join("lb_failover_wikipedia.json"), Scale::Tiny).unwrap();
+        let report = run_spec_file(
+            &dir.join("lb_failover_wikipedia.json"),
+            Scale::Tiny,
+            ExecMode::default(),
+        )
+        .unwrap();
         assert_eq!(report.name, "lb_failover_wikipedia");
         assert_eq!(report.failovers, 1);
         assert!(report.completed > 0);
@@ -406,7 +408,12 @@ mod tests {
         // The multi-LB ECMP reshuffle spec runs end to end at tiny scale:
         // the withdrawal lands inside the scaled-down send window, so the
         // re-hunt path across instances is exercised even in CI smoke.
-        let report = run_spec_file(&dir.join("multi_lb_ecmp.json"), Scale::Tiny).unwrap();
+        let report = run_spec_file(
+            &dir.join("multi_lb_ecmp.json"),
+            Scale::Tiny,
+            ExecMode::default(),
+        )
+        .unwrap();
         assert_eq!(report.name, "multi_lb_ecmp");
         assert_eq!(report.sent, Scale::Tiny.poisson_queries() as u64);
         assert_eq!(report.completed, report.sent, "zero connections lost");
@@ -415,19 +422,30 @@ mod tests {
         // The lossy Poisson spec runs end to end at tiny scale: losses
         // occur, retransmission recovers them, the per-cause counters
         // surface in the report.
-        let report = run_spec_file(&dir.join("lossy_poisson.json"), Scale::Tiny).unwrap();
+        let report = run_spec_file(
+            &dir.join("lossy_poisson.json"),
+            Scale::Tiny,
+            ExecMode::default(),
+        )
+        .unwrap();
         assert_eq!(report.name, "lossy_poisson");
         assert!(report.dropped_injected > 0, "1% loss must fire at tiny");
         assert!(report.retransmits > 0);
         assert_eq!(report.completed + report.resets, report.sent);
         // And the incast spec tail-drops at its bounded queue.
-        let report = run_spec_file(&dir.join("incast.json"), Scale::Tiny).unwrap();
+        let report =
+            run_spec_file(&dir.join("incast.json"), Scale::Tiny, ExecMode::default()).unwrap();
         assert_eq!(report.name, "incast");
         assert!(report.dropped_queue > 0, "incast queue must overflow");
         assert!(report.retransmits > 0);
         // The bounded flow table evicts under pressure at tiny scale and
         // surfaces the per-cause counters in the report.
-        let report = run_spec_file(&dir.join("bounded_flow_table.json"), Scale::Tiny).unwrap();
+        let report = run_spec_file(
+            &dir.join("bounded_flow_table.json"),
+            Scale::Tiny,
+            ExecMode::default(),
+        )
+        .unwrap();
         assert_eq!(report.name, "bounded_flow_table");
         assert_eq!(report.completed, report.sent);
         assert!(report.flow_peak_occupancy > 0);
@@ -435,7 +453,12 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("flow_peak_occupancy"), "{json}");
         // Default-table runs keep their pre-flow-state report bytes.
-        let report = run_spec_file(&dir.join("poisson_rho089.json"), Scale::Tiny).unwrap();
+        let report = run_spec_file(
+            &dir.join("poisson_rho089.json"),
+            Scale::Tiny,
+            ExecMode::default(),
+        )
+        .unwrap();
         let json = serde_json::to_string(&report).unwrap();
         assert!(!json.contains("flow_"), "{json}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -7,7 +7,8 @@
 //! provides both the analytic capacity of the simulated cluster and an
 //! empirical bisection search equivalent to the paper's bootstrap.
 
-use crate::experiment::{ExperimentConfig, PolicyKind, WorkloadKind};
+use crate::runner::Runner;
+use crate::spec::{ClusterSpec, ExperimentSpec, PolicyKind, WorkloadSpec};
 use crate::CoreError;
 
 /// Analytic CPU capacity of the cluster in queries per second:
@@ -101,23 +102,24 @@ pub fn calibrate_lambda0(config: &CalibrationConfig) -> Result<CalibrationResult
 
     for i in 0..config.iterations {
         let rate = (lo + hi) / 2.0;
-        let experiment = ExperimentConfig {
-            workload: WorkloadKind::Poisson {
-                rho: 1.0,
-                lambda0: Some(rate),
-                queries: config.probe_queries,
-                mean_service_ms: config.mean_service_ms,
-            },
-            policy: PolicyKind::RoundRobin,
-            servers: config.servers,
+        // The paper's static testbed shape, at an explicit arrival rate.
+        let mut probe = ExperimentSpec::poisson_paper(1.0, PolicyKind::RoundRobin)
+            .with_name("lambda0-probe")
+            .with_seed(config.seed.wrapping_add(i as u64));
+        probe.workload = WorkloadSpec::PoissonRate {
+            rate_qps: rate,
+            queries: config.probe_queries,
+            mean_service_ms: config.mean_service_ms,
+        };
+        probe.cluster = ClusterSpec {
+            initial_servers: config.servers,
+            max_servers: config.servers,
             workers: config.workers,
             cores: config.cores,
             backlog: config.backlog,
-            record_load: false,
-            seed: config.seed.wrapping_add(i as u64),
+            ..ClusterSpec::paper()
         };
-        let result = experiment.run()?;
-        let reset_fraction = result.reset_fraction();
+        let reset_fraction = Runner::new(probe)?.run().reset_fraction();
         probes.push((rate, reset_fraction));
         if reset_fraction > config.reset_tolerance {
             hi = rate;

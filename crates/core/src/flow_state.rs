@@ -26,10 +26,6 @@
 //! caller supplies out-of-order timestamps, an entry may expire *late* (a
 //! stale head shields newer-stamped entries behind it) but never early: the
 //! head is only popped when it has itself exceeded the idle timeout.
-//!
-//! The legacy [`FlowTable`](crate::FlowTable) name is an alias for
-//! [`FlowState`] with the default (unbounded, 8-shard) configuration, so all
-//! existing call sites keep working unchanged.
 
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -571,6 +567,65 @@ mod tests {
                 .with_idle_timeout(SimDuration::from_secs(timeout_s))
                 .with_capacity(capacity),
         )
+    }
+
+    #[test]
+    fn learn_lookup_remove() {
+        let mut table = FlowState::with_default_timeout();
+        assert!(table.is_empty());
+        assert_eq!(table.lookup(&flow(1), SimTime::ZERO), None);
+
+        table.learn(flow(1), server(3), SimTime::ZERO);
+        table.learn(flow(2), server(5), SimTime::ZERO);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.lookup(&flow(1), SimTime::ZERO), Some(server(3)));
+        assert_eq!(table.peek(&flow(2)), Some(server(5)));
+
+        assert_eq!(table.remove(&flow(1)), Some(server(3)));
+        assert_eq!(table.remove(&flow(1)), None);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.inserted_total(), 2);
+    }
+
+    #[test]
+    fn relearning_overwrites_owner() {
+        let mut table = FlowState::with_default_timeout();
+        table.learn(flow(1), server(3), SimTime::ZERO);
+        table.learn(flow(1), server(7), SimTime::ZERO);
+        assert_eq!(table.len(), 1);
+        assert_eq!(table.peek(&flow(1)), Some(server(7)));
+    }
+
+    #[test]
+    fn idle_entries_expire_but_active_ones_survive() {
+        let mut table = FlowState::new(SimDuration::from_secs(10));
+        table.learn(flow(1), server(1), at(0));
+        table.learn(flow(2), server(2), at(0));
+
+        // Refresh flow 2 at t = 8s.
+        assert_eq!(table.lookup(&flow(2), at(8)), Some(server(2)));
+
+        // At t = 15s, flow 1 (idle 15s) expires, flow 2 (idle 7s) survives.
+        assert_eq!(table.expire_idle(at(15)), 1);
+        assert_eq!(table.peek(&flow(1)), None);
+        assert_eq!(table.peek(&flow(2)), Some(server(2)));
+        assert_eq!(table.expired_total(), 1);
+    }
+
+    #[test]
+    fn expiry_at_exact_timeout_keeps_entry() {
+        let mut table = FlowState::new(SimDuration::from_secs(10));
+        table.learn(flow(1), server(1), SimTime::ZERO);
+        assert_eq!(table.expire_idle(at(10)), 0);
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn default_is_five_minutes() {
+        let table = FlowState::default();
+        assert_eq!(table.len(), 0);
+        assert_eq!(table, FlowState::with_default_timeout());
+        assert_eq!(table.idle_timeout(), SimDuration::from_secs(300));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use srlb_server::Directory;
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::dispatch::{CandidateList, Dispatcher};
-use crate::flow_table::FlowTable;
+use crate::flow_state::FlowState;
 
 /// Counters exposed by the load balancer after a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,7 +133,7 @@ pub struct LoadBalancerNode {
     vips: Vec<Ipv6Addr>,
     directory: Directory,
     dispatcher: Box<dyn Dispatcher>,
-    flow_table: FlowTable,
+    flow_table: FlowState,
     stats: LbStats,
     expiry_interval: Option<SimDuration>,
     /// Start of the expiry sweep's `start + k × interval` grid (the node's
@@ -171,7 +171,7 @@ impl LoadBalancerNode {
             vips: vec![vip],
             directory,
             dispatcher,
-            flow_table: FlowTable::with_default_timeout(),
+            flow_table: FlowState::with_default_timeout(),
             stats: LbStats::default(),
             expiry_interval: None,
             sweep_start: SimTime::ZERO,
@@ -190,7 +190,7 @@ impl LoadBalancerNode {
     }
 
     /// Replaces the flow table (e.g. to use a shorter idle timeout in tests).
-    pub fn with_flow_table(mut self, table: FlowTable) -> Self {
+    pub fn with_flow_table(mut self, table: FlowState) -> Self {
         self.flow_table = table;
         self
     }

@@ -7,23 +7,25 @@
 //!   uniform random k-choices (the paper uses two random candidates, after
 //!   Mitzenmacher's power-of-two-choices result), plus consistent-hashing and
 //!   Maglev-style selection as related-work baselines,
-//! * [`flow_state`] / [`flow_table`] — the per-flow stickiness table the
-//!   load balancer learns from acceptance SYN-ACKs: sharded, optionally
-//!   capacity-bounded with per-cause eviction accounting, and with
-//!   incremental (O(expired)) idle expiry,
+//! * [`flow_state`] — the per-flow stickiness table the load balancer learns
+//!   from acceptance SYN-ACKs: sharded, optionally capacity-bounded with
+//!   per-cause eviction accounting, and with incremental (O(expired)) idle
+//!   expiry,
 //! * [`lb_node`] — the load balancer simulation node: SRH insertion on new
 //!   flows, flow learning, and steering of established flows,
 //! * [`client`] — the open-loop traffic generator / measurement client,
-//! * [`spec`] — the **unified experiment schema**: a serde-round-trippable
+//! * [`spec`] — the **one experiment description**: a serde-round-trippable
 //!   [`ExperimentSpec`] = `workload × cluster × topology × scenario ×
-//!   policy`,
+//!   policy`, with canned constructors for the paper's evaluations and the
+//!   dynamic-cluster schedules,
 //! * [`runner`] — the one [`Runner`] every experiment goes through: it
 //!   streams the workload on demand and advances the simulation in
 //!   segments around the scheduled control events (a static cluster is the
-//!   degenerate single-segment case),
-//! * [`testbed`] / [`experiment`] — legacy configuration shapes, now thin
-//!   shims over `spec` + `runner`,
+//!   degenerate single-segment case), returning the one [`RunOutcome`],
 //! * [`calibration`] — the λ₀ (maximum sustainable rate) bootstrap.
+//!
+//! A new experiment is a spec; a new summary of a run is a method on
+//! [`RunOutcome`] (or a report type in `srlb-bench`).
 //!
 //! ## Example
 //!
@@ -45,26 +47,20 @@
 pub mod calibration;
 pub mod client;
 pub mod dispatch;
-pub mod experiment;
 pub mod flow_state;
-pub mod flow_table;
 pub mod lb_node;
 pub mod runner;
 pub mod spec;
-pub mod testbed;
 
 pub use client::ClientNode;
 pub use dispatch::{CandidateList, Dispatcher, DispatcherConfig, MAX_CANDIDATES};
-pub use experiment::{ExperimentConfig, ExperimentResult, WorkloadKind};
 pub use flow_state::{FlowState, FlowStateConfig, FlowStateStats};
-pub use flow_table::FlowTable;
 pub use lb_node::{LbStats, LoadBalancerNode};
 pub use runner::{RunOutcome, Runner, ShardPlanning};
 pub use spec::{
     CapacityOverride, ClusterSpec, ExperimentSpec, FlowTableSpec, PolicyKind, ScenarioEvent,
     TimedEvent, WorkloadSpec,
 };
-pub use testbed::{Testbed, TestbedConfig, TestbedResult};
 
 /// Errors produced by experiment configuration and execution.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -20,8 +20,9 @@
 //! balancer of the paper's testbed and runs are byte-identical to the
 //! pre-tier runner.
 //!
-//! Both the figure harness (`srlb-bench`) and the scenario crate
-//! (`srlb-scenario`) are thin clients of this runner.
+//! This is the only way an experiment runs: the figure harness, the
+//! scenario sweep, the examples and the repository's benchmark all build an
+//! [`ExperimentSpec`], hand it here, and read the [`RunOutcome`].
 //!
 //! # Execution modes
 //!
@@ -31,9 +32,8 @@
 //! across worker threads.  All three produce **byte-identical** outcomes —
 //! event ordering keys and per-node RNG streams are interleaving-independent
 //! by construction — so the mode is a pure throughput knob.  The default is
-//! taken from the `SRLB_SIM_THREADS` environment variable (set by the bench
-//! CLI's `--sim-threads` flag) and can be overridden per runner with
-//! [`Runner::with_exec`].
+//! [`ExecMode::Batched`]; callers choose another per runner with
+//! [`Runner::with_exec`] (the bench CLI's `--sim-threads` flag does).
 //!
 //! Shard *placement* defaults to [`ShardPlanning::TopologyAware`]: under a
 //! rack/zone topology each rack's servers and its attached LB instances are
@@ -61,11 +61,8 @@ use crate::lb_node::{LbStats, LoadBalancerNode};
 use crate::spec::{ExperimentSpec, ScenarioEvent};
 use crate::CoreError;
 
-/// Everything measured during one experiment run.
-///
-/// This is the superset both legacy result types project from:
-/// `ExperimentResult` (paper figures) and the scenario crate's
-/// `ScenarioOutcome`.
+/// Everything measured during one experiment run, plus the projections
+/// the figures and reports are built from.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The spec's name.
@@ -212,9 +209,8 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner for a validated spec.
     ///
-    /// The execution mode defaults to [`ExecMode::from_env`], i.e. the
-    /// batched single-threaded loop unless `SRLB_SIM_THREADS` asks for
-    /// shards.
+    /// The execution mode defaults to [`ExecMode::Batched`], the
+    /// single-threaded loop.
     ///
     /// # Errors
     ///
@@ -224,7 +220,7 @@ impl Runner {
         spec.validate()?;
         Ok(Runner {
             spec,
-            exec: ExecMode::from_env(),
+            exec: ExecMode::default(),
             planning: ShardPlanning::default(),
             pool: PoolPolicy::default(),
         })
@@ -475,7 +471,7 @@ impl Runner {
                     let i = server as usize;
                     let node: ServerNode = network
                         .take_node(server_node_id(i))
-                        // srlb-lint: allow(panic-hygiene) -- ScenarioSpec::validate rejects schedules that remove a dead server before the run starts
+                        // srlb-lint: allow(panic-hygiene) -- ExperimentSpec::validate rejects schedules that remove a dead server before the run starts
                         .expect("validated schedule removes only live servers");
                     harvest(node, i);
                     alive[i] = false;
@@ -524,7 +520,7 @@ impl Runner {
                         .control::<ServerNode, _>(server_node_id(server as usize), |s, ctx| {
                             s.set_capacity(workers, cores, ctx)
                         })
-                        // srlb-lint: allow(panic-hygiene) -- ScenarioSpec::validate rejects schedules that resize a dead server before the run starts
+                        // srlb-lint: allow(panic-hygiene) -- ExperimentSpec::validate rejects schedules that resize a dead server before the run starts
                         .expect("validated schedule resizes only live servers");
                 }
             }
@@ -606,8 +602,11 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FaultPlan, PolicyKind, WorkloadSpec};
+    use crate::dispatch::DispatcherConfig;
+    use crate::spec::{ClusterSpec, FaultPlan, PolicyKind, WorkloadSpec};
+    use srlb_server::PolicyConfig;
     use srlb_sim::TopologyModel;
+    use srlb_workload::{PoissonWorkload, Request, ServiceTime};
 
     fn quick_spec(rho: f64, policy: PolicyKind) -> ExperimentSpec {
         ExperimentSpec::poisson_paper(rho, policy).with_queries(400)
@@ -625,6 +624,15 @@ mod tests {
         assert_eq!(outcome.phases.len(), 1, "static run is a single phase");
         assert!(outcome.duration_seconds > 0.0);
         assert!(outcome.events_processed > 400);
+        // The projections the figures are built from.
+        assert!(outcome.mean_response_seconds() > 0.0);
+        assert!(outcome.reset_fraction() < 0.5);
+        assert_eq!(outcome.per_server_completed().len(), 12);
+        assert_eq!(
+            outcome.cdf_seconds(None).count(),
+            outcome.collector.completed_count()
+        );
+        assert_eq!(outcome.broken_established(), 0, "static runs break nothing");
     }
 
     #[test]
@@ -1030,17 +1038,159 @@ mod tests {
         assert_eq!(baseline.retransmits, 0);
     }
 
+    /// A 4-server × 4-worker cluster (backlog 16, load recording on)
+    /// replaying `requests` under `k` random candidates and the given
+    /// acceptance policy.
+    fn trace_spec(requests: Vec<Request>, acceptance: PolicyConfig, k: usize) -> ExperimentSpec {
+        let mut spec = quick_spec(
+            0.5,
+            PolicyKind::Explicit {
+                dispatcher: DispatcherConfig::Random { k },
+                acceptance,
+            },
+        )
+        .with_seed(42);
+        spec.workload = WorkloadSpec::Trace { requests };
+        spec.cluster = ClusterSpec {
+            initial_servers: 4,
+            max_servers: 4,
+            workers: 4,
+            backlog: 16,
+            record_load: true,
+            ..ClusterSpec::paper()
+        };
+        spec
+    }
+
+    fn sum_over_servers(outcome: &RunOutcome, field: impl Fn(&ServerStats) -> u64) -> u64 {
+        outcome.server_stats.iter().map(field).sum()
+    }
+
     #[test]
     fn trace_workload_replays_explicit_requests() {
-        let requests = srlb_workload::PoissonWorkload::new(
-            50.0,
-            100,
-            srlb_workload::ServiceTime::Exponential { mean_ms: 10.0 },
-        )
-        .generate(3);
+        let requests =
+            PoissonWorkload::new(50.0, 100, ServiceTime::Exponential { mean_ms: 10.0 }).generate(3);
         let mut spec = quick_spec(0.5, PolicyKind::RoundRobin);
         spec.workload = WorkloadSpec::Trace { requests };
         let outcome = Runner::new(spec).unwrap().run();
         assert_eq!(outcome.collector.len(), 100);
+        assert_eq!(outcome.label, "RR");
+    }
+
+    #[test]
+    fn every_trace_request_completes_under_light_load() {
+        let requests =
+            PoissonWorkload::new(50.0, 300, ServiceTime::Exponential { mean_ms: 20.0 }).generate(3);
+        let spec = trace_spec(requests, PolicyConfig::Static { threshold: 2 }, 2);
+        let outcome = Runner::new(spec).unwrap().run();
+        assert_eq!(outcome.collector.len(), 300);
+        assert_eq!(outcome.collector.completed_count(), 300);
+        assert_eq!(outcome.collector.reset_count(), 0);
+        assert_eq!(sum_over_servers(&outcome, |s| s.completed), 300);
+        assert_eq!(outcome.lb_stats.new_flows, 300);
+        assert_eq!(outcome.lb_stats.flows_learned, 300);
+        assert!(outcome.duration_seconds > 0.0);
+        assert!(outcome.events_processed > 300);
+        // Load was recorded on every server that served something.
+        assert!(outcome.load_series.iter().any(|s| !s.is_empty()));
+    }
+
+    #[test]
+    fn response_times_include_service_and_network() {
+        let requests =
+            PoissonWorkload::new(10.0, 50, ServiceTime::Constant { ms: 30.0 }).generate(1);
+        let spec = trace_spec(requests, PolicyConfig::Static { threshold: 2 }, 2);
+        let summary = Runner::new(spec).unwrap().run().collector.summary(None);
+        // Every response takes at least the 30 ms service time plus a few
+        // network hops, and under this trivial load not much more.
+        assert!(summary.min().unwrap() >= 30.0);
+        assert!(summary.max().unwrap() < 100.0);
+    }
+
+    #[test]
+    fn backlog_overflow_resets_are_the_servers_resets() {
+        // 2 servers x 2 workers with tiny backlogs and a service time far
+        // beyond what the offered load allows: most requests must be reset.
+        let requests =
+            PoissonWorkload::new(200.0, 400, ServiceTime::Constant { ms: 500.0 }).generate(2);
+        let mut spec = trace_spec(requests, PolicyConfig::Static { threshold: 2 }, 2).with_seed(7);
+        spec.cluster = ClusterSpec {
+            initial_servers: 2,
+            max_servers: 2,
+            workers: 2,
+            cores: 1,
+            backlog: 2,
+            ..ClusterSpec::paper()
+        };
+        let outcome = Runner::new(spec).unwrap().run();
+        assert!(
+            outcome.collector.reset_count() > 0,
+            "backlog overflow must reset"
+        );
+        assert_eq!(
+            outcome.collector.len(),
+            400,
+            "every request is accounted for"
+        );
+        assert_eq!(
+            sum_over_servers(&outcome, |s| s.resets) as usize,
+            outcome.collector.reset_count()
+        );
+    }
+
+    #[test]
+    fn rr_baseline_never_consults_the_policy() {
+        let requests =
+            PoissonWorkload::new(50.0, 200, ServiceTime::Exponential { mean_ms: 10.0 }).generate(9);
+        let spec = trace_spec(requests, PolicyConfig::NeverAccept, 1);
+        let outcome = Runner::new(spec).unwrap().run();
+        assert_eq!(outcome.collector.completed_count(), 200);
+        assert_eq!(sum_over_servers(&outcome, |s| s.forced_accepts), 200);
+        assert_eq!(sum_over_servers(&outcome, |s| s.accepted_by_policy), 0);
+        assert!(outcome.acceptance_ratios.iter().all(|&r| r == 0.0));
+    }
+
+    #[test]
+    fn every_pass_on_lands_on_the_final_candidate() {
+        let requests = PoissonWorkload::new(400.0, 600, ServiceTime::Exponential { mean_ms: 40.0 })
+            .generate(11);
+        let spec = trace_spec(requests, PolicyConfig::Static { threshold: 1 }, 2);
+        let outcome = Runner::new(spec).unwrap().run();
+        let passed = sum_over_servers(&outcome, |s| s.passed_on);
+        let forced = sum_over_servers(&outcome, |s| s.forced_accepts);
+        assert!(passed > 0, "a threshold of 1 under load must pass some on");
+        assert_eq!(passed, forced, "every pass-on lands on the final candidate");
+    }
+
+    #[test]
+    fn invalid_trace_clusters_are_rejected() {
+        let static2 = PolicyConfig::Static { threshold: 2 };
+        let mut spec = trace_spec(Vec::new(), static2, 2);
+        spec.cluster.initial_servers = 0;
+        assert!(Runner::new(spec).is_err());
+
+        let mut spec = trace_spec(Vec::new(), static2, 2);
+        spec.cluster.workers = 0;
+        assert!(Runner::new(spec).is_err());
+
+        // More candidates than servers.
+        assert!(matches!(
+            Runner::new(trace_spec(Vec::new(), static2, 10)),
+            Err(CoreError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn identical_seeds_replay_a_trace_identically() {
+        let workload = PoissonWorkload::new(80.0, 150, ServiceTime::Exponential { mean_ms: 25.0 });
+        let run = |seed: u64| {
+            let spec = trace_spec(
+                workload.generate(5),
+                PolicyConfig::Static { threshold: 2 },
+                2,
+            );
+            Runner::new(spec.with_seed(seed)).unwrap().run()
+        };
+        assert_eq!(run(1).collector.records(), run(1).collector.records());
     }
 }

@@ -119,11 +119,11 @@ impl FaultNode {
 }
 
 impl FaultPlan {
-    /// Lowers the role-based plan to the simulator's [`FaultConfig`]
-    /// (`srlb_sim::FaultConfig`) under the runner's node layout.  Slow
-    /// nodes are not part of the delivery-path config — the runner folds
-    /// them into the topology before the network is built — and `recovery`
-    /// configures the client, not the network.
+    /// Lowers the role-based plan to the simulator's
+    /// [`FaultConfig`](srlb_sim::FaultConfig) under the runner's node
+    /// layout.  Slow nodes are not part of the delivery-path config — the
+    /// runner folds them into the topology before the network is built —
+    /// and `recovery` configures the client, not the network.
     pub fn to_fault_config(
         &self,
         client: srlb_sim::NodeId,

@@ -9,10 +9,12 @@
 //! bit-for-bit with [`Runner`](crate::runner::Runner) (see
 //! `examples/specs/` at the workspace root).
 //!
-//! This module subsumes what used to be three disjoint schemas:
-//! `ExperimentConfig` (paper figures), `TestbedConfig` (cluster wiring) and
-//! the scenario crate's schedule.  Those types survive as thin
-//! compatibility shims over this one.
+//! The module is split by concern: this file is the schema and its
+//! builders, `validate` the consistency checks behind
+//! [`ExperimentSpec::validate`], `lower` the conversions to runtime objects
+//! (request streams, flow tables, simulator fault configuration), and
+//! `presets` the canned constructors ([`ExperimentSpec::poisson_paper`],
+//! [`ExperimentSpec::lb_failover`], …).
 
 use serde::{Deserialize, Serialize};
 
@@ -222,16 +224,14 @@ pub struct CapacityOverride {
 // ---------------------------------------------------------------------------
 
 /// Serde default for [`ClusterSpec::lb_count`]: the paper's single load
-/// balancer.  Public so every schema carrying an `lb_count` field (e.g.
-/// the scenario crate's cluster spec) shares one definition of the
-/// "omitted means 1" contract.
-pub fn default_lb_count() -> usize {
+/// balancer.
+fn default_lb_count() -> usize {
     1
 }
 
 /// Serde skip predicate for [`ClusterSpec::lb_count`]: the degenerate
 /// single-LB tier is not serialised, keeping committed specs byte-stable.
-pub fn lb_count_is_one(n: &usize) -> bool {
+fn lb_count_is_one(n: &usize) -> bool {
     *n == 1
 }
 
@@ -255,7 +255,7 @@ fn shards_is_default(n: &usize) -> bool {
 /// default table is not serialised, so committed specs written before the
 /// flow-state subsystem existed parse and re-serialise byte-identically
 /// (the [`lb_count_is_one`] precedent).
-pub fn flow_table_is_default(ft: &FlowTableSpec) -> bool {
+fn flow_table_is_default(ft: &FlowTableSpec) -> bool {
     *ft == FlowTableSpec::default()
 }
 
@@ -552,17 +552,15 @@ pub struct FaultPlan {
     /// Slow-node latency multipliers.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub slow_nodes: Vec<SlowNodeSpec>,
-    /// End-to-end recovery policy.  `None` with faults present uses
-    /// [`RetransmitPolicy::default`]; on an empty plan no retransmission
-    /// machinery is enabled at all.
+    /// End-to-end recovery policy.  `None` with faults present uses the
+    /// default [`RetransmitPolicy`](srlb_net::RetransmitPolicy); on an empty
+    /// plan no retransmission machinery is enabled at all.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub recovery: Option<srlb_net::RetransmitPolicy>,
 }
 
-/// Serde skip predicate for [`ExperimentSpec::faults`]; public so other
-/// schemas embedding a `FaultPlan` (e.g. the scenario crate) share the
-/// "omitted means no faults" contract.
-pub fn fault_plan_is_empty(plan: &FaultPlan) -> bool {
+/// Serde skip predicate for [`ExperimentSpec::faults`].
+fn fault_plan_is_empty(plan: &FaultPlan) -> bool {
     plan.is_empty()
 }
 
@@ -786,6 +784,18 @@ mod tests {
             _ => panic!("expected wikipedia workload"),
         }
         spec.validate().unwrap();
+    }
+
+    #[test]
+    fn capacity_overrides_apply_per_server() {
+        let mut cluster = ClusterSpec::paper();
+        cluster.capacity_overrides.push(CapacityOverride {
+            server: 2,
+            workers: 4,
+            cores: 1,
+        });
+        assert_eq!(cluster.capacity_of(2), (4, 1));
+        assert_eq!(cluster.capacity_of(0), (32, 2));
     }
 
     #[test]

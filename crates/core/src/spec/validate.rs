@@ -381,6 +381,10 @@ mod tests {
         let spec = ExperimentSpec::poisson_paper(0.5, PolicyKind::RoundRobin)
             .at(1.0, ScenarioEvent::RemoveServer { server: 99 });
         assert!(spec.validate().is_err());
+        // Adding a server that is already up.
+        let spec = ExperimentSpec::poisson_paper(0.5, PolicyKind::RoundRobin)
+            .at(1.0, ScenarioEvent::AddServer { server: 0 });
+        assert!(spec.validate().is_err());
         // Emptying the cluster.
         let mut spec = ExperimentSpec::poisson_paper(0.5, PolicyKind::RoundRobin);
         spec.cluster.initial_servers = 1;

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use srlb_core::dispatch::{
     CandidateList, ConsistentHashDispatcher, Dispatcher, MaglevDispatcher, RandomDispatcher,
 };
-use srlb_core::flow_table::FlowTable;
+use srlb_core::FlowState;
 use srlb_net::{AddressPlan, FlowKey, Protocol};
 use srlb_sim::{SimRng, SimTime};
 
@@ -85,7 +85,7 @@ fn per_flow_operations_are_allocation_free() {
 
     // Flow table: warm it up (growth allocates), then learn/lookup of
     // existing entries must be allocation-free.
-    let mut table = FlowTable::with_default_timeout();
+    let mut table = FlowState::with_default_timeout();
     for (i, key) in keys.iter().enumerate() {
         table.learn(*key, servers[i % servers.len()], SimTime::ZERO);
     }

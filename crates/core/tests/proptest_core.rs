@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use srlb_core::dispatch::{
     ConsistentHashDispatcher, Dispatcher, DispatcherConfig, MaglevDispatcher, RandomDispatcher,
 };
-use srlb_core::flow_table::FlowTable;
+use srlb_core::FlowState;
 use srlb_net::{AddressPlan, FlowKey, Protocol, ServerId};
 use srlb_sim::{SimDuration, SimRng, SimTime};
 
@@ -112,7 +112,7 @@ proptest! {
         ),
     ) {
         let plan = AddressPlan::default();
-        let mut table = FlowTable::with_default_timeout();
+        let mut table = FlowState::with_default_timeout();
         let mut model: std::collections::HashMap<FlowKey, Ipv6Addr> =
             std::collections::HashMap::new();
         for &(op, client, port, server) in &ops {
@@ -148,7 +148,7 @@ proptest! {
         timeout_s in 1u64..100,
     ) {
         let plan = AddressPlan::default();
-        let mut table = FlowTable::new(SimDuration::from_secs(timeout_s));
+        let mut table = FlowState::new(SimDuration::from_secs(timeout_s));
         let mut last_learned = std::collections::HashMap::new();
         let mut max_time = 0u64;
         for &(client, port, server, at) in &entries {

@@ -1,9 +1,11 @@
-//! End-to-end scenario-engine tests: LB failover with in-band flow-table
-//! reconstruction, server churn, scale-out, heterogeneous capacities and
-//! multi-VIP clusters, plus determinism of the whole pipeline.
+//! End-to-end tests of the dynamic-cluster presets: LB failover with
+//! in-band flow-table reconstruction, server churn, scale-out,
+//! heterogeneous capacities and multi-VIP clusters, fault injection, plus
+//! determinism of the whole pipeline.
 
 use srlb_core::dispatch::DispatcherConfig;
-use srlb_scenario::{run, CapacityOverride, Scenario, ScenarioEvent};
+use srlb_core::spec::{CapacityOverride, ExperimentSpec, ScenarioEvent};
+use srlb_core::{RunOutcome, Runner};
 
 const CH: DispatcherConfig = DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 };
 const MAGLEV: DispatcherConfig = DispatcherConfig::Maglev {
@@ -11,9 +13,13 @@ const MAGLEV: DispatcherConfig = DispatcherConfig::Maglev {
     k: 2,
 };
 
+fn run(spec: ExperimentSpec) -> RunOutcome {
+    Runner::new(spec).expect("preset is valid").run()
+}
+
 #[test]
 fn lb_failover_with_consistent_hash_loses_no_established_connection() {
-    let outcome = run(&Scenario::lb_failover(CH, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::lb_failover(CH, 400).with_seed(7));
     assert_eq!(outcome.lb_stats.failovers, 1);
     assert!(outcome.lb_stats.rehunts > 0, "flows were re-hunted");
     assert!(outcome.ownership_adverts() > 0, "owners re-announced");
@@ -37,7 +43,7 @@ fn lb_failover_with_consistent_hash_loses_no_established_connection() {
 
 #[test]
 fn lb_failover_with_maglev_loses_no_established_connection() {
-    let outcome = run(&Scenario::lb_failover(MAGLEV, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::lb_failover(MAGLEV, 400).with_seed(7));
     assert_eq!(outcome.broken_established(), 0);
     assert!(outcome.lb_stats.rehunts > 0);
 }
@@ -48,7 +54,7 @@ fn lb_failover_with_random_candidates_breaks_connections() {
     // after the flow table is wiped the owner is usually *not* in the
     // re-hunt list and the connection must be reset.
     let outcome =
-        run(&Scenario::lb_failover(DispatcherConfig::Random { k: 2 }, 400).with_seed(7)).unwrap();
+        run(ExperimentSpec::lb_failover(DispatcherConfig::Random { k: 2 }, 400).with_seed(7));
     assert!(outcome.lb_stats.rehunts > 0);
     assert!(
         outcome.orphaned() > 0,
@@ -63,7 +69,7 @@ fn single_candidate_rehunts_are_still_recognised() {
     // that the marker keeps ownership routing working at the degenerate
     // fan-out.
     let ch1 = DispatcherConfig::ConsistentHash { vnodes: 64, k: 1 };
-    let outcome = run(&Scenario::lb_failover(ch1, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::lb_failover(ch1, 400).with_seed(7));
     assert!(outcome.lb_stats.rehunts > 0);
     assert_eq!(
         outcome.broken_established(),
@@ -75,24 +81,25 @@ fn single_candidate_rehunts_are_still_recognised() {
     // Random k = 1: the single re-hunt candidate is almost never the owner,
     // so those connections are reset rather than silently served elsewhere.
     let outcome =
-        run(&Scenario::lb_failover(DispatcherConfig::Random { k: 1 }, 400).with_seed(7)).unwrap();
+        run(ExperimentSpec::lb_failover(DispatcherConfig::Random { k: 1 }, 400).with_seed(7));
     assert!(outcome.lb_stats.rehunts > 0);
     assert!(outcome.orphaned() > 0);
 }
 
 #[test]
 fn recovery_rejects_oversized_fanout() {
-    let mut scenario = Scenario::new("too_wide").with_queries(10);
-    scenario.cluster.initial_servers = 8;
-    scenario.cluster.dispatcher = DispatcherConfig::ConsistentHash { vnodes: 16, k: 7 };
-    assert!(scenario.cluster.recover_flows);
-    let err = run(&scenario).unwrap_err();
+    // The single-LB reshuffle is the event-free base cluster of every
+    // preset: 8 servers with in-band flow recovery on.
+    let wide = DispatcherConfig::ConsistentHash { vnodes: 16, k: 7 };
+    let spec = ExperimentSpec::ecmp_reshuffle(wide, 1, 10);
+    assert!(spec.cluster.recover_flows);
+    let err = Runner::new(spec).unwrap_err();
     assert!(err.to_string().contains("at most"));
 }
 
 #[test]
 fn rolling_upgrade_disrupts_only_the_removed_server() {
-    let outcome = run(&Scenario::rolling_upgrade(CH, 600).with_seed(3)).unwrap();
+    let outcome = run(ExperimentSpec::rolling_upgrade(CH, 600).with_seed(3));
     assert_eq!(outcome.lb_stats.failovers, 0);
     // Connections established on server 0 when it was removed are broken.
     assert!(
@@ -113,7 +120,7 @@ fn rolling_upgrade_disrupts_only_the_removed_server() {
 
 #[test]
 fn scale_out_2x_shifts_load_onto_the_new_servers() {
-    let outcome = run(&Scenario::scale_out_2x(CH, 600).with_seed(5)).unwrap();
+    let outcome = run(ExperimentSpec::scale_out_2x(CH, 600).with_seed(5));
     // The four late-joining servers all end up serving traffic.
     for i in 4..8 {
         assert!(
@@ -128,19 +135,19 @@ fn scale_out_2x_shifts_load_onto_the_new_servers() {
 
 #[test]
 fn heterogeneous_capacity_and_multi_vip_cluster() {
-    let mut scenario = Scenario::new("hetero_multi_vip")
-        .with_dispatcher(CH)
-        .with_queries(400)
+    let mut spec = ExperimentSpec::ecmp_reshuffle(CH, 1, 400)
+        .with_name("hetero_multi_vip")
         .with_seed(11);
-    scenario.cluster.vips = 2;
+    spec.cluster.vips = 2;
     // Server 1 starts tiny and is re-provisioned upwards mid-run.
-    scenario.cluster.capacity_overrides.push(CapacityOverride {
+    spec.cluster.capacity_overrides.push(CapacityOverride {
         server: 1,
         workers: 2,
         cores: 1,
     });
-    let mid = scenario.workload.send_window_seconds() * 0.5;
-    let scenario = scenario.at(
+    // Halfway through the send window (400 queries at 96 queries/s).
+    let mid = 400.0 / 96.0 * 0.5;
+    let spec = spec.at(
         mid,
         ScenarioEvent::SetCapacity {
             server: 1,
@@ -148,7 +155,7 @@ fn heterogeneous_capacity_and_multi_vip_cluster() {
             cores: 2,
         },
     );
-    let outcome = run(&scenario).unwrap();
+    let outcome = run(spec);
     assert_eq!(outcome.collector.len(), 400);
     // Both VIPs are served through the same cluster and flow table.
     assert_eq!(outcome.lb_stats.new_flows, 400);
@@ -160,7 +167,7 @@ fn heterogeneous_capacity_and_multi_vip_cluster() {
 
 #[test]
 fn correlated_failures_disrupt_only_the_failed_pair() {
-    let outcome = run(&Scenario::correlated_failures(CH, 600).with_seed(3)).unwrap();
+    let outcome = run(ExperimentSpec::correlated_failures(CH, 600).with_seed(3));
     // Both removals fire at the same instant: the two phases collapse onto
     // one boundary (start + two zero-width-separated phases).
     assert_eq!(outcome.phases.len(), 3);
@@ -186,26 +193,27 @@ fn correlated_failures_disrupt_only_the_failed_pair() {
 
 #[test]
 fn correlated_failures_with_maglev_complete_most_requests() {
-    let outcome = run(&Scenario::correlated_failures(MAGLEV, 600).with_seed(3)).unwrap();
+    let outcome = run(ExperimentSpec::correlated_failures(MAGLEV, 600).with_seed(3));
     assert_eq!(outcome.collector.len(), 600);
     assert!(outcome.collector.completed_count() as u64 >= 600 * 85 / 100);
 }
 
 #[test]
 fn scenario_runs_are_deterministic() {
-    let scenario = Scenario::rolling_upgrade(MAGLEV, 300).with_seed(13);
-    let a = run(&scenario).unwrap().report();
-    let b = run(&scenario).unwrap().report();
-    assert_eq!(a, b);
-    let json_a = serde_json::to_string(&a).unwrap();
-    let json_b = serde_json::to_string(&b).unwrap();
-    assert_eq!(json_a, json_b);
-    assert!(json_a.contains("\"rolling_upgrade\""));
+    let spec = ExperimentSpec::rolling_upgrade(MAGLEV, 300).with_seed(13);
+    let a = run(spec.clone());
+    let b = run(spec);
+    assert_eq!(a.name, "rolling_upgrade");
+    assert_eq!(a.collector.records(), b.collector.records());
+    assert_eq!(a.phases, b.phases);
+    assert_eq!(a.lb_stats, b.lb_stats);
+    assert_eq!(a.server_stats, b.server_stats);
+    assert_eq!(a.events_processed, b.events_processed);
 }
 
 #[test]
 fn lossy_lb_failover_completes_everything_through_retransmission() {
-    let outcome = run(&Scenario::lossy_lb_failover(CH, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::lossy_lb_failover(CH, 400).with_seed(7));
     assert!(outcome.dropped_injected > 0, "1% loss must drop something");
     assert!(outcome.retransmits > 0, "drops must be retransmitted");
     assert_eq!(outcome.aborted, 0, "1% loss never exhausts the budget");
@@ -215,19 +223,13 @@ fn lossy_lb_failover_completes_everything_through_retransmission() {
         400,
         "every request resolves despite the lossy fabric"
     );
-    // The report carries the per-cause taxonomy, and only non-zero causes.
-    let report = outcome.report();
-    let json = serde_json::to_string(&report).unwrap();
-    assert!(json.contains("\"dropped_injected\""));
-    assert!(!json.contains("\"dropped_queue\""));
-    assert!(!json.contains("\"dropped_link_down\""));
-    let back: srlb_scenario::ScenarioReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, report);
+    assert_eq!(outcome.dropped_queue, 0);
+    assert_eq!(outcome.dropped_link_down, 0);
 }
 
 #[test]
 fn incast_tail_drops_at_the_hot_server_queue() {
-    let outcome = run(&Scenario::incast(CH, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::incast(CH, 400).with_seed(7));
     assert!(
         outcome.dropped_queue > 0,
         "the shallow queue must tail-drop"
@@ -243,28 +245,18 @@ fn incast_tail_drops_at_the_hot_server_queue() {
 
 #[test]
 fn saturated_uplink_drops_on_ingress_but_recovers() {
-    let outcome = run(&Scenario::saturated_uplink(CH, 400).with_seed(7)).unwrap();
+    let outcome = run(ExperimentSpec::saturated_uplink(CH, 400).with_seed(7));
     assert!(outcome.dropped_queue > 0, "uplink queue must overflow");
     assert!(outcome.retransmits > 0);
     assert!(outcome.collector.completed_count() > 300);
 }
 
 #[test]
-fn fault_free_reports_serialize_without_fault_counters() {
-    let outcome = run(&Scenario::lb_failover(CH, 200).with_seed(7)).unwrap();
+fn fault_free_runs_count_no_fault_events() {
+    let outcome = run(ExperimentSpec::lb_failover(CH, 200).with_seed(7));
     assert_eq!(outcome.dropped_injected, 0);
+    assert_eq!(outcome.dropped_queue, 0);
+    assert_eq!(outcome.dropped_link_down, 0);
     assert_eq!(outcome.retransmits, 0);
-    let json = serde_json::to_string(&outcome.report()).unwrap();
-    for key in [
-        "aborted",
-        "retransmits",
-        "dropped_injected",
-        "dropped_queue",
-        "dropped_link_down",
-    ] {
-        assert!(
-            !json.contains(key),
-            "fault-free report leaked {key}: {json}"
-        );
-    }
+    assert_eq!(outcome.aborted, 0);
 }

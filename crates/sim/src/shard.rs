@@ -84,23 +84,6 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Environment variable read by [`ExecMode::from_env`] (and set by the
-    /// bench CLI's `--sim-threads` flag).
-    pub const ENV_VAR: &'static str = "SRLB_SIM_THREADS";
-
-    /// Resolves the mode from `SRLB_SIM_THREADS`: values above 1 select
-    /// sharded execution with that many worker shards; everything else
-    /// (unset, empty, `0`, `1`, unparsable) selects the batched default.
-    pub fn from_env() -> Self {
-        match std::env::var(Self::ENV_VAR)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(threads) if threads > 1 => ExecMode::Sharded { threads },
-            _ => ExecMode::Batched,
-        }
-    }
-
     /// The number of worker shards this mode drives.
     pub fn threads(self) -> usize {
         match self {
@@ -120,9 +103,7 @@ impl ExecMode {
 /// the host cannot run two shards at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolPolicy {
-    /// Use worker threads iff `std::thread::available_parallelism() >= 2`,
-    /// overridable via the `SRLB_SIM_POOL` environment variable (`force` /
-    /// `off`).
+    /// Use worker threads iff `std::thread::available_parallelism() >= 2`.
     #[default]
     Auto,
     /// Always run the threaded pool (tests use this to exercise the full
@@ -133,19 +114,12 @@ pub enum PoolPolicy {
 }
 
 impl PoolPolicy {
-    /// Environment override consulted by [`PoolPolicy::Auto`].
-    pub const ENV_VAR: &'static str = "SRLB_SIM_POOL";
-
     /// Whether a multi-shard plan should run on the threaded pool.
     fn threaded(self) -> bool {
         match self {
             PoolPolicy::Force => true,
             PoolPolicy::Never => false,
-            PoolPolicy::Auto => match std::env::var(Self::ENV_VAR).ok().as_deref() {
-                Some("force") => true,
-                Some("off") => false,
-                _ => std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
-            },
+            PoolPolicy::Auto => std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
         }
     }
 }

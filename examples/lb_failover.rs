@@ -1,7 +1,7 @@
 //! Load-balancer failover under load: compare how candidate-selection
 //! policies cope with losing the flow table mid-run.
 //!
-//! The scenario establishes connections continuously, fails the load
+//! The spec establishes connections continuously, fails the load
 //! balancer over to a cold standby (empty flow table) at the midpoint, and
 //! relies on in-band reconstruction: packets of established flows are
 //! re-hunted through the candidate list and the owning server re-announces
@@ -17,7 +17,8 @@
 //! ```
 
 use srlb::core::dispatch::DispatcherConfig;
-use srlb::scenario::{run, Scenario};
+use srlb::core::spec::ExperimentSpec;
+use srlb::core::Runner;
 
 fn main() {
     let queries = 2_000;
@@ -35,20 +36,19 @@ fn main() {
         },
         DispatcherConfig::Random { k: 2 },
     ] {
-        let scenario = Scenario::lb_failover(dispatcher, queries).with_seed(42);
-        let outcome = run(&scenario).expect("preset scenario is valid");
-        let report = outcome.report();
+        let spec = ExperimentSpec::lb_failover(dispatcher, queries).with_seed(42);
+        let outcome = Runner::new(spec).expect("preset is valid").run();
         println!(
             "{:<22} {:>6} {:>6} {:>7} {:>8} {:>8} {:>9}",
-            report.dispatcher,
-            report.sent,
-            report.completed,
-            report.broken_established,
-            report.rehunts,
-            report.ownership_adverts,
-            report
-                .reconstruction_ms
-                .map_or("-".to_string(), |ms| format!("{ms:.1}")),
+            outcome.dispatcher_name,
+            outcome.collector.len(),
+            outcome.collector.completed_count(),
+            outcome.broken_established(),
+            outcome.lb_stats.rehunts,
+            outcome.ownership_adverts(),
+            outcome
+                .reconstruction_latency_s
+                .map_or("-".to_string(), |s| format!("{:.1}", s * 1e3)),
         );
     }
 

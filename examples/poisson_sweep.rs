@@ -7,7 +7,8 @@
 //! cargo run --release --example poisson_sweep
 //! ```
 
-use srlb::core::experiment::{ExperimentConfig, PolicyKind};
+use srlb::core::spec::{ExperimentSpec, PolicyKind};
+use srlb::core::Runner;
 
 fn main() {
     let policies = [
@@ -31,12 +32,11 @@ fn main() {
     for &rho in &rhos {
         print!("{rho:<6.2}");
         for &policy in &policies {
-            let result = ExperimentConfig::poisson_paper(rho, policy)
+            let spec = ExperimentSpec::poisson_paper(rho, policy)
                 .with_queries(queries)
-                .with_seed(seed)
-                .run()
-                .expect("experiment configuration is valid");
-            print!("{:>10.3}", result.mean_response_seconds());
+                .with_seed(seed);
+            let outcome = Runner::new(spec).expect("spec is valid").run();
+            print!("{:>10.3}", outcome.mean_response_seconds());
         }
         println!();
     }

@@ -7,7 +7,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use srlb::core::experiment::{ExperimentConfig, PolicyKind};
+use srlb::core::spec::{ExperimentSpec, PolicyKind};
+use srlb::core::Runner;
 
 fn main() {
     let rho = 0.88;
@@ -25,20 +26,19 @@ fn main() {
         PolicyKind::Static { threshold: 4 },
         PolicyKind::Dynamic,
     ] {
-        let result = ExperimentConfig::poisson_paper(rho, policy)
+        let spec = ExperimentSpec::poisson_paper(rho, policy)
             .with_queries(queries)
-            .with_seed(seed)
-            .run()
-            .expect("experiment configuration is valid");
-        let summary = &result.response_times;
+            .with_seed(seed);
+        let outcome = Runner::new(spec).expect("spec is valid").run();
+        let summary = outcome.collector.summary(None);
         println!(
             "{:<8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>8}",
-            result.label,
+            outcome.label,
             summary.mean() / 1e3,
             summary.median().unwrap_or(0.0) / 1e3,
             summary.percentile(90.0).unwrap_or(0.0) / 1e3,
             summary.percentile(99.0).unwrap_or(0.0) / 1e3,
-            result.resets,
+            outcome.collector.reset_count(),
         );
     }
 

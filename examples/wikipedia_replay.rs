@@ -8,7 +8,8 @@
 //! cargo run --release --example wikipedia_replay [hours]
 //! ```
 
-use srlb::core::experiment::{ExperimentConfig, PolicyKind};
+use srlb::core::spec::{ExperimentSpec, PolicyKind};
+use srlb::core::Runner;
 use srlb::metrics::RequestClass;
 
 fn main() {
@@ -22,20 +23,19 @@ fn main() {
     println!("Wikipedia replay: {hours} h slice at 50% of peak, 12 servers, RR vs SR4");
 
     for policy in [PolicyKind::RoundRobin, PolicyKind::Static { threshold: 4 }] {
-        let result = ExperimentConfig::wikipedia_paper(policy)
+        let spec = ExperimentSpec::wikipedia_paper(policy)
             .with_hours(hours)
-            .with_seed(seed)
-            .run()
-            .expect("experiment configuration is valid");
+            .with_seed(seed);
+        let result = Runner::new(spec).expect("spec is valid").run();
 
         let wiki_cdf = result.cdf_seconds(Some(RequestClass::WikiPage));
         let static_cdf = result.cdf_seconds(Some(RequestClass::Static));
         println!(
             "\n== {} — {} requests ({} wiki pages), {} resets",
             result.label,
-            result.sent,
+            result.collector.len(),
             wiki_cdf.count(),
-            result.resets
+            result.collector.reset_count()
         );
         println!(
             "   wiki pages:   median {:.3} s   Q3 {:.3} s   p95 {:.3} s",

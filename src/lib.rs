@@ -21,31 +21,33 @@
 //!   ([`srlb_workload`]),
 //! * [`server`] — backend server model: worker pool, backlog, scoreboard,
 //!   acceptance policies, SR-aware virtual router ([`srlb_server`]),
-//! * [`core`] — the load balancer itself: dispatchers, flow table, testbed
-//!   and experiment orchestration ([`srlb_core`]),
-//! * [`scenario`] — dynamic-cluster scenario engine: timed server churn,
-//!   load-balancer failover with in-band flow-table reconstruction,
-//!   capacity re-provisioning and multi-VIP clusters, with disruption
-//!   metrics ([`srlb_scenario`]).
+//! * [`core`] — the load balancer itself (dispatchers, flow state, the LB
+//!   and client nodes) and the one experiment API: an
+//!   [`ExperimentSpec`](srlb_core::ExperimentSpec) describes a run —
+//!   paper figure point, dynamic-cluster schedule (server churn, LB
+//!   failover, ECMP reshuffle) or fault-injection case alike —, the
+//!   [`Runner`](srlb_core::Runner) executes it, and a
+//!   [`RunOutcome`](srlb_core::RunOutcome) is what comes back
+//!   ([`srlb_core`]).
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use srlb::core::experiment::{ExperimentConfig, PolicyKind};
+//! use srlb::core::spec::{ExperimentSpec, PolicyKind};
+//! use srlb::core::Runner;
 //!
 //! // A small Poisson experiment: 12 servers, SR4 policy, load factor 0.7.
-//! let config = ExperimentConfig::poisson_quick(0.7, PolicyKind::Static { threshold: 4 })
+//! let spec = ExperimentSpec::poisson_paper(0.7, PolicyKind::Static { threshold: 4 })
 //!     .with_queries(500)
 //!     .with_seed(7);
-//! let result = config.run().expect("experiment runs");
-//! assert!(result.completed > 0);
-//! println!("mean response time: {:.1} ms", result.response_times.mean());
+//! let outcome = Runner::new(spec).expect("spec is valid").run();
+//! assert!(outcome.collector.completed_count() > 0);
+//! println!("mean response time: {:.3} s", outcome.mean_response_seconds());
 //! ```
 
 pub use srlb_core as core;
 pub use srlb_metrics as metrics;
 pub use srlb_net as net;
-pub use srlb_scenario as scenario;
 pub use srlb_server as server;
 pub use srlb_sim as sim;
 pub use srlb_workload as workload;

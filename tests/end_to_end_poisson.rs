@@ -1,33 +1,34 @@
 //! Integration tests: end-to-end Poisson experiments across all crates,
 //! checking the qualitative results the paper reports (Section V).
 
-use srlb::core::experiment::{ExperimentConfig, ExperimentResult, PolicyKind};
+use srlb::core::spec::{ExperimentSpec, PolicyKind, WorkloadSpec};
+use srlb::core::{RunOutcome, Runner};
 
-fn run(rho: f64, policy: PolicyKind, queries: usize, seed: u64) -> ExperimentResult {
-    ExperimentConfig::poisson_paper(rho, policy)
+fn run(rho: f64, policy: PolicyKind, queries: usize, seed: u64) -> RunOutcome {
+    let spec = ExperimentSpec::poisson_paper(rho, policy)
         .with_queries(queries)
-        .with_seed(seed)
-        .run()
-        .expect("experiment configuration is valid")
+        .with_seed(seed);
+    Runner::new(spec).expect("spec is valid").run()
+}
+
+/// Mean completed response time in milliseconds.
+fn mean_ms(outcome: &RunOutcome) -> f64 {
+    outcome.collector.summary(None).mean()
 }
 
 #[test]
 fn every_request_is_accounted_for() {
     let result = run(0.7, PolicyKind::Static { threshold: 4 }, 2_000, 3);
-    assert_eq!(result.sent, 2_000);
-    assert_eq!(
-        result.completed + result.resets + (result.sent - result.completed - result.resets),
-        result.sent
-    );
+    assert_eq!(result.collector.len(), 2_000);
     // Under rho = 0.7 with the paper's backlog nothing should be reset.
-    assert_eq!(result.resets, 0);
-    assert_eq!(result.completed, 2_000);
+    assert_eq!(result.collector.reset_count(), 0);
+    assert_eq!(result.collector.completed_count(), 2_000);
+    assert_eq!(result.unfinished(), 0);
     // The load balancer learned exactly one flow per connection.
-    assert_eq!(result.lb_stats.new_flows as usize, result.sent);
-    assert_eq!(result.lb_stats.flows_learned as usize, result.sent);
+    assert_eq!(result.lb_stats.new_flows, 2_000);
+    assert_eq!(result.lb_stats.flows_learned, 2_000);
     // Each completed request was served by exactly one server.
-    let served: u64 = result.server_stats.iter().map(|s| s.completed).sum();
-    assert_eq!(served as usize, result.completed);
+    assert_eq!(result.per_server_completed().iter().sum::<u64>(), 2_000);
 }
 
 #[test]
@@ -38,14 +39,14 @@ fn sr4_beats_rr_at_high_load() {
     let rr = run(0.88, PolicyKind::RoundRobin, queries, 11);
     let sr4 = run(0.88, PolicyKind::Static { threshold: 4 }, queries, 11);
     assert!(
-        sr4.response_times.mean() < 0.75 * rr.response_times.mean(),
+        mean_ms(&sr4) < 0.75 * mean_ms(&rr),
         "SR4 mean {:.1} ms should be well below RR mean {:.1} ms",
-        sr4.response_times.mean(),
-        rr.response_times.mean()
+        mean_ms(&sr4),
+        mean_ms(&rr)
     );
     // The tail also shrinks (Figure 3).
-    let rr_p90 = rr.response_times.percentile(90.0).unwrap();
-    let sr4_p90 = sr4.response_times.percentile(90.0).unwrap();
+    let rr_p90 = rr.collector.summary(None).percentile(90.0).unwrap();
+    let sr4_p90 = sr4.collector.summary(None).percentile(90.0).unwrap();
     assert!(sr4_p90 < rr_p90);
 }
 
@@ -57,12 +58,12 @@ fn srdyn_tracks_the_best_static_policy() {
     let rr = run(0.88, PolicyKind::RoundRobin, queries, 13);
     let sr4 = run(0.88, PolicyKind::Static { threshold: 4 }, queries, 13);
     let dynamic = run(0.88, PolicyKind::Dynamic, queries, 13);
-    assert!(dynamic.response_times.mean() < rr.response_times.mean());
+    assert!(mean_ms(&dynamic) < mean_ms(&rr));
     assert!(
-        dynamic.response_times.mean() < 1.5 * sr4.response_times.mean(),
+        mean_ms(&dynamic) < 1.5 * mean_ms(&sr4),
         "SRdyn ({:.1} ms) should be in the neighbourhood of SR4 ({:.1} ms)",
-        dynamic.response_times.mean(),
-        sr4.response_times.mean()
+        mean_ms(&dynamic),
+        mean_ms(&sr4)
     );
 }
 
@@ -74,9 +75,9 @@ fn high_thresholds_give_no_benefit_at_light_load() {
     let rr = run(0.61, PolicyKind::RoundRobin, queries, 17);
     let sr16 = run(0.61, PolicyKind::Static { threshold: 16 }, queries, 17);
     let sr4 = run(0.61, PolicyKind::Static { threshold: 4 }, queries, 17);
-    let rr_mean = rr.response_times.mean();
-    let sr16_mean = sr16.response_times.mean();
-    let sr4_mean = sr4.response_times.mean();
+    let rr_mean = mean_ms(&rr);
+    let sr16_mean = mean_ms(&sr16);
+    let sr4_mean = mean_ms(&sr4);
     assert!(
         (sr16_mean - rr_mean).abs() / rr_mean < 0.15,
         "SR16 ({sr16_mean:.1} ms) should be close to RR ({rr_mean:.1} ms) at light load"
@@ -130,9 +131,9 @@ fn degenerate_thresholds_reduce_to_random_balancing() {
         queries,
         23,
     );
-    let rr_mean = rr.response_times.mean();
+    let rr_mean = mean_ms(&rr);
     for (label, result) in [("c=0", &never), ("c=n+1", &always)] {
-        let mean = result.response_times.mean();
+        let mean = mean_ms(result);
         assert!(
             (mean - rr_mean).abs() / rr_mean < 0.25,
             "{label} mean {mean:.1} ms should be close to RR {rr_mean:.1} ms"
@@ -144,25 +145,31 @@ fn degenerate_thresholds_reduce_to_random_balancing() {
 fn overload_produces_resets_and_bounded_queues() {
     // Push the cluster past saturation: connections must start being reset
     // (tcp_abort_on_overflow) rather than queueing without bound.
-    let config = ExperimentConfig::poisson_paper(1.0, PolicyKind::RoundRobin).with_queries(8_000);
-    let mut config = config;
-    if let srlb::core::experiment::WorkloadKind::Poisson { lambda0, .. } = &mut config.workload {
-        // Two and a half times the 240/s capacity: the aggregate backlog
-        // (12 x (32 workers + 128 backlog slots)) fills within a few seconds.
-        *lambda0 = Some(600.0);
-    }
-    let result = config.run().expect("valid configuration");
-    assert!(result.resets > 0, "overload must trigger resets");
-    assert!(result.completed > 0, "some requests still complete");
-    assert_eq!(result.completed + result.resets, result.sent);
+    let mut spec = ExperimentSpec::poisson_paper(1.0, PolicyKind::RoundRobin);
+    // Two and a half times the 240/s capacity: the aggregate backlog
+    // (12 x (32 workers + 128 backlog slots)) fills within a few seconds.
+    spec.workload = WorkloadSpec::Poisson {
+        rho: 1.0,
+        lambda0: Some(600.0),
+        queries: 8_000,
+        mean_service_ms: 100.0,
+    };
+    let result = Runner::new(spec).expect("spec is valid").run();
+    let (completed, resets) = (
+        result.collector.completed_count(),
+        result.collector.reset_count(),
+    );
+    assert!(resets > 0, "overload must trigger resets");
+    assert!(completed > 0, "some requests still complete");
+    assert_eq!(completed + resets, result.collector.len());
 }
 
 #[test]
 fn results_are_deterministic_for_a_given_seed() {
     let a = run(0.85, PolicyKind::Static { threshold: 4 }, 1_500, 99);
     let b = run(0.85, PolicyKind::Static { threshold: 4 }, 1_500, 99);
-    assert_eq!(a.response_times.mean(), b.response_times.mean());
+    assert_eq!(mean_ms(&a), mean_ms(&b));
     assert_eq!(a.per_server_completed(), b.per_server_completed());
     let c = run(0.85, PolicyKind::Static { threshold: 4 }, 1_500, 100);
-    assert_ne!(a.response_times.mean(), c.response_times.mean());
+    assert_ne!(mean_ms(&a), mean_ms(&c));
 }

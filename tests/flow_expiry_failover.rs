@@ -13,7 +13,7 @@
 //!   other.
 
 use srlb::core::dispatch::RandomDispatcher;
-use srlb::core::{FlowTable, LoadBalancerNode};
+use srlb::core::{FlowState, LoadBalancerNode};
 use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
 use srlb::server::server_node::encode_request_payload;
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
@@ -44,7 +44,7 @@ fn recovering_lb(plan: &AddressPlan, directory: Directory) -> LoadBalancerNode {
             plan.server_addr(ServerId(0))
         ])),
     )
-    .with_flow_table(FlowTable::new(SimDuration::from_secs(2)))
+    .with_flow_table(FlowState::new(SimDuration::from_secs(2)))
     .with_expiry_sweep(SimDuration::from_secs(1))
     .with_flow_recovery()
 }

@@ -5,7 +5,7 @@
 //! active flows is unaffected.
 
 use srlb::core::dispatch::RandomDispatcher;
-use srlb::core::{FlowTable, LoadBalancerNode};
+use srlb::core::{FlowState, LoadBalancerNode};
 use srlb::net::{AddressPlan, Packet, PacketBuilder, ServerId, TcpFlags};
 use srlb::server::server_node::encode_request_payload;
 use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
@@ -70,7 +70,7 @@ fn idle_flows_are_swept_from_the_flow_table() {
             plan.server_addr(ServerId(0))
         ])),
     )
-    .with_flow_table(FlowTable::new(SimDuration::from_secs(2)))
+    .with_flow_table(FlowState::new(SimDuration::from_secs(2)))
     .with_expiry_sweep(SimDuration::from_secs(1));
     net.add_node(lb);
     net.add_node(ServerNode::new(

@@ -1,14 +1,14 @@
 //! Integration tests: the synthetic Wikipedia replay (paper Section VI).
 
-use srlb::core::experiment::{ExperimentConfig, ExperimentResult, PolicyKind};
+use srlb::core::spec::{ExperimentSpec, PolicyKind};
+use srlb::core::{RunOutcome, Runner};
 use srlb::metrics::RequestClass;
 
-fn run(policy: PolicyKind, hours: f64, seed: u64) -> ExperimentResult {
-    ExperimentConfig::wikipedia_paper(policy)
+fn run(policy: PolicyKind, hours: f64, seed: u64) -> RunOutcome {
+    let spec = ExperimentSpec::wikipedia_paper(policy)
         .with_hours(hours)
-        .with_seed(seed)
-        .run()
-        .expect("experiment configuration is valid")
+        .with_seed(seed);
+    Runner::new(spec).expect("spec is valid").run()
 }
 
 #[test]
@@ -41,14 +41,18 @@ fn replay_contains_both_request_classes_with_expected_costs() {
 #[test]
 fn every_request_is_accounted_for() {
     let result = run(PolicyKind::RoundRobin, 0.02, 7);
-    assert!(result.sent > 0);
-    let unfinished = result.sent - result.completed - result.resets;
+    assert!(!result.collector.is_empty());
     // At 50% of peak nothing should be reset and only requests still in
     // flight at the very end of the trace may be unfinished.
-    assert_eq!(result.resets, 0);
+    assert_eq!(result.collector.reset_count(), 0);
+    let unfinished = result.unfinished();
     assert!(unfinished < 20, "unfinished {unfinished}");
-    let served: u64 = result.server_stats.iter().map(|s| s.completed).sum();
-    assert_eq!(served as usize, result.completed);
+    assert_eq!(
+        result.collector.completed_count() as u64 + unfinished,
+        result.collector.len() as u64
+    );
+    let served: u64 = result.per_server_completed().iter().sum();
+    assert_eq!(served as usize, result.collector.completed_count());
 }
 
 #[test]
