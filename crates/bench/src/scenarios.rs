@@ -35,6 +35,7 @@ use srlb_net::{AddressPlan, FlowKey, Protocol, ServerId};
 
 use crate::figures::{Scale, Sweep};
 use crate::parallel::parallel_map;
+use crate::spec_run::is_zero_u64;
 
 /// Default output file name, written to the workspace root (see
 /// [`crate::micro::workspace_root`]).
@@ -181,17 +182,6 @@ fn remap_probe(label: &str, config: DispatcherConfig) -> Vec<RemapReport> {
     reports
 }
 
-/// Serde skip predicate for [`ScenarioReport::per_lb`].
-fn per_lb_is_trivial(per_lb: &[LbStats]) -> bool {
-    per_lb.is_empty()
-}
-
-/// Serde skip predicate for the fault counters: fault-free reports carry
-/// none of them, so pre-fault-layer report bytes stay stable.
-fn is_zero_u64(n: &u64) -> bool {
-    *n == 0
-}
-
 /// Machine-readable summary of a scenario run (one entry of
 /// `BENCH_scenarios.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -245,7 +235,7 @@ pub struct ScenarioReport {
     /// Per-phase disruption statistics.
     pub phases: Vec<PhaseStats>,
     /// Per-instance load-balancer counters (omitted for single-LB tiers).
-    #[serde(default, skip_serializing_if = "per_lb_is_trivial")]
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub per_lb: Vec<LbStats>,
 }
 

@@ -257,8 +257,10 @@ pub struct SpecRunReport {
     pub shard_plan: Option<String>,
 }
 
-/// Serde skip predicate for the fault counters.
-fn is_zero_u64(n: &u64) -> bool {
+/// Serde skip predicate for counters that only some runs move (faults,
+/// bounded flow tables): reports of runs that never touch them keep the
+/// bytes they had before the counter existed.
+pub(crate) fn is_zero_u64(n: &u64) -> bool {
     *n == 0
 }
 
@@ -393,14 +395,13 @@ mod tests {
             let reserialized = format!("{}\n", serde_json::to_string(&spec).unwrap());
             assert_eq!(reserialized, text, "{} drifted", path.display());
         }
+        let run_tiny = |stem: &str| {
+            let path = dir.join(format!("{stem}.json"));
+            run_spec_file(&path, Scale::Tiny, ExecMode::default()).unwrap()
+        };
         // The scenario-driven Wikipedia replay runs end to end at tiny
         // scale, failover included.
-        let report = run_spec_file(
-            &dir.join("lb_failover_wikipedia.json"),
-            Scale::Tiny,
-            ExecMode::default(),
-        )
-        .unwrap();
+        let report = run_tiny("lb_failover_wikipedia");
         assert_eq!(report.name, "lb_failover_wikipedia");
         assert_eq!(report.failovers, 1);
         assert!(report.completed > 0);
@@ -408,12 +409,7 @@ mod tests {
         // The multi-LB ECMP reshuffle spec runs end to end at tiny scale:
         // the withdrawal lands inside the scaled-down send window, so the
         // re-hunt path across instances is exercised even in CI smoke.
-        let report = run_spec_file(
-            &dir.join("multi_lb_ecmp.json"),
-            Scale::Tiny,
-            ExecMode::default(),
-        )
-        .unwrap();
+        let report = run_tiny("multi_lb_ecmp");
         assert_eq!(report.name, "multi_lb_ecmp");
         assert_eq!(report.sent, Scale::Tiny.poisson_queries() as u64);
         assert_eq!(report.completed, report.sent, "zero connections lost");
@@ -422,30 +418,19 @@ mod tests {
         // The lossy Poisson spec runs end to end at tiny scale: losses
         // occur, retransmission recovers them, the per-cause counters
         // surface in the report.
-        let report = run_spec_file(
-            &dir.join("lossy_poisson.json"),
-            Scale::Tiny,
-            ExecMode::default(),
-        )
-        .unwrap();
+        let report = run_tiny("lossy_poisson");
         assert_eq!(report.name, "lossy_poisson");
         assert!(report.dropped_injected > 0, "1% loss must fire at tiny");
         assert!(report.retransmits > 0);
         assert_eq!(report.completed + report.resets, report.sent);
         // And the incast spec tail-drops at its bounded queue.
-        let report =
-            run_spec_file(&dir.join("incast.json"), Scale::Tiny, ExecMode::default()).unwrap();
+        let report = run_tiny("incast");
         assert_eq!(report.name, "incast");
         assert!(report.dropped_queue > 0, "incast queue must overflow");
         assert!(report.retransmits > 0);
         // The bounded flow table evicts under pressure at tiny scale and
         // surfaces the per-cause counters in the report.
-        let report = run_spec_file(
-            &dir.join("bounded_flow_table.json"),
-            Scale::Tiny,
-            ExecMode::default(),
-        )
-        .unwrap();
+        let report = run_tiny("bounded_flow_table");
         assert_eq!(report.name, "bounded_flow_table");
         assert_eq!(report.completed, report.sent);
         assert!(report.flow_peak_occupancy > 0);
@@ -453,12 +438,7 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("flow_peak_occupancy"), "{json}");
         // Default-table runs keep their pre-flow-state report bytes.
-        let report = run_spec_file(
-            &dir.join("poisson_rho089.json"),
-            Scale::Tiny,
-            ExecMode::default(),
-        )
-        .unwrap();
+        let report = run_tiny("poisson_rho089");
         let json = serde_json::to_string(&report).unwrap();
         assert!(!json.contains("flow_"), "{json}");
         let _ = std::fs::remove_dir_all(&dir);
