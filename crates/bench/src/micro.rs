@@ -23,8 +23,8 @@ use srlb_core::dispatch::{
     CandidateList, ConsistentHashDispatcher, Dispatcher, MaglevDispatcher, RandomDispatcher,
 };
 use srlb_core::spec::{ExperimentSpec, PolicyKind};
-use srlb_core::FlowState;
 use srlb_core::Runner;
+use srlb_core::{FlowState, IdWindow};
 use srlb_net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
 };
@@ -227,6 +227,57 @@ pub fn run_all() -> BTreeMap<String, f64> {
     let key = packet.flow_key_forward();
     record("flow_key_stable_hash", median_ns(|| key.stable_hash()));
 
+    // What every hop does first: the flow key of the packet in hand.  A
+    // packet built by hand (or decoded) hashes its 5-tuple; one built for
+    // its flow carries the hash.  Same hunted SYN either way.
+    record(
+        "flow_key_from_packet",
+        median_ns(|| black_box(&packet).flow_key_forward()),
+    );
+    let mut stamped = PacketBuilder::forward(&key).flags(TcpFlags::SYN).build();
+    stamped.insert_srh(srh.clone());
+    assert_eq!(stamped, packet);
+    record(
+        "flow_key_from_stamped_packet",
+        median_ns(|| black_box(&stamped).flow_key_forward()),
+    );
+
+    // The request payload (16 bytes: id + service demand), built on the
+    // stack and stored inline.
+    let service = SimDuration::from_millis(80);
+    let mut id = 0u64;
+    record(
+        "payload_build_inline",
+        median_ns(|| {
+            id += 1;
+            srlb_server::server_node::encode_request_payload(id, service)
+        }),
+    );
+
+    // --- client: the in-flight window ---------------------------------------
+    // One request's worth of bookkeeping in steady state with `live`
+    // outstanding: a new id in, one in the middle looked up, the oldest out.
+    for live in [64u64, 4096] {
+        let mut window = IdWindow::new();
+        let mut next = 0u64;
+        while next < live {
+            window.insert(next, [next; 10]);
+            next += 1;
+        }
+        record(
+            &format!("client_inflight_window_{live}"),
+            median_ns(|| {
+                window.insert(next, [next; 10]);
+                next += 1;
+                if let Some(entry) = window.get_mut(next - live / 2) {
+                    entry[0] += 1;
+                }
+                window.remove(next - 1 - live)
+            }),
+        );
+        assert_eq!(window.len() as u64, live);
+    }
+
     // --- parallel engine: synchronisation primitive cost -------------------
     record("barrier_overhead_ns", barrier_overhead_ns());
 
@@ -279,7 +330,7 @@ impl Bounce for u64 {
     }
 }
 
-/// A hunted SYN (3-segment SRH, 216 bytes in memory) counting bounces in its
+/// A hunted SYN (3-segment SRH, 232 bytes in memory) counting bounces in its
 /// TCP sequence number.
 impl Bounce for Packet {
     fn first() -> Self {
@@ -358,7 +409,7 @@ fn engine_loop_rate<M: Bounce>(batched: bool) -> f64 {
 ///
 /// The `engine_loop_*` entries drive a trivial ping-pong workload where the
 /// event loop is all that is measured — bouncing a `u64`, and
-/// (`engine_loop_packet_*`) bouncing a 216-byte [`Packet`], so the gap
+/// (`engine_loop_packet_*`) bouncing a 232-byte [`Packet`], so the gap
 /// between the two is what moving the message costs; the `engine_*` entries drive the
 /// full SRLB experiment runner under each execution mode of the sharded
 /// event core.  All modes execute the identical event sequence — outcomes

@@ -26,6 +26,8 @@ use srlb_server::Directory;
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 use srlb_workload::{requests_into_stream, BoxedWorkload, Request};
 
+use crate::id_window::IdWindow;
+
 /// Timer-token bit marking a deferred-request timer (the low bits carry the
 /// request id); SYN timers use the plain request id, which never reaches
 /// this bit.
@@ -84,6 +86,10 @@ enum Awaiting {
 /// Per-request in-flight bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
+    /// The request's flow, hashed once when the request is born: every
+    /// packet of the request is built from it (and carries its hash), and
+    /// the load-balancer tier is steered by it.
+    flow: FlowKey,
     sent_at: SimTime,
     class: RequestClass,
     /// CPU service demand carried in the HTTP request payload once the
@@ -120,12 +126,13 @@ pub struct ClientNode {
     source: BoxedWorkload,
     /// The next request to send: pulled from the stream, timer armed.
     pending: Option<Request>,
-    /// Outstanding requests by id.  A `BTreeMap` so every traversal —
-    /// most importantly the leftover drain in
-    /// [`ClientNode::into_collector`], which feeds the committed reports —
-    /// is ordered by request id with no per-instance hash randomness to
-    /// depend on.
-    in_flight: std::collections::BTreeMap<u64, InFlight>,
+    /// Outstanding requests by id, in id order: requests are sent in
+    /// increasing id order and mostly finish soon after, so they form a
+    /// sliding window.  Every traversal — most importantly the leftover
+    /// drain in [`ClientNode::into_collector`], which feeds the committed
+    /// reports — is ordered by request id by construction, with no
+    /// per-instance hash randomness to depend on.
+    in_flight: IdWindow<InFlight>,
     collector: ResponseTimeCollector,
     sent: u64,
     completed: u64,
@@ -182,7 +189,7 @@ impl ClientNode {
             directory,
             source,
             pending: None,
-            in_flight: std::collections::BTreeMap::new(),
+            in_flight: IdWindow::new(),
             collector: ResponseTimeCollector::new(),
             sent: 0,
             completed: 0,
@@ -260,11 +267,11 @@ impl ClientNode {
     /// Consumes the client and returns its measurement collector, marking
     /// any still-outstanding requests as unfinished.
     pub fn into_collector(mut self) -> ResponseTimeCollector {
-        // `in_flight` is a BTreeMap precisely so this drain is in
-        // request-id order by construction — leftover records land in the
-        // report deterministically with nothing left to sort.
+        // The window yields its entries in request-id order by
+        // construction — leftover records land in the report
+        // deterministically with nothing left to sort.
         let leftover = std::mem::take(&mut self.in_flight);
-        for (_, info) in leftover {
+        for info in leftover.into_values() {
             self.collector.push(RequestRecord {
                 sent_at_seconds: info.sent_at.as_secs_f64(),
                 response_time_ms: None,
@@ -282,17 +289,14 @@ impl ClientNode {
         &self.collector
     }
 
-    /// The load-balancer instance a VIP-bound packet of request `id` goes
-    /// to: the VIP is anycast to the load-balancer tier, so the packet is
+    /// The load-balancer instance a VIP-bound packet of `flow` goes to: the
+    /// VIP is anycast to the load-balancer tier, so the packet is
     /// ECMP-steered by its flow's 5-tuple hash — the simulator's model of
     /// the routers in front of the LB fleet.  With a single load balancer
     /// the steering degenerates to that instance and runs are identical to
     /// the pre-tier client.
-    fn lb_of(&self, id: u64) -> Option<NodeId> {
-        let (addr, port) = request_endpoint(&self.plan, id);
-        let vip = self.vip_of(id);
-        let flow = FlowKey::new(addr, vip, port, VIP_PORT, Protocol::Tcp);
-        self.directory.lookup_flow(vip, flow.stable_hash())
+    fn lb_of(&self, flow: &FlowKey) -> Option<NodeId> {
+        self.directory.lookup_flow(flow.vip(), flow.stable_hash())
     }
 
     /// Pulls the next request from the stream (if none is already pending)
@@ -307,21 +311,16 @@ impl ClientNode {
         }
     }
 
-    /// Builds the SYN of request `id` (identical bytes on every
+    /// Builds the SYN of `flow` (identical bytes on every
     /// (re)transmission, so the LB's hunt is keyed by the same flow).
-    fn syn_packet(&self, id: u64) -> Packet {
-        let (addr, port) = request_endpoint(&self.plan, id);
-        PacketBuilder::tcp(addr, self.vip_of(id))
-            .ports(port, VIP_PORT)
-            .flags(TcpFlags::SYN)
-            .build()
+    fn syn_packet(flow: &FlowKey) -> Packet {
+        PacketBuilder::forward(flow).flags(TcpFlags::SYN).build()
     }
 
-    /// Builds the HTTP request (ACK|PSH) of request `id` carrying `service`.
-    fn http_packet(&self, id: u64, service: SimDuration) -> Packet {
-        let (addr, port) = request_endpoint(&self.plan, id);
-        PacketBuilder::tcp(addr, self.vip_of(id))
-            .ports(port, VIP_PORT)
+    /// Builds the HTTP request (ACK|PSH) of request `id` on `flow`, carrying
+    /// `service`.
+    fn http_packet(flow: &FlowKey, id: u64, service: SimDuration) -> Packet {
+        PacketBuilder::forward(flow)
             .flags(TcpFlags::ACK | TcpFlags::PSH)
             .payload(encode_request_payload(id, service))
             .build()
@@ -335,7 +334,7 @@ impl ClientNode {
         let Some(policy) = self.retransmit else {
             return;
         };
-        let Some(info) = self.in_flight.get_mut(&id) else {
+        let Some(info) = self.in_flight.get_mut(id) else {
             return;
         };
         let mut timeout = policy.timeout_nanos(info.retries);
@@ -349,9 +348,12 @@ impl ClientNode {
     }
 
     fn send_request_syn(&mut self, request: Request, ctx: &mut Context<'_, Packet>) {
+        let (addr, port) = request_endpoint(&self.plan, request.id);
+        let flow = FlowKey::new(addr, self.vip_of(request.id), port, VIP_PORT, Protocol::Tcp);
         self.in_flight.insert(
             request.id,
             InFlight {
+                flow,
                 sent_at: ctx.now(),
                 class: request.class,
                 service: request.service,
@@ -361,8 +363,8 @@ impl ClientNode {
             },
         );
         self.sent += 1;
-        if let Some(lb) = self.lb_of(request.id) {
-            ctx.send(lb, self.syn_packet(request.id));
+        if let Some(lb) = self.lb_of(&flow) {
+            ctx.send(lb, Self::syn_packet(&flow));
         }
         self.arm_retransmit(request.id, ctx);
     }
@@ -381,7 +383,7 @@ impl ClientNode {
         // A duplicate SYN-ACK (a retransmitted SYN accepted by a second
         // server, or the original acceptance racing a retransmission) must
         // not re-send the request or arm a second think timer.
-        match self.in_flight.get_mut(&id) {
+        match self.in_flight.get_mut(id) {
             Some(info) if info.awaiting == Awaiting::SynSent => {
                 if !self.request_delay.is_zero() {
                     info.awaiting = Awaiting::Thinking;
@@ -400,13 +402,13 @@ impl ClientNode {
     fn send_http_request(&mut self, id: u64, ctx: &mut Context<'_, Packet>) {
         // The service demand travels with the in-flight record; a flow that
         // already finished (or was never sent) has nothing to request.
-        let Some(info) = self.in_flight.get_mut(&id) else {
+        let Some(info) = self.in_flight.get_mut(id) else {
             return;
         };
         info.awaiting = Awaiting::RequestSent;
-        let service = info.service;
-        if let Some(lb) = self.lb_of(id) {
-            ctx.send(lb, self.http_packet(id, service));
+        let (flow, service) = (info.flow, info.service);
+        if let Some(lb) = self.lb_of(&flow) {
+            ctx.send(lb, Self::http_packet(&flow, id, service));
         }
         self.arm_retransmit(id, ctx);
     }
@@ -419,7 +421,7 @@ impl ClientNode {
         let Some(policy) = self.retransmit else {
             return;
         };
-        let Some(info) = self.in_flight.get_mut(&id) else {
+        let Some(info) = self.in_flight.get_mut(id) else {
             return; // already finished
         };
         if info.awaiting == Awaiting::Thinking || info.deadline != ctx.now() {
@@ -433,16 +435,15 @@ impl ClientNode {
         }
         info.retries += 1;
         self.retransmits += 1;
-        let awaiting = info.awaiting;
-        let service = info.service;
-        if let Some(lb) = self.lb_of(id) {
+        let (flow, awaiting, service) = (info.flow, info.awaiting, info.service);
+        if let Some(lb) = self.lb_of(&flow) {
             match awaiting {
                 // The LB treats every SYN as new and re-hunts, so the retry
                 // may land on a different (healthier) server.
-                Awaiting::SynSent => ctx.send(lb, self.syn_packet(id)),
+                Awaiting::SynSent => ctx.send(lb, Self::syn_packet(&flow)),
                 // An established flow: the LB's flow table steers the copy
                 // to the server that accepted the connection.
-                Awaiting::RequestSent => ctx.send(lb, self.http_packet(id, service)),
+                Awaiting::RequestSent => ctx.send(lb, Self::http_packet(&flow, id, service)),
                 Awaiting::Thinking => unreachable!("checked above"),
             }
         }
@@ -456,7 +457,7 @@ impl ClientNode {
         served_by: Option<u32>,
         ctx: &Context<'_, Packet>,
     ) {
-        let Some(info) = self.in_flight.remove(&id) else {
+        let Some(info) = self.in_flight.remove(id) else {
             return;
         };
         let response_time_ms = match outcome {
@@ -594,29 +595,35 @@ mod tests {
         assert!(result.is_err());
     }
 
+    /// An in-flight record for request `id`, with the id encoded into
+    /// `sent_at` so the drain order is observable from the outside.
+    fn in_flight_record(plan: &AddressPlan, id: u64) -> InFlight {
+        let (addr, port) = request_endpoint(plan, id);
+        InFlight {
+            flow: FlowKey::new(addr, plan.vip(0), port, VIP_PORT, Protocol::Tcp),
+            sent_at: SimTime::from_secs_f64(id as f64),
+            class: RequestClass::Synthetic,
+            service: SimDuration::from_millis(1),
+            awaiting: Awaiting::SynSent,
+            retries: 0,
+            deadline: SimTime::ZERO,
+        }
+    }
+
     #[test]
     fn into_collector_drains_leftovers_in_request_id_order() {
         // Regression for the PR 6 nondeterminism bug: `in_flight` used to
         // be a HashMap whose drain order was randomized per instance, so
         // leftover records could land in the report in any order.  The
-        // field is a BTreeMap now; an adversarial insertion order must not
-        // be observable in the drained records.
+        // field is an id-ordered window now; an adversarial completion
+        // order must not be observable in the drained records.
         let plan = AddressPlan::default();
         let mut client = ClientNode::new(plan.clone(), plan.vip(0), Directory::new(), vec![]);
-        for id in [7u64, 2, 9, 0, 5, 3] {
-            client.in_flight.insert(
-                id,
-                InFlight {
-                    // Encode the id into the record so the drain order is
-                    // observable from the outside.
-                    sent_at: SimTime::from_secs_f64(id as f64),
-                    class: RequestClass::Synthetic,
-                    service: SimDuration::from_millis(1),
-                    awaiting: Awaiting::SynSent,
-                    retries: 0,
-                    deadline: SimTime::ZERO,
-                },
-            );
+        for id in 0..10u64 {
+            client.in_flight.insert(id, in_flight_record(&plan, id));
+        }
+        for finished in [4u64, 1, 8, 6] {
+            assert!(client.in_flight.remove(finished).is_some());
         }
         let collector = client.into_collector();
         let drained: Vec<f64> = collector
@@ -631,17 +638,7 @@ mod tests {
     fn into_collector_marks_outstanding_as_unfinished() {
         let plan = AddressPlan::default();
         let mut client = ClientNode::new(plan.clone(), plan.vip(0), Directory::new(), vec![]);
-        client.in_flight.insert(
-            3,
-            InFlight {
-                sent_at: SimTime::ZERO,
-                class: RequestClass::Synthetic,
-                service: SimDuration::from_millis(1),
-                awaiting: Awaiting::SynSent,
-                retries: 0,
-                deadline: SimTime::ZERO,
-            },
-        );
+        client.in_flight.insert(3, in_flight_record(&plan, 3));
         let collector = client.into_collector();
         assert_eq!(collector.len(), 1);
         assert_eq!(collector.records()[0].outcome, RequestOutcome::Unfinished);

@@ -48,6 +48,7 @@ pub mod calibration;
 pub mod client;
 pub mod dispatch;
 pub mod flow_state;
+pub mod id_window;
 pub mod lb_node;
 pub mod runner;
 pub mod spec;
@@ -55,6 +56,7 @@ pub mod spec;
 pub use client::ClientNode;
 pub use dispatch::{CandidateList, Dispatcher, DispatcherConfig, MAX_CANDIDATES};
 pub use flow_state::{FlowState, FlowStateConfig, FlowStateStats};
+pub use id_window::IdWindow;
 pub use lb_node::{LbStats, LoadBalancerNode};
 pub use runner::{RunOutcome, Runner, ShardPlanning};
 pub use spec::{

@@ -1,7 +1,8 @@
 //! Asserts that the load balancer's per-flow operations perform **zero
 //! heap allocations** once steady state is reached: candidate selection
-//! through every dispatcher (written into a reusable [`CandidateList`]) and
-//! flow-table learn/lookup of warm entries.
+//! through every dispatcher (written into a reusable [`CandidateList`]),
+//! flow-table learn/lookup of warm entries, and the request, response and
+//! load-hint payloads as `srlb-server` really encodes them.
 //!
 //! The whole file is a single `#[test]` so the counting global allocator is
 //! never polluted by a concurrently running sibling test.
@@ -138,5 +139,27 @@ fn per_flow_operations_are_allocation_free() {
     assert_eq!(
         bounded.stats().evictions.total(),
         evictions_before + 4 * keys.len() as u64
+    );
+
+    // The payloads every request costs: encoded, cloned, decoded, dropped.
+    use srlb_server::server_node::{
+        decode_load_hint, decode_request_payload, decode_response_payload, encode_load_hint,
+        encode_request_payload, encode_response_payload,
+    };
+    let (allocs, _) = counting_allocs(|| {
+        let service = srlb_sim::SimDuration::from_millis(80);
+        let request = encode_request_payload(u64::MAX, service);
+        assert_eq!(
+            decode_request_payload(&request.clone()),
+            Some((u64::MAX, service))
+        );
+        let response = encode_response_payload(7, 11);
+        assert_eq!(decode_response_payload(&response.clone()), Some((7, 11)));
+        let hint = encode_load_hint(5, 32, 17);
+        assert_eq!(decode_load_hint(&hint.clone()), Some((5, 32, 17)));
+    });
+    assert_eq!(
+        allocs, 0,
+        "request/response/load-hint payloads must be inline"
     );
 }

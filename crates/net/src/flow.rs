@@ -48,10 +48,14 @@ impl From<u8> for Protocol {
 /// the direction of the packet it was extracted from, so that both directions
 /// of a connection map to the same entry.
 ///
-/// The stable 64-bit hash of the tuple is computed once at construction and
-/// carried with the key, so per-packet map operations and consistent-hashing
-/// decisions never re-hash the tuple fields.  Fields are private to keep the
-/// cached hash coherent; use the accessors.
+/// The stable 64-bit hash of the tuple is carried with the key, so per-packet
+/// map operations and consistent-hashing decisions never re-hash the tuple
+/// fields.  [`FlowKey::new`] computes it; a key extracted from a packet that
+/// carries its flow's hash (see [`Packet::flow_key_forward`]) takes it from
+/// there, so a flow is hashed where it is born and not again at every hop.
+/// Fields are private to keep the cached hash coherent; use the accessors.
+///
+/// [`Packet::flow_key_forward`]: crate::Packet::flow_key_forward
 #[derive(Debug, Clone, Copy)]
 pub struct FlowKey {
     client: Ipv6Addr,
@@ -59,13 +63,12 @@ pub struct FlowKey {
     client_port: u16,
     vip_port: u16,
     protocol: Protocol,
-    /// FNV-1a + SplitMix64 finaliser over the tuple fields, cached at
-    /// construction.
+    /// FNV-1a + SplitMix64 finaliser over the tuple fields.
     hash: u64,
 }
 
 impl FlowKey {
-    /// Creates a flow key in the client → VIP direction.
+    /// Creates a flow key in the client → VIP direction, hashing the tuple.
     pub fn new(
         client: Ipv6Addr,
         vip: Ipv6Addr,
@@ -80,6 +83,31 @@ impl FlowKey {
             vip_port,
             protocol,
             hash: Self::compute_hash(client, vip, client_port, vip_port, protocol),
+        }
+    }
+
+    /// Rebuilds a key whose hash is already known — `hash` must be what
+    /// [`FlowKey::new`] computes for the same tuple.  Debug builds check.
+    pub(crate) fn with_hash(
+        client: Ipv6Addr,
+        vip: Ipv6Addr,
+        client_port: u16,
+        vip_port: u16,
+        protocol: Protocol,
+        hash: u64,
+    ) -> Self {
+        debug_assert_eq!(
+            hash,
+            Self::compute_hash(client, vip, client_port, vip_port, protocol),
+            "carried flow hash disagrees with the packet's 5-tuple"
+        );
+        FlowKey {
+            client,
+            vip,
+            client_port,
+            vip_port,
+            protocol,
+            hash,
         }
     }
 
@@ -126,9 +154,9 @@ impl FlowKey {
     /// tuple fields followed by a SplitMix64 finaliser (FNV alone leaves the
     /// high bits poorly mixed for short, similar inputs), so that results
     /// are reproducible across runs and platforms and usable directly as
-    /// ring points, table indices or hash-map bucket indices.  It is
-    /// computed once at construction, so this accessor is a plain field
-    /// load on the per-packet fast path.
+    /// ring points, table indices or hash-map bucket indices.  The key
+    /// carries it, so this accessor is a plain field load on the per-packet
+    /// fast path.
     pub fn stable_hash(&self) -> u64 {
         self.hash
     }

@@ -55,6 +55,7 @@ pub mod error;
 pub mod flow;
 pub mod ipv6;
 pub mod packet;
+pub mod payload;
 pub mod srh;
 pub mod tcp;
 
@@ -63,6 +64,7 @@ pub use error::NetError;
 pub use flow::{mix64, FlowKey, PassthroughHashBuilder, PassthroughHasher, Protocol};
 pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
 pub use packet::{Packet, PacketBuilder};
+pub use payload::{Payload, INLINE_PAYLOAD_CAP};
 pub use srh::{SegmentRoutingHeader, MAX_SEGMENTS, SRH_FIXED_LEN};
 pub use tcp::{RetransmitPolicy, TcpFlags, TcpHeader, TCP_HEADER_LEN};
 

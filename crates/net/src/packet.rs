@@ -2,13 +2,14 @@
 
 use std::fmt;
 use std::net::Ipv6Addr;
+use std::num::NonZeroU64;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
 use crate::flow::{FlowKey, Protocol};
 use crate::ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
+use crate::payload::Payload;
 use crate::srh::SegmentRoutingHeader;
 use crate::tcp::{TcpFlags, TcpHeader};
 use crate::Result;
@@ -19,7 +20,16 @@ use crate::Result;
 /// The simulator passes packets around in this structured form;
 /// [`Packet::encode`] / [`Packet::decode`] provide the byte-accurate wire
 /// representation (validated by round-trip property tests).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A packet built for a flow its sender already holds the [`FlowKey`] of
+/// ([`PacketBuilder::forward`] / [`PacketBuilder::reverse`]) also carries
+/// that flow's [`FlowKey::stable_hash`], the way a switch pipeline hashes
+/// the 5-tuple once at ingress and hands the result to every later stage:
+/// [`Packet::flow_key_forward`] / [`Packet::flow_key_reverse`] then rebuild
+/// the key without hashing.  The hash is metadata about the packet, not part
+/// of it — it is not compared, not encoded, not serialized, and a decoded or
+/// deserialized packet has none (its keys are hashed on extraction).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Packet {
     /// Fixed IPv6 header.
     pub ipv6: Ipv6Header,
@@ -27,25 +37,49 @@ pub struct Packet {
     pub srh: Option<SegmentRoutingHeader>,
     /// TCP header.
     pub tcp: TcpHeader,
-    /// Application payload carried by the packet (zero-copy shared bytes).
-    #[serde(with = "bytes_serde")]
-    pub payload: Bytes,
+    /// Application payload carried by the packet (inline up to 16 bytes,
+    /// zero-copy shared bytes beyond).
+    #[serde(with = "payload_serde")]
+    pub payload: Payload,
+    /// The client → VIP [`FlowKey::stable_hash`] of the flow this packet
+    /// belongs to, when its builder knew it.  Valid for as long as the
+    /// source address, the final destination and the ports are what they
+    /// were built as, and for the extraction that matches the direction it
+    /// was built in: the SRH mutators below keep it so (dropping it if a
+    /// new route ends elsewhere), and debug builds re-check it on every
+    /// extraction.  A hash of exactly zero is stored as "none".
+    #[serde(skip)]
+    flow_hash: Option<NonZeroU64>,
 }
 
-mod bytes_serde {
-    //! Serde helpers so `Bytes` round-trips through serde as a byte vector.
-    use bytes::Bytes;
+mod payload_serde {
+    //! Serde helpers so the payload round-trips through serde as a byte
+    //! vector.
     use serde::{Deserialize, Deserializer, Serializer};
 
-    pub fn serialize<S: Serializer>(bytes: &Bytes, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(bytes)
+    use crate::payload::Payload;
+
+    pub fn serialize<S: Serializer>(payload: &Payload, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(payload)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Bytes, D::Error> {
+    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Payload, D::Error> {
         let v = Vec::<u8>::deserialize(deserializer)?;
-        Ok(Bytes::from(v))
+        Ok(Payload::from(v))
     }
 }
+
+/// Equality of what is on the wire; the carried flow hash is not part of it.
+impl PartialEq for Packet {
+    fn eq(&self, other: &Self) -> bool {
+        self.ipv6 == other.ipv6
+            && self.srh == other.srh
+            && self.tcp == other.tcp
+            && self.payload == other.payload
+    }
+}
+
+impl Eq for Packet {}
 
 impl Packet {
     /// The address the network will deliver this packet to next (the IPv6
@@ -92,25 +126,53 @@ impl Packet {
     /// packet travels client → VIP (i.e. as seen by the load balancer on the
     /// way in).
     pub fn flow_key_forward(&self) -> FlowKey {
-        FlowKey::new(
+        self.flow_key(
             self.ipv6.source,
             self.final_destination(),
             self.tcp.source_port,
             self.tcp.destination_port,
-            Protocol::Tcp,
         )
     }
 
     /// Extracts the flow key in the client → VIP direction, assuming this
     /// packet travels VIP/server → client (i.e. a return packet).
     pub fn flow_key_reverse(&self) -> FlowKey {
-        FlowKey::new(
+        self.flow_key(
             self.final_destination(),
             self.ipv6.source,
             self.tcp.destination_port,
             self.tcp.source_port,
-            Protocol::Tcp,
         )
+    }
+
+    /// The TCP flow key of the given client → VIP tuple, with the carried
+    /// hash if there is one and a freshly computed one otherwise.
+    #[inline]
+    fn flow_key(
+        &self,
+        client: Ipv6Addr,
+        vip: Ipv6Addr,
+        client_port: u16,
+        vip_port: u16,
+    ) -> FlowKey {
+        match self.flow_hash {
+            Some(hash) => FlowKey::with_hash(
+                client,
+                vip,
+                client_port,
+                vip_port,
+                Protocol::Tcp,
+                hash.get(),
+            ),
+            None => FlowKey::new(client, vip, client_port, vip_port, Protocol::Tcp),
+        }
+    }
+
+    /// Whether a carried flow hash stays valid under a new route ending at
+    /// `new_final`: only if that is where the packet was bound for already.
+    #[inline]
+    fn keeps_flow_hash(&self, new_final: Option<&Ipv6Addr>) -> bool {
+        self.flow_hash.is_some() && new_final == Some(&self.final_destination())
     }
 
     /// Advances the SRH to the next segment and rewrites the IPv6 destination
@@ -153,6 +215,9 @@ impl Packet {
     /// Inserts (or replaces) a segment routing header, pointing the IPv6
     /// destination at its active segment.
     pub fn insert_srh(&mut self, srh: SegmentRoutingHeader) {
+        if !self.keeps_flow_hash(Some(&srh.final_segment())) {
+            self.flow_hash = None;
+        }
         self.ipv6.destination = srh.active_segment();
         self.srh = Some(srh);
         self.normalize();
@@ -171,6 +236,7 @@ impl Packet {
     /// Those of [`SegmentRoutingHeader::set_route`]; the packet is unchanged
     /// on error.
     pub fn set_route(&mut self, route: &[Ipv6Addr], consumed: usize) -> Result<Ipv6Addr> {
+        let keeps_flow_hash = self.keeps_flow_hash(route.last());
         let had_srh = self.srh.is_some();
         let srh = self.srh.get_or_insert(SegmentRoutingHeader::BLANK);
         if let Err(e) = srh.set_route(route, consumed) {
@@ -181,6 +247,9 @@ impl Packet {
         }
         let active = srh.active_segment();
         self.ipv6.destination = active;
+        if !keeps_flow_hash {
+            self.flow_hash = None;
+        }
         self.normalize();
         Ok(active)
     }
@@ -279,19 +348,15 @@ impl Packet {
         }
         let (tcp, consumed) = TcpHeader::decode(&bytes[offset..declared_end])?;
         offset += consumed;
-        // `Bytes::new()` is allocation-free, so decoding a payload-less
-        // packet (every SYN / SYN-ACK the load balancer handles) performs no
-        // heap allocation at all.
-        let payload = if offset == declared_end {
-            Bytes::new()
-        } else {
-            Bytes::copy_from_slice(&bytes[offset..declared_end])
-        };
+        // Payloads up to 16 bytes are inline, so decoding a handshake or
+        // request/response packet performs no heap allocation at all.
+        let payload = Payload::copy_from_slice(&bytes[offset..declared_end]);
         Ok(Packet {
             ipv6,
             srh,
             tcp,
             payload,
+            flow_hash: None,
         })
     }
 }
@@ -341,16 +406,47 @@ impl PacketBuilder {
                 ipv6: Ipv6Header::new(source, destination, NextHeader::Tcp),
                 srh: None,
                 tcp: TcpHeader::new(0, 0, TcpFlags::EMPTY),
-                payload: Bytes::new(),
+                payload: Payload::new(),
+                flow_hash: None,
             },
         }
     }
 
-    /// Sets source and destination ports.
+    /// Starts building a packet of `flow` travelling client → VIP: addresses
+    /// and ports are the flow's, and the packet carries the flow's hash, so
+    /// [`Packet::flow_key_forward`] on it (at any hop) does not hash.
+    #[inline]
+    pub fn forward(flow: &FlowKey) -> Self {
+        Self::tcp(flow.client(), flow.vip())
+            .ports(flow.client_port(), flow.vip_port())
+            .carrying_hash_of(flow)
+    }
+
+    /// Starts building a packet of `flow` travelling VIP → client, the
+    /// counterpart of [`PacketBuilder::forward`] for
+    /// [`Packet::flow_key_reverse`].
+    #[inline]
+    pub fn reverse(flow: &FlowKey) -> Self {
+        Self::tcp(flow.vip(), flow.client())
+            .ports(flow.vip_port(), flow.client_port())
+            .carrying_hash_of(flow)
+    }
+
+    /// Packets are TCP, so only a TCP flow's hash is theirs to carry.
+    fn carrying_hash_of(mut self, flow: &FlowKey) -> Self {
+        if flow.protocol() == Protocol::Tcp {
+            self.packet.flow_hash = NonZeroU64::new(flow.stable_hash());
+        }
+        self
+    }
+
+    /// Sets source and destination ports (a different flow from the one
+    /// the builder may have been started for, so a carried hash is dropped).
     #[inline]
     pub fn ports(mut self, source: u16, destination: u16) -> Self {
         self.packet.tcp.source_port = source;
         self.packet.tcp.destination_port = destination;
+        self.packet.flow_hash = None;
         self
     }
 
@@ -385,7 +481,7 @@ impl PacketBuilder {
 
     /// Sets the payload.
     #[inline]
-    pub fn payload(mut self, payload: impl Into<Bytes>) -> Self {
+    pub fn payload(mut self, payload: impl Into<Payload>) -> Self {
         self.packet.payload = payload.into();
         self
     }
@@ -505,9 +601,95 @@ mod tests {
     #[test]
     fn packet_stays_within_its_size_budget() {
         // Every simulated hop moves a `Packet` into the event queue and out
-        // again; growing it makes every event dearer.
-        assert!(std::mem::size_of::<Packet>() <= 216);
-        assert!(std::mem::size_of::<Option<Packet>>() <= 216, "niche kept");
+        // again; growing it makes every event dearer.  232 = 200 bytes of
+        // headers (IPv6 44, optional SRH 136, TCP 20) + 24 of payload (16
+        // inline bytes, a length and a tag — 8 more than a bare `Bytes`
+        // pointer pair) + 8 for the carried flow hash.
+        assert_eq!(std::mem::size_of::<Packet>(), 232);
+        assert_eq!(std::mem::size_of::<Option<Packet>>(), 232, "niche kept");
+    }
+
+    #[test]
+    fn builders_for_a_flow_carry_its_hash_in_both_directions() {
+        let flow = FlowKey::new(a(10), a(100), 50000, 80, Protocol::Tcp);
+        let request = PacketBuilder::forward(&flow).flags(TcpFlags::SYN).build();
+        assert_eq!(
+            request.flow_hash.map(NonZeroU64::get),
+            Some(flow.stable_hash())
+        );
+        assert_eq!(request.flow_key_forward(), flow);
+        let reply = PacketBuilder::reverse(&flow)
+            .flags(TcpFlags::SYN_ACK)
+            .build();
+        assert_eq!(reply.flow_key_reverse(), flow);
+        // Same bytes as the by-hand builder, and equal to it: the hash is
+        // not part of the packet.
+        let by_hand = PacketBuilder::tcp(a(10), a(100))
+            .ports(50000, 80)
+            .flags(TcpFlags::SYN)
+            .build();
+        assert_eq!(by_hand.flow_hash, None);
+        assert_eq!(request, by_hand);
+        assert_eq!(request.encode(), by_hand.encode());
+        assert_eq!(Packet::decode(&request.encode()).unwrap().flow_hash, None);
+        // A UDP flow's hash is not a TCP packet's to carry.
+        let udp = FlowKey::new(a(10), a(100), 50000, 80, Protocol::Udp);
+        assert_eq!(PacketBuilder::forward(&udp).build().flow_hash, None);
+        assert_ne!(PacketBuilder::forward(&udp).build().flow_key_forward(), udp);
+    }
+
+    #[test]
+    fn carried_hash_survives_hunting_and_is_dropped_by_a_foreign_route() {
+        let flow = FlowKey::new(a(10), a(100), 50000, 80, Protocol::Tcp);
+        let mut pkt = PacketBuilder::forward(&flow).flags(TcpFlags::SYN).build();
+        // The load balancer's hunt, a server passing on, local delivery and
+        // decapsulation all end at the same VIP.
+        pkt.set_route(&[a(1), a(2), a(100)], 0).unwrap();
+        pkt.advance_segment().unwrap();
+        pkt.set_segments_left(0).unwrap();
+        assert!(pkt.flow_hash.is_some());
+        assert_eq!(pkt.flow_key_forward(), flow);
+        pkt.strip_srh();
+        assert_eq!(pkt.flow_key_forward(), flow);
+        // A rejected route changes nothing.
+        assert!(pkt.set_route(&[], 0).is_err());
+        assert!(pkt.flow_hash.is_some());
+        // A route that ends elsewhere makes it another flow's packet.
+        pkt.set_route(&[a(1), a(200)], 0).unwrap();
+        assert_eq!(pkt.flow_hash, None);
+        assert_eq!(
+            pkt.flow_key_forward(),
+            FlowKey::new(a(10), a(200), 50000, 80, Protocol::Tcp)
+        );
+        let mut other = PacketBuilder::forward(&flow).build();
+        other.insert_srh(SegmentRoutingHeader::from_route(&[a(1), a(200)]).unwrap());
+        assert_eq!(other.flow_hash, None);
+        // So do other ports on the builder.
+        assert_eq!(
+            PacketBuilder::forward(&flow).ports(1, 2).build().flow_hash,
+            None
+        );
+    }
+
+    #[test]
+    fn serialized_form_has_exactly_the_four_wire_fields() {
+        let flow = FlowKey::new(a(10), a(100), 50000, 80, Protocol::Tcp);
+        let pkt = PacketBuilder::forward(&flow)
+            .flags(TcpFlags::ACK | TcpFlags::PSH)
+            .payload(vec![1u8, 2, 3])
+            .build();
+        let value = serde::to_value(&pkt).unwrap();
+        match &value {
+            serde::Value::Map(fields) => {
+                let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
+                assert_eq!(names, ["ipv6", "srh", "tcp", "payload"]);
+            }
+            other => panic!("expected map, got {other:?}"),
+        }
+        let back: Packet = serde::from_value(value).unwrap();
+        assert_eq!(back, pkt);
+        assert_eq!(back.flow_hash, None);
+        assert_eq!(back.flow_key_forward(), flow);
     }
 
     #[test]

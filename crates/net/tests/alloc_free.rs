@@ -1,7 +1,9 @@
 //! Asserts that the per-packet hot path performs **zero heap allocations**:
 //! SRH decode, encode into a reused buffer, `Segments Left` manipulation,
-//! flow-key extraction/hashing, and whole-packet decode of payload-less
-//! packets (every SYN / SYN-ACK the load balancer handles).
+//! flow-key extraction/hashing, whole-packet decode of payload-less
+//! packets (every SYN / SYN-ACK the load balancer handles), and the life of
+//! the three application payloads — request, response, load hint — which
+//! are at most 16 bytes and live inline in the packet.
 //!
 //! The whole file is a single `#[test]` so the counting global allocator is
 //! never polluted by a concurrently running sibling test.
@@ -9,7 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use srlb_net::{AddressPlan, Packet, PacketBuilder, SegmentRoutingHeader, ServerId, TcpFlags};
+use srlb_net::{
+    AddressPlan, FlowKey, Packet, PacketBuilder, Payload, Protocol, SegmentRoutingHeader, ServerId,
+    TcpFlags, INLINE_PAYLOAD_CAP,
+};
 
 /// Wraps the system allocator, counting every allocation.
 struct CountingAllocator;
@@ -115,4 +120,49 @@ fn per_packet_hot_path_is_allocation_free() {
         hunted.current_destination()
     });
     assert_eq!(allocs, 0, "packet SR endpoint operations must not allocate");
+
+    // The three payloads the nodes exchange, shaped as `srlb-server` encodes
+    // them (request: id + service nanos; response: id + server index; load
+    // hint: busy, workers, backlog): built from a stack array, carried by a
+    // packet built for its flow, cloned, read back, decoded from the wire
+    // and dropped, all without touching the heap.
+    let flow = FlowKey::new(plan.client_addr(0), plan.vip(0), 49_152, 80, Protocol::Tcp);
+    let mut wire = Vec::with_capacity(128);
+    for (kind, len) in [("request", 16usize), ("response", 12), ("load hint", 12)] {
+        let (allocs, ()) = counting_allocs(|| {
+            let mut buf = [0u8; INLINE_PAYLOAD_CAP];
+            buf[..8].copy_from_slice(&42u64.to_be_bytes());
+            let payload = Payload::copy_from_slice(&buf[..len]);
+            let sent = PacketBuilder::forward(&flow)
+                .flags(TcpFlags::ACK | TcpFlags::PSH)
+                .payload(payload)
+                .build();
+            let copy = sent.clone();
+            assert_eq!(copy.payload.len(), len);
+            assert_eq!(&copy.payload[..], &buf[..len]);
+            assert_eq!(copy.flow_key_forward(), flow);
+            drop(sent);
+            drop(copy);
+        });
+        assert_eq!(allocs, 0, "the {kind} payload must live inline");
+        // Decoding such a packet does not allocate either.
+        wire.clear();
+        wire.extend_from_slice(
+            &PacketBuilder::forward(&flow)
+                .payload(Payload::copy_from_slice(&[7u8; INLINE_PAYLOAD_CAP][..len]))
+                .build()
+                .encode(),
+        );
+        let (allocs, decoded) = counting_allocs(|| Packet::decode(&wire).unwrap());
+        assert_eq!(allocs, 0, "decoding a {kind} packet must not allocate");
+        assert_eq!(decoded.payload.len(), len);
+    }
+    // One byte more goes to the heap: exactly one shared buffer, and clones
+    // share it.
+    let (allocs, long) =
+        counting_allocs(|| Payload::copy_from_slice(&[1u8; INLINE_PAYLOAD_CAP + 1]));
+    assert_eq!(allocs, 1, "a 17-byte payload takes one buffer");
+    let (allocs, copy) = counting_allocs(|| long.clone());
+    assert_eq!(allocs, 0, "cloning a long payload shares its buffer");
+    assert_eq!(copy, long);
 }

@@ -4,7 +4,8 @@ use std::net::Ipv6Addr;
 
 use proptest::prelude::*;
 use srlb_net::{
-    Ipv6Header, NextHeader, Packet, PacketBuilder, SegmentRoutingHeader, TcpFlags, TcpHeader,
+    FlowKey, Ipv6Header, NextHeader, Packet, PacketBuilder, Protocol, SegmentRoutingHeader,
+    TcpFlags, TcpHeader,
 };
 
 fn arb_ipv6_addr() -> impl Strategy<Value = Ipv6Addr> {
@@ -194,5 +195,117 @@ proptest! {
             .flags(TcpFlags::SYN_ACK)
             .build();
         prop_assert_eq!(req.flow_key_forward(), reply.flow_key_reverse());
+    }
+
+    // --- the flow hash a packet carries -----------------------------------
+    //
+    // Debug builds re-check the carried hash inside every extraction below,
+    // so these properties also fail there if a rewrite leaves a stale hash.
+
+    #[test]
+    fn carried_hash_gives_the_same_key_as_hashing_the_tuple(
+        client in arb_ipv6_addr(),
+        vip in arb_ipv6_addr(),
+        cport in any::<u16>(),
+        vport in any::<u16>(),
+        hunt in proptest::option::of(arb_route()),
+        acceptance in proptest::option::of(arb_route()),
+    ) {
+        let flow = FlowKey::new(client, vip, cport, vport, Protocol::Tcp);
+        // Client → VIP, bare or hunted along any route that ends at the VIP.
+        let mut request = PacketBuilder::forward(&flow).flags(TcpFlags::SYN).build();
+        if let Some(mut route) = hunt {
+            *route.last_mut().unwrap() = vip;
+            request.set_route(&route, 0).unwrap();
+        }
+        prop_assert_eq!(request.flow_key_forward(), flow);
+        prop_assert_eq!(request.flow_key_forward().stable_hash(), flow.stable_hash());
+        // VIP → client, bare or along any route that ends at the client.
+        let mut reply = PacketBuilder::reverse(&flow).flags(TcpFlags::SYN_ACK).build();
+        if let Some(mut route) = acceptance {
+            *route.last_mut().unwrap() = client;
+            reply.insert_srh(SegmentRoutingHeader::from_route(&route).unwrap());
+        }
+        prop_assert_eq!(reply.flow_key_reverse(), flow);
+        prop_assert_eq!(reply.flow_key_reverse().stable_hash(), flow.stable_hash());
+    }
+
+    #[test]
+    fn carried_hash_is_invisible_to_equality_and_the_wire(
+        client in arb_ipv6_addr(),
+        vip in arb_ipv6_addr(),
+        cport in any::<u16>(),
+        vport in any::<u16>(),
+        route in proptest::option::of(arb_route()),
+        payload in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let flow = FlowKey::new(client, vip, cport, vport, Protocol::Tcp);
+        let mut with = PacketBuilder::forward(&flow)
+            .flags(TcpFlags::ACK | TcpFlags::PSH)
+            .payload(payload.clone())
+            .build();
+        let mut without = PacketBuilder::tcp(client, vip)
+            .ports(cport, vport)
+            .flags(TcpFlags::ACK | TcpFlags::PSH)
+            .payload(payload)
+            .build();
+        if let Some(route) = route {
+            with.set_route(&route, 0).unwrap();
+            without.set_route(&route, 0).unwrap();
+        }
+        prop_assert_eq!(&with, &without);
+        prop_assert_eq!(with.encode(), without.encode());
+        // Decoding yields a packet without a hash; it still equals both, and
+        // its keys are the hashed ones.
+        let decoded = Packet::decode(&with.encode()).unwrap();
+        prop_assert_eq!(&decoded, &with);
+        prop_assert_eq!(&decoded, &without);
+        prop_assert_eq!(decoded.flow_key_forward(), with.flow_key_forward());
+        prop_assert_eq!(decoded.flow_key_forward(), without.flow_key_forward());
+    }
+
+    #[test]
+    fn srh_rewrites_never_leave_a_stale_hash(
+        client in arb_ipv6_addr(),
+        vip in arb_ipv6_addr(),
+        cport in any::<u16>(),
+        vport in any::<u16>(),
+        rewrites in prop::collection::vec((0u8..6, arb_route(), any::<u8>()), 0..12),
+    ) {
+        // Any sequence of SR operations, including routes that end somewhere
+        // other than the VIP: the extracted key always equals the one hashed
+        // from the packet's current tuple.
+        let flow = FlowKey::new(client, vip, cport, vport, Protocol::Tcp);
+        let mut packet = PacketBuilder::forward(&flow).flags(TcpFlags::SYN).build();
+        for (kind, mut route, n) in rewrites {
+            match kind {
+                0 => {
+                    *route.last_mut().unwrap() = vip;
+                    let _ = packet.set_route(&route, usize::from(n) % route.len());
+                }
+                1 => {
+                    let _ = packet.set_route(&route, usize::from(n) % (route.len() + 1));
+                }
+                2 => packet.insert_srh(SegmentRoutingHeader::from_route(&route).unwrap()),
+                3 => {
+                    let _ = packet.advance_segment();
+                }
+                4 => {
+                    let _ = packet.set_segments_left(n % 9);
+                }
+                _ => {
+                    packet.strip_srh();
+                }
+            }
+            let hashed = FlowKey::new(
+                packet.source(),
+                packet.final_destination(),
+                cport,
+                vport,
+                Protocol::Tcp,
+            );
+            prop_assert_eq!(packet.flow_key_forward(), hashed);
+            prop_assert_eq!(packet.flow_key_forward().stable_hash(), hashed.stable_hash());
+        }
     }
 }

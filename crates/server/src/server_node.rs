@@ -25,10 +25,9 @@
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
-use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, TcpFlags};
+use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, Payload, TcpFlags};
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
 use crate::agent::ApplicationAgent;
@@ -190,11 +189,14 @@ struct RunningJob {
 /// workload's service-time distribution) in the request payload; this stands
 /// in for the PHP script / wiki page the paper's clients request, whose cost
 /// the server only discovers by executing it.
-pub fn encode_request_payload(request_id: u64, service: SimDuration) -> Bytes {
-    let mut buf = Vec::with_capacity(16);
-    buf.extend_from_slice(&request_id.to_be_bytes());
-    buf.extend_from_slice(&service.as_nanos().to_be_bytes());
-    Bytes::from(buf)
+///
+/// Sixteen bytes, assembled on the stack and stored inline in the packet:
+/// no allocation.
+pub fn encode_request_payload(request_id: u64, service: SimDuration) -> Payload {
+    let mut buf = [0u8; 16];
+    buf[..8].copy_from_slice(&request_id.to_be_bytes());
+    buf[8..].copy_from_slice(&service.as_nanos().to_be_bytes());
+    Payload::copy_from_slice(&buf)
 }
 
 /// Decodes a payload produced by [`encode_request_payload`].
@@ -211,12 +213,13 @@ pub fn decode_request_payload(payload: &[u8]) -> Option<(u64, SimDuration)> {
 
 /// Encodes a response payload: the request id plus the index of the server
 /// that served it, so the measurement client can attribute completions to
-/// servers (per-phase fairness in dynamic-cluster scenarios).
-pub fn encode_response_payload(request_id: u64, server_index: u32) -> Bytes {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&request_id.to_be_bytes());
-    buf.extend_from_slice(&server_index.to_be_bytes());
-    Bytes::from(buf)
+/// servers (per-phase fairness in dynamic-cluster scenarios).  Twelve bytes,
+/// inline like the request's.
+pub fn encode_response_payload(request_id: u64, server_index: u32) -> Payload {
+    let mut buf = [0u8; 12];
+    buf[..8].copy_from_slice(&request_id.to_be_bytes());
+    buf[8..].copy_from_slice(&server_index.to_be_bytes());
+    Payload::copy_from_slice(&buf)
 }
 
 /// Decodes a payload produced by [`encode_response_payload`].
@@ -233,19 +236,20 @@ pub fn decode_response_payload(payload: &[u8]) -> Option<(u64, u32)> {
 
 /// Encodes the server-load hint a server attaches to its acceptance SYN-ACK
 /// (and ownership adverts): busy worker threads, configured worker threads
-/// and current backlog depth, each as a big-endian `u32`.
+/// and current backlog depth, each as a big-endian `u32` — twelve bytes,
+/// inline in the packet.
 ///
 /// The load balancer's load-aware dispatcher smooths
 /// `(busy + backlog) / workers` into a per-server EWMA; load-oblivious
 /// dispatchers (the default) ignore the hint entirely, and the measurement
 /// client ignores payloads on SYN-ACKs, so attaching it is invisible to every
 /// existing configuration.
-pub fn encode_load_hint(busy: u32, workers: u32, backlog: u32) -> Bytes {
-    let mut buf = Vec::with_capacity(12);
-    buf.extend_from_slice(&busy.to_be_bytes());
-    buf.extend_from_slice(&workers.to_be_bytes());
-    buf.extend_from_slice(&backlog.to_be_bytes());
-    Bytes::from(buf)
+pub fn encode_load_hint(busy: u32, workers: u32, backlog: u32) -> Payload {
+    let mut buf = [0u8; 12];
+    buf[..4].copy_from_slice(&busy.to_be_bytes());
+    buf[4..8].copy_from_slice(&workers.to_be_bytes());
+    buf[8..].copy_from_slice(&backlog.to_be_bytes());
+    Payload::copy_from_slice(&buf)
 }
 
 /// Decodes a payload produced by [`encode_load_hint`], returning
@@ -389,7 +393,7 @@ impl ServerNode {
 
     /// The load hint describing this server's instantaneous state, attached
     /// to acceptance SYN-ACKs and ownership adverts.
-    fn load_hint(&self) -> Bytes {
+    fn load_hint(&self) -> Payload {
         encode_load_hint(
             self.pool.busy_count() as u32,
             self.config.workers as u32,
@@ -414,7 +418,6 @@ impl ServerNode {
     fn accept_connection(&mut self, packet: &Packet, ctx: &mut Context<'_, Packet>) {
         let flow = packet.flow_key_forward();
         let client = flow.client();
-        let vip = flow.vip();
         self.connections.insert(
             flow,
             Connection {
@@ -430,8 +433,9 @@ impl ServerNode {
         let Some(lb) = self.lb_of(&flow) else {
             return;
         };
-        let mut syn_ack = PacketBuilder::tcp(vip, client)
-            .ports(flow.vip_port(), flow.client_port())
+        // Built from the key, so the SYN-ACK carries the flow's hash to the
+        // load balancer that learns from it.
+        let mut syn_ack = PacketBuilder::reverse(&flow)
             .flags(TcpFlags::SYN_ACK)
             .payload(self.load_hint())
             .build();
@@ -660,8 +664,7 @@ impl ServerNode {
         let Some(lb) = self.lb_of(flow) else {
             return;
         };
-        let mut advert = PacketBuilder::tcp(flow.vip(), flow.client())
-            .ports(flow.vip_port(), flow.client_port())
+        let mut advert = PacketBuilder::reverse(flow)
             .flags(TcpFlags::ACK)
             .payload(self.load_hint())
             .build();
