@@ -28,8 +28,11 @@ use srlb_core::{FlowState, IdWindow};
 use srlb_net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
 };
+use srlb_server::{tier_members, Directory};
+use srlb_sim::event::HeadKind;
 use srlb_sim::{
-    Context, ExecMode, Network, Node, NodeId, RunUntil, SimDuration, SimRng, SimTime, Topology,
+    Context, EventKey, EventQueue, ExecMode, Network, Node, NodeId, RunUntil, SimDuration, SimRng,
+    SimTime, Topology,
 };
 
 /// Default output file name, written to the workspace root (see
@@ -276,6 +279,55 @@ pub fn run_all() -> BTreeMap<String, f64> {
             }),
         );
         assert_eq!(window.len() as u64, live);
+    }
+
+    // --- engine: the event queue's lane path --------------------------------
+    // The hold model (pop the earliest, schedule one later) at 64 pending,
+    // the way `Context::send` schedules: every key one link latency after the
+    // popped one, so every message rides its latency's lane.  The heap path's
+    // counterpart is `sim.queue_push_pop_ns_d64` in `benchmark/`.
+    let link = SimDuration::from_micros(50);
+    let mut queue: EventQueue<u64> = EventQueue::with_capacity(64);
+    let mut seq = 0u64;
+    let mut schedule = |queue: &mut EventQueue<u64>, now: SimTime| {
+        let key = EventKey {
+            time: now + link,
+            src: NodeId((seq % 13) as usize),
+            seq,
+        };
+        seq += 1;
+        *queue.claim_message_after(key, NodeId(0), key.src, link) = Some(seq);
+    };
+    for i in 0..64 {
+        schedule(&mut queue, SimTime::from_nanos(i * 781));
+    }
+    record(
+        "queue_lane_push_pop_d64",
+        median_ns(|| {
+            let head = queue.pop_head(None).expect("queue holds 64 events");
+            schedule(&mut queue, head.key.time);
+            match head.kind {
+                HeadKind::Message { body, .. } => queue.take_body(body),
+                HeadKind::Timer { .. } => 0,
+            }
+        }),
+    );
+
+    // --- server: the steer path ---------------------------------------------
+    // What every VIP-bound packet pays: the tier entry, the epoch check, and
+    // the rendezvous hash over the cached membership (1 and 8 instances).
+    for tier_size in [1usize, 8] {
+        let mut directory = Directory::new();
+        let lbs: Vec<NodeId> = (1..=tier_size).map(NodeId).collect();
+        directory.register_tier(plan.vip(0), tier_members(lbs));
+        let mut i = 0;
+        record(
+            &format!("directory_lookup_flow_tier{tier_size}"),
+            median_ns(|| {
+                i = (i + 1) % keys.len();
+                directory.lookup_flow(plan.vip(0), keys[i].stable_hash())
+            }),
+        );
     }
 
     // --- parallel engine: synchronisation primitive cost -------------------

@@ -548,7 +548,7 @@ impl<M> SimCore<M> {
     ///
     /// Equivalence with the serial loop is preserved even when a callback
     /// schedules *new* events at the current timestamp: events are popped
-    /// one at a time, and the heap always yields the globally smallest key,
+    /// one at a time, and the queue always yields the globally smallest key,
     /// so dispatch order is exactly ascending key order.  If a stop request
     /// or the budget interrupts the batch, the remaining ties simply stay
     /// queued with their keys intact.
@@ -565,8 +565,8 @@ impl<M> SimCore<M> {
         processed
     }
 
-    /// Dispatches events straight off the heap while the head's timestamp
-    /// equals `batch_time` (at most `budget` of them).  The heap always
+    /// Dispatches events straight off the queue while the head's timestamp
+    /// equals `batch_time` (at most `budget` of them).  The queue always
     /// yields the globally smallest key, so a callback scheduling *new*
     /// events at the current timestamp has them interleaved in exact key
     /// order automatically; a stop request or an exhausted budget simply
@@ -917,6 +917,62 @@ mod tests {
             log
         }
         assert_eq!(order(true), order(false));
+    }
+
+    #[test]
+    fn same_time_senders_out_of_id_order_deliver_in_key_order() {
+        // The trigger (highest id) messages node 2 and then node 1 over the
+        // same link, so both callbacks run at one timestamp, node 2's first;
+        // each forwards to the sink over the same link again.  Node 1's key
+        // `(2L, 1, 0)` is scheduled second and sorts first: whatever the
+        // queue does with equal-latency messages, the sink hears node 1
+        // before node 2, in every loop.
+        struct Trigger {
+            first: NodeId,
+            second: NodeId,
+        }
+        impl Node<u32> for Trigger {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                ctx.send(self.first, 0);
+                ctx.send(self.second, 0);
+            }
+            fn on_message(&mut self, _m: u32, _f: NodeId, _c: &mut Context<'_, u32>) {}
+        }
+        struct Forward {
+            sink: NodeId,
+        }
+        impl Node<u32> for Forward {
+            fn on_message(&mut self, _m: u32, _f: NodeId, ctx: &mut Context<'_, u32>) {
+                let me = ctx.self_id().index() as u32;
+                ctx.send(self.sink, me);
+            }
+        }
+        fn heard(run: impl FnOnce(&mut SimCore<u32>)) -> Vec<u32> {
+            let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(50)));
+            let sink = core.add_node(Echo {
+                peer: None,
+                cap: 0,
+                seen: vec![],
+            });
+            let one = core.add_node(Forward { sink });
+            let two = core.add_node(Forward { sink });
+            core.add_node(Trigger {
+                first: two,
+                second: one,
+            });
+            core.start();
+            run(&mut core);
+            assert_eq!(core.stats().messages_delivered, 4);
+            core.take_node::<Echo>(sink).unwrap().seen
+        }
+        let stepwise = heard(|core| while core.step() != StepOutcome::Idle {});
+        let batched = heard(|core| while core.step_batch(u64::MAX) > 0 {});
+        let segment = heard(|core| {
+            core.run_segment(None, u64::MAX);
+        });
+        assert_eq!(stepwise, vec![1, 2]);
+        assert_eq!(batched, stepwise);
+        assert_eq!(segment, stepwise);
     }
 
     #[test]

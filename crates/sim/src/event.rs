@@ -10,29 +10,60 @@
 //!
 //! ## Layout: one move in, one move out
 //!
-//! A queued event lives in three places, so that the only thing ever copied
-//! at message size is the message itself, and only twice:
+//! A queued event lives in up to three places, so that the only thing ever
+//! copied at message size is the message itself, and only twice:
 //!
-//! * the binary **heap** orders 32-byte `(key, slot)` entries — sift
-//!   operations never see a payload;
-//! * a **record** slab holds, per slot, the small `Copy` part of the event
-//!   (`target` plus `Message { from }` or `Timer { token }`);
+//! * an **ordering structure** holds its key — the binary **heap** (32-byte
+//!   `(key, slot)` entries; sift operations never see a payload) or one of a
+//!   few FIFO **lanes** (see below);
+//! * a **record** slab holds, per slot, the small `Copy` part of a *heap*
+//!   event (`target` plus `Message { from }` or `Timer { token }`); a lane
+//!   entry carries `target` and `from` inline and never touches its record;
 //! * a **body** slab holds, per slot, the message — written once, straight
-//!   from the sender's value into the slot [`EventQueue::claim_message`]
-//!   hands out, and moved out once by [`EventQueue::take_body`] right at the
-//!   node callback.
+//!   from the sender's value into the slot [`EventQueue::claim_message`] /
+//!   [`EventQueue::claim_message_after`] hands out, and moved out once by
+//!   [`EventQueue::take_body`] right at the node callback.
 //!
 //! [`EventQueue::pop_head`] returns only the small parts; a timer never
 //! touches the body slab on a warm queue, and a message the fault layer
 //! drops is destroyed in place by [`EventQueue::discard_body`].  The by-value
 //! [`EventQueue::push`] / [`EventQueue::pop`] family ([`EventPayload`],
 //! [`ScheduledEvent`]) is a thin convenience layer over those primitives.
+//!
+//! ## Lanes: the messages that arrive already sorted
+//!
+//! Almost every message of a run is scheduled at `now + L` for one of a
+//! handful of constant link latencies `L` (the paper's bridged L2 segment has
+//! one; the rack/zone model three), and `now` never decreases, so the
+//! messages of one latency are scheduled in nearly the order they will be
+//! delivered in.  A sender that knows the latency passes it along
+//! ([`EventQueue::claim_message_after`], which is what
+//! [`Context::send`](crate::Context::send) uses); the queue keeps one FIFO
+//! lane per latency — the first [`LANES`] distinct values it is shown, a
+//! constant, not an option — and appends the message to that lane in O(1)
+//! instead of sifting it through the heap.  The earliest event is then the
+//! smallest key among the heap's top and the lanes' fronts: the same queue,
+//! the same total order, every pop a handful of comparisons.
+//!
+//! **The guard.**  A message is appended to its lane *iff its key is greater
+//! than the key at the lane's back*; everything else — the check failing, a
+//! latency beyond the lane count, all timers, everything pushed without a
+//! latency (cross-shard mail, the by-value family) — goes to the heap.  The
+//! guard, not the latency, is what makes every lane sorted by key, and that
+//! is all the minimum-of-fronts pop needs to be exact.  It cannot be dropped
+//! on the grounds that "the latency is constant": a lane of constant latency
+//! is sorted by *time*, not by *key*.  Keys order ties by the **scheduling**
+//! node, while ties are dispatched in the order of the node that scheduled
+//! *them* — so two callbacks at one `now` can run on node X and then on node
+//! Y < X, and schedule `(now + L, X, ·)` before `(now + L, Y, ·)`.  The second
+//! key is the smaller one; appended blindly it would sit behind the first
+//! and pop after it.  With the guard it takes the heap and pops first.
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use crate::node::{NodeId, TimerToken};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// What an event delivers to its target node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +136,7 @@ impl Ord for HeapEntry {
     }
 }
 
-/// The small, `Copy` part of a queued event that is not its ordering key.
+/// The small, `Copy` part of a heap event that is not its ordering key.
 #[derive(Debug, Clone, Copy)]
 struct SlotRecord {
     target: NodeId,
@@ -116,6 +147,40 @@ struct SlotRecord {
 enum RecordKind {
     Message { from: NodeId },
     Timer { token: TimerToken },
+}
+
+/// What a freshly grown record slot holds until a heap event writes it (a
+/// lane message never does).
+const UNWRITTEN: SlotRecord = SlotRecord {
+    target: NodeId(0),
+    kind: RecordKind::Timer {
+        token: TimerToken(0),
+    },
+};
+
+/// How many distinct link latencies get a FIFO lane of their own — the
+/// first ones the queue is shown; messages of any further latency take the
+/// heap.  The paper's topology has one latency and the rack/zone model three
+/// (plus the zero-latency self link), and every pop compares one key per
+/// lane in use, so a larger number buys nothing.
+pub const LANES: usize = 4;
+
+/// A lane entry: everything [`EventQueue::pop_head`] returns for a message
+/// (only messages ride lanes), so neither scheduling nor popping it touches
+/// the record slab.  The body waits in body slot `slot`.
+#[derive(Debug, Clone, Copy)]
+struct LaneEntry {
+    key: EventKey,
+    target: NodeId,
+    from: NodeId,
+    slot: u32,
+}
+
+/// Where the earliest pending event sits.
+#[derive(Debug, Clone, Copy)]
+enum Earliest {
+    Heap,
+    Lane(usize),
 }
 
 /// Claim on the body of a popped message, still sitting in the queue's body
@@ -156,18 +221,24 @@ pub struct EventHead {
 
 /// A key-ordered queue of events.
 ///
-/// See the [module docs](self) for the heap / record / body split.  No
-/// per-event `Box` is involved and freed slots are reused, so pushing and
-/// popping events on a warm queue (one whose heap and slabs have already
-/// grown to their high-water mark) performs no heap allocation at all.  This
-/// property is pinned by the counting-allocator test in
+/// See the [module docs](self) for the heap / lanes / record / body split.
+/// No per-event `Box` is involved and freed slots are reused, so pushing and
+/// popping events on a warm queue (one whose heap, lanes and slabs have
+/// already grown to their high-water mark) performs no heap allocation at
+/// all.  This property is pinned by the counting-allocator test in
 /// `tests/alloc_free_sim.rs`.
 ///
 /// Because [`EventKey`]s are globally unique, the pop order is a pure
-/// function of the *set* of pending events — independent of insertion order —
-/// which is what makes cross-shard event exchange deterministic.
+/// function of the *set* of pending events — independent of insertion order
+/// and of which events happened to ride a lane — which is what makes
+/// cross-shard event exchange deterministic.
 pub struct EventQueue<M> {
     heap: BinaryHeap<HeapEntry>,
+    /// `lanes[i]` holds, sorted by key and front first, messages scheduled
+    /// `lane_latency[i]` ahead; only the first `lanes_in_use` have a latency.
+    lanes: [VecDeque<LaneEntry>; LANES],
+    lane_latency: [SimDuration; LANES],
+    lanes_in_use: usize,
     /// Per-slot record; `records.len() == bodies.len()` always.
     records: Vec<SlotRecord>,
     /// Per-slot message body: `Some` exactly while a message occupies the
@@ -179,8 +250,13 @@ pub struct EventQueue<M> {
 
 impl<M> fmt::Debug for EventQueue<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lanes: Vec<_> = (0..self.lanes_in_use)
+            .map(|i| (self.lane_latency[i], self.lanes[i].len()))
+            .collect();
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.len())
+            .field("in_heap", &self.heap.len())
+            .field("in_lanes", &lanes)
             .field("admitted", &self.admitted)
             .finish()
     }
@@ -203,6 +279,9 @@ impl<M> EventQueue<M> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            lanes: std::array::from_fn(|_| VecDeque::with_capacity(capacity)),
+            lane_latency: [SimDuration::ZERO; LANES],
+            lanes_in_use: 0,
             records: Vec::with_capacity(capacity),
             bodies: Vec::with_capacity(capacity),
             free: Vec::with_capacity(capacity),
@@ -210,41 +289,77 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Number of pending events the queue can hold without reallocating.
+    /// Number of pending events the queue can hold without reallocating,
+    /// wherever they land — the heap or any one lane.
     pub fn capacity(&self) -> usize {
-        self.heap
-            .capacity()
-            .min(self.records.capacity())
-            .min(self.bodies.capacity())
+        self.lanes
+            .iter()
+            .map(VecDeque::capacity)
+            .chain([
+                self.heap.capacity(),
+                self.records.capacity(),
+                self.bodies.capacity(),
+            ])
+            .min()
+            .unwrap_or(0)
     }
 
-    /// Reserves room for at least `additional` more pending events.
+    /// Reserves room for at least `additional` more pending events, wherever
+    /// they land.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
+        for lane in &mut self.lanes {
+            lane.reserve(additional);
+        }
         self.records.reserve(additional);
         self.bodies.reserve(additional);
         self.free.reserve(additional);
     }
 
-    /// Queues `record` under `key` in a free slot — reused if one exists,
-    /// freshly grown otherwise — whose body is `None`.
+    /// A free slot — reused if one exists, freshly grown otherwise — whose
+    /// body is `None`.
     #[inline]
-    fn insert(&mut self, key: EventKey, record: SlotRecord) -> u32 {
-        let slot = match self.free.pop() {
+    fn free_slot(&mut self) -> u32 {
+        match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.bodies[slot as usize].is_none());
-                self.records[slot as usize] = record;
                 slot
             }
             None => {
                 let slot = u32::try_from(self.records.len()).expect("fewer than 2^32 pending"); // srlb-lint: allow(panic-hygiene) -- 2^32 pending events exceeds any feasible memory budget; overflow is unreachable in practice
-                self.records.push(record);
+                self.records.push(UNWRITTEN);
                 self.bodies.push(None);
                 slot
             }
-        };
+        }
+    }
+
+    /// Queues `record` under `key` on the heap and returns its slot.
+    #[inline]
+    fn insert(&mut self, key: EventKey, record: SlotRecord) -> u32 {
+        let slot = self.free_slot();
+        self.records[slot as usize] = record;
         self.heap.push(HeapEntry { key, slot });
         slot
+    }
+
+    /// The lane that carries messages scheduled `latency` ahead: the one
+    /// already assigned to it, or the next unassigned one; `None` once
+    /// [`LANES`] other latencies have taken them all.
+    #[inline]
+    fn lane_of(&mut self, latency: SimDuration) -> Option<usize> {
+        let in_use = self.lanes_in_use;
+        if let Some(lane) = self.lane_latency[..in_use]
+            .iter()
+            .position(|&l| l == latency)
+        {
+            return Some(lane);
+        }
+        (in_use < LANES).then(|| {
+            self.lane_latency[in_use] = latency;
+            self.lanes_in_use += 1;
+            in_use
+        })
     }
 
     /// Schedules a message from `from` for delivery to `target`, ordered by
@@ -260,6 +375,39 @@ impl<M> EventQueue<M> {
             kind: RecordKind::Message { from },
         };
         let slot = self.insert(key, record);
+        &mut self.bodies[slot as usize]
+    }
+
+    /// [`EventQueue::claim_message`] for a sender that knows the message is
+    /// scheduled `latency` after its current time (`key.time = now +
+    /// latency`): the message rides the FIFO lane of that latency when its
+    /// key is greater than the lane's back key, and takes the heap otherwise
+    /// (see the [module docs](self)).  `latency` only picks the lane; the
+    /// pop order depends on `key` alone, whatever is passed here.
+    #[inline]
+    pub fn claim_message_after(
+        &mut self,
+        key: EventKey,
+        target: NodeId,
+        from: NodeId,
+        latency: SimDuration,
+    ) -> &mut Option<M> {
+        let Some(lane) = self.lane_of(latency) else {
+            return self.claim_message(key, target, from);
+        };
+        // The guard: a lane stays sorted by key because nothing is appended
+        // that is not greater than its back.
+        if self.lanes[lane].back().is_some_and(|back| back.key >= key) {
+            return self.claim_message(key, target, from);
+        }
+        self.admitted += 1;
+        let slot = self.free_slot();
+        self.lanes[lane].push_back(LaneEntry {
+            key,
+            target,
+            from,
+            slot,
+        });
         &mut self.bodies[slot as usize]
     }
 
@@ -283,33 +431,63 @@ impl<M> EventQueue<M> {
         self.insert(key, record);
     }
 
+    /// Key and whereabouts of the earliest pending event: the smallest key
+    /// among the heap's top and the front of every lane in use.
+    #[inline]
+    fn earliest(&self) -> Option<(EventKey, Earliest)> {
+        let mut best = self.heap.peek().map(|top| (top.key, Earliest::Heap));
+        for (index, lane) in self.lanes[..self.lanes_in_use].iter().enumerate() {
+            if let Some(front) = lane.front() {
+                if best.is_none_or(|(key, _)| front.key < key) {
+                    best = Some((front.key, Earliest::Lane(index)));
+                }
+            }
+        }
+        best
+    }
+
     /// Pops the earliest event's small parts if its delivery time is at or
     /// before `bound` (no bound = always): a single fused peek-and-pop, the
     /// engine loop's per-event queue operation.  A message's body stays in
     /// the slab until its [`BodySlot`] is redeemed.
     #[inline]
     pub fn pop_head(&mut self, bound: Option<SimTime>) -> Option<EventHead> {
-        let top = self.heap.peek()?;
-        if bound.is_some_and(|u| top.key.time > u) {
+        let (key, earliest) = self.earliest()?;
+        if bound.is_some_and(|u| key.time > u) {
             return None;
         }
-        let HeapEntry { key, slot } = self.heap.pop()?;
-        let record = self.records[slot as usize];
-        let kind = match record.kind {
-            RecordKind::Message { from } => HeadKind::Message {
-                from,
-                body: BodySlot(slot),
-            },
-            RecordKind::Timer { token } => {
-                self.free.push(slot);
-                HeadKind::Timer { token }
+        match earliest {
+            Earliest::Heap => {
+                let HeapEntry { key, slot } = self.heap.pop()?;
+                let record = self.records[slot as usize];
+                let kind = match record.kind {
+                    RecordKind::Message { from } => HeadKind::Message {
+                        from,
+                        body: BodySlot(slot),
+                    },
+                    RecordKind::Timer { token } => {
+                        self.free.push(slot);
+                        HeadKind::Timer { token }
+                    }
+                };
+                Some(EventHead {
+                    key,
+                    target: record.target,
+                    kind,
+                })
             }
-        };
-        Some(EventHead {
-            key,
-            target: record.target,
-            kind,
-        })
+            Earliest::Lane(lane) => {
+                let entry = self.lanes[lane].pop_front()?;
+                Some(EventHead {
+                    key: entry.key,
+                    target: entry.target,
+                    kind: HeadKind::Message {
+                        from: entry.from,
+                        body: BodySlot(entry.slot),
+                    },
+                })
+            }
+        }
     }
 
     /// A popped message's body, still in the slab (for tracing it before the
@@ -394,22 +572,22 @@ impl<M> EventQueue<M> {
 
     /// Delivery time of the earliest event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.time)
+        self.peek_key().map(|key| key.time)
     }
 
     /// Ordering key of the earliest event, if any.
     pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.peek().map(|e| e.key)
+        self.earliest().map(|(key, _)| key)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Slab slots created so far, in use or free: the high-water mark of
@@ -608,11 +786,93 @@ mod tests {
 
     #[test]
     fn what_the_queue_moves_stays_small() {
-        // Sift operations move heap entries and every pop copies a record;
-        // neither may silently grow towards message size.
+        // Sift operations move heap entries, a lane append and pop move a
+        // lane entry, and every heap pop copies a record; none may silently
+        // grow towards message size.
         assert!(std::mem::size_of::<HeapEntry>() <= 32);
+        assert!(std::mem::size_of::<LaneEntry>() <= 48);
         assert!(std::mem::size_of::<SlotRecord>() <= 32);
         assert!(std::mem::size_of::<EventHead>() <= 64);
+    }
+
+    /// Claims a message scheduled `latency` ahead and fills its body.
+    fn after(queue: &mut EventQueue<u32>, k: EventKey, latency: u64, m: u32) {
+        let slot = queue.claim_message_after(k, NodeId(0), k.src, SimDuration::from_nanos(latency));
+        *slot = Some(m);
+    }
+
+    #[test]
+    fn same_time_sources_out_of_id_order_pop_in_key_order() {
+        // Two callbacks at one `now`, on node 5 and then on node 2 (a tie
+        // dispatches in the order of whoever scheduled *it*), each send over
+        // the same 50 ns link: the second key is the smaller one.  Appended
+        // blindly to the lane it would pop second.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        after(&mut q, key(150, 5, 0), 50, 55);
+        after(&mut q, key(150, 2, 0), 50, 22);
+        assert_eq!(q.lanes[0].len(), 1, "the inverted key took the heap");
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.peek_key(), Some(key(150, 2, 0)));
+        // Later keys of either source ride the lane again.
+        after(&mut q, key(150, 5, 1), 50, 56);
+        after(&mut q, key(151, 2, 1), 50, 23);
+        assert_eq!(q.lanes[0].len(), 3);
+        assert_eq!(drain(&mut q), vec![22, 55, 56, 23]);
+    }
+
+    #[test]
+    fn lanes_count_in_every_view_of_the_queue() {
+        let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
+        assert_eq!(q.capacity(), 8, "a lane bounds the capacity like the heap");
+        after(&mut q, key(70, 1, 0), 30, 1);
+        after(&mut q, key(60, 1, 1), 20, 2);
+        q.push_timer(key(65, 1, 2), NodeId(1), TimerToken(0));
+        assert_eq!(
+            (q.lanes[0].len(), q.lanes[1].len(), q.heap.len()),
+            (1, 1, 1)
+        );
+        assert_eq!(q.len(), 3);
+        assert!(!q.is_empty());
+        assert_eq!(q.scheduled_total(), 3);
+        assert_eq!(
+            q.peek_key(),
+            Some(key(60, 1, 1)),
+            "a lane front is the head"
+        );
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(60)));
+        assert!(
+            q.pop_head(Some(SimTime::from_nanos(59))).is_none(),
+            "bounded"
+        );
+        let shown = format!("{q:?}");
+        assert!(
+            shown.contains("len: 3") && shown.contains("in_heap: 1"),
+            "{shown}"
+        );
+        assert_eq!(drain(&mut q), vec![2, 1]);
+        assert!(q.is_empty());
+
+        // Reserving makes room wherever the events land.
+        q.reserve(100);
+        assert!(q.capacity() >= 100);
+    }
+
+    #[test]
+    fn latencies_beyond_the_lane_count_take_the_heap() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for latency in 1..=LANES as u64 + 2 {
+            after(
+                &mut q,
+                key(100 + latency, 0, latency),
+                latency,
+                latency as u32,
+            );
+        }
+        assert_eq!(q.lanes_in_use, LANES);
+        assert_eq!(q.heap.len(), 2);
+        // Lane messages never wrote their record; heap ones did.
+        assert_eq!(q.len(), LANES + 2);
+        assert_eq!(drain(&mut q), (1..=LANES as u32 + 2).collect::<Vec<_>>());
     }
 
     #[test]

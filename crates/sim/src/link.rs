@@ -10,18 +10,22 @@
 //! that experiment specs carry and that is instantiated into a `Topology`
 //! once the node layout (client, load balancer, servers) is known.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 use crate::time::SimDuration;
 
 /// One-way link latencies between pairs of nodes.
+///
+/// Overrides are indexed by source node: `rows[a][b]`, where it exists, *is*
+/// the latency of `a → b` — cells a row grew past without an override hold
+/// what the default rule gives that pair, so [`Topology::latency`] (paid on
+/// every send) is two indexed loads with no hashing, and falls back to the
+/// default rule only beyond the rows.
 #[derive(Debug, Clone)]
 pub struct Topology {
     default_latency: SimDuration,
-    overrides: HashMap<(NodeId, NodeId), SimDuration>,
+    rows: Vec<Vec<SimDuration>>,
     symmetric: bool,
 }
 
@@ -31,7 +35,7 @@ impl Topology {
     pub fn uniform(latency: SimDuration) -> Self {
         Topology {
             default_latency: latency,
-            overrides: HashMap::new(),
+            rows: Vec::new(),
             symmetric: true,
         }
     }
@@ -45,11 +49,33 @@ impl Topology {
     /// Sets the latency of the directed link `a → b` (and `b → a` if the
     /// topology is symmetric, the default).
     pub fn set_link(&mut self, a: NodeId, b: NodeId, latency: SimDuration) -> &mut Self {
-        self.overrides.insert((a, b), latency);
+        self.set_directed(a, b, latency);
         if self.symmetric {
-            self.overrides.insert((b, a), latency);
+            self.set_directed(b, a, latency);
         }
         self
+    }
+
+    /// The latency of `a → b` when no override names the pair.
+    fn unset_latency(default_latency: SimDuration, a: NodeId, b: NodeId) -> SimDuration {
+        if a == b {
+            SimDuration::ZERO
+        } else {
+            default_latency
+        }
+    }
+
+    /// Overrides the directed link `a → b`, growing row `a` (and the row
+    /// table) as far as needed.
+    fn set_directed(&mut self, a: NodeId, b: NodeId, latency: SimDuration) {
+        if self.rows.len() <= a.index() {
+            self.rows.resize_with(a.index() + 1, Vec::new);
+        }
+        let row = &mut self.rows[a.index()];
+        for next in row.len()..=b.index() {
+            row.push(Self::unset_latency(self.default_latency, a, NodeId(next)));
+        }
+        row[b.index()] = latency;
     }
 
     /// Makes subsequent [`Topology::set_link`] calls directional.
@@ -61,13 +87,9 @@ impl Topology {
     /// One-way latency from `a` to `b`.  Sending a message to oneself is
     /// instantaneous unless explicitly overridden.
     pub fn latency(&self, a: NodeId, b: NodeId) -> SimDuration {
-        if let Some(latency) = self.overrides.get(&(a, b)) {
-            return *latency;
-        }
-        if a == b {
-            SimDuration::ZERO
-        } else {
-            self.default_latency
+        match self.rows.get(a.index()).and_then(|row| row.get(b.index())) {
+            Some(&latency) => latency,
+            None => Self::unset_latency(self.default_latency, a, b),
         }
     }
 
@@ -97,8 +119,8 @@ impl Topology {
             }
             let out = scale(self.latency(node, other));
             let back = scale(self.latency(other, node));
-            self.overrides.insert((node, other), out);
-            self.overrides.insert((other, node), back);
+            self.set_directed(node, other, out);
+            self.set_directed(other, node, back);
         }
     }
 }
@@ -344,6 +366,111 @@ mod tests {
             SimDuration::from_micros(10)
         );
         assert_eq!(topo.latency(NodeId(1), NodeId(1)), SimDuration::ZERO);
+    }
+
+    /// The override table as it was before it was indexed by source node —
+    /// one map over `(from, to)` pairs — kept as the reference the rows must
+    /// agree with.
+    struct PairMap {
+        default_latency: SimDuration,
+        overrides: std::collections::HashMap<(NodeId, NodeId), SimDuration>,
+    }
+
+    impl PairMap {
+        fn set_link(&mut self, a: NodeId, b: NodeId, latency: SimDuration) {
+            self.overrides.insert((a, b), latency);
+            self.overrides.insert((b, a), latency);
+        }
+
+        fn latency(&self, a: NodeId, b: NodeId) -> SimDuration {
+            match self.overrides.get(&(a, b)) {
+                Some(&latency) => latency,
+                None if a == b => SimDuration::ZERO,
+                None => self.default_latency,
+            }
+        }
+
+        fn scale_links_of(&mut self, node: NodeId, multiplier: f64, node_count: usize) {
+            let scale = |d: SimDuration| {
+                SimDuration::from_nanos((d.as_nanos() as f64 * multiplier).round() as u64)
+            };
+            for other in (0..node_count).map(NodeId).filter(|&other| other != node) {
+                let out = scale(self.latency(node, other));
+                let back = scale(self.latency(other, node));
+                self.overrides.insert((node, other), out);
+                self.overrides.insert((other, node), back);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_agree_with_a_pair_map_on_a_rack_zone_build_with_a_slow_node() {
+        // 1 client, 3 LBs, 20 servers over 4 racks, stated from the model's
+        // definition rather than from `build`'s loops.
+        let (racks, intra, cross, edge) = (4usize, 15u64, 80u64, 300u64);
+        let model = TopologyModel::RackZone {
+            racks,
+            intra_rack_us: intra,
+            cross_rack_us: cross,
+            client_link_us: edge,
+        };
+        let client = NodeId(0);
+        let lbs: Vec<NodeId> = (1..4).map(NodeId).collect();
+        let servers: Vec<NodeId> = (4..24).map(NodeId).collect();
+        let node_count = 24;
+        let rack_of = |n: NodeId| match n.0 {
+            0 => None,
+            1..=3 => Some((n.0 - 1) % racks),
+            _ => Some((n.0 - 4) % racks),
+        };
+        let mut map = PairMap {
+            default_latency: SimDuration::from_micros(cross),
+            overrides: std::collections::HashMap::new(),
+        };
+        for a in (0..node_count).map(NodeId) {
+            for b in (a.0 + 1..node_count).map(NodeId) {
+                match (rack_of(a), rack_of(b)) {
+                    (None, _) | (_, None) => map.set_link(a, b, SimDuration::from_micros(edge)),
+                    (Some(x), Some(y)) if x == y => {
+                        map.set_link(a, b, SimDuration::from_micros(intra));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut topo = model.build(client, &lbs, &servers);
+
+        // Ids past the layout (an unroutable target, a late joiner) included.
+        let agree = |topo: &Topology, map: &PairMap| {
+            for a in (0..node_count + 3).map(NodeId) {
+                for b in (0..node_count + 3).map(NodeId) {
+                    assert_eq!(topo.latency(a, b), map.latency(a, b), "{a} -> {b}");
+                }
+            }
+        };
+        agree(&topo, &map);
+
+        // A slow server, then an asymmetric override on one of its links,
+        // then a slow LB on top: scaling reads its own earlier writes.
+        topo.scale_links_of(servers[5], 2.5, node_count);
+        map.scale_links_of(servers[5], 2.5, node_count);
+        agree(&topo, &map);
+        topo.asymmetric()
+            .set_link(servers[5], lbs[0], SimDuration::from_micros(7));
+        map.overrides
+            .insert((servers[5], lbs[0]), SimDuration::from_micros(7));
+        topo.scale_links_of(lbs[0], 3.0, node_count);
+        map.scale_links_of(lbs[0], 3.0, node_count);
+        agree(&topo, &map);
+        assert_eq!(
+            topo.latency(servers[5], lbs[0]),
+            SimDuration::from_micros(21)
+        );
+        assert_ne!(
+            topo.latency(lbs[0], servers[5]),
+            topo.latency(servers[5], lbs[0]),
+            "the asymmetric pair stays asymmetric"
+        );
     }
 
     #[test]

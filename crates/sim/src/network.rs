@@ -115,7 +115,7 @@ pub(crate) fn drive_core<M>(core: &mut SimCore<M>, policy: RunUntil, batched: bo
     } else {
         // The reference per-event loop, with the same fused peek/pop the
         // batched path enjoys: the time bound rides the pop, so each event
-        // costs one heap operation plus the stop/budget re-checks.  The
+        // costs one queue operation plus the stop/budget re-checks.  The
         // remaining throughput delta vs batched is the held-node
         // amortisation and group-level policy hoisting `run_segment` adds.
         while !core.stop_requested() && max_events.is_none_or(|m| processed < m) {

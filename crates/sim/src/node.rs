@@ -175,8 +175,9 @@ impl<'a, M> Context<'a, M> {
         std::mem::forget(slot.replace(ManuallyDrop::into_inner(msg)));
     }
 
-    /// Schedules a message to `to` — in the local queue, or in the outbox of
-    /// the shard that owns `to` — and returns its (empty) body slot.
+    /// Schedules a message to `to` — in the local queue (on the lane of the
+    /// link's latency, when its key allows), or in the outbox of the shard
+    /// that owns `to` — and returns its (empty) body slot.
     fn claim(&mut self, to: NodeId) -> &mut Option<M> {
         let latency = self.topology.latency(self.self_id, to);
         let key = self.next_key(self.now + latency);
@@ -185,7 +186,8 @@ impl<'a, M> Context<'a, M> {
                 return router.outbound[shard].claim(key, to, self.self_id);
             }
         }
-        self.queue.claim_message(key, to, self.self_id)
+        self.queue
+            .claim_message_after(key, to, self.self_id, latency)
     }
 
     /// Claims the next ordering key from this node's private scheduling

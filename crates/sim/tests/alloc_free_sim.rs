@@ -1,9 +1,9 @@
 //! Asserts that the simulator's event queue performs **zero heap
 //! allocations** per event in steady state: events are stored inline in the
-//! backing binary heap (no per-event `Box` or other indirection), so once
-//! the heap has grown to its high-water mark, scheduling and delivering
-//! events never touches the allocator.  The ECMP steering fast path is
-//! pinned alloc-free the same way.
+//! backing binary heap and latency lanes (no per-event `Box` or other
+//! indirection), so once those have grown to their high-water mark,
+//! scheduling and delivering events never touches the allocator.  The ECMP
+//! steering fast path is pinned alloc-free the same way.
 //!
 //! The counter is **per-thread**: the libtest harness runs its own
 //! bookkeeping (progress output, timeouts) on other threads whose
@@ -118,6 +118,42 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
     assert_eq!(allocs, 0, "warm EventQueue push/pop must not allocate");
     assert_eq!(queue.capacity(), capacity, "heap never grew");
     assert_eq!(queue.scheduled_total(), 10_000);
+
+    // --- EventQueue, lane path: latency-hinted claims never allocate -------
+    // What `Context::send` does: the key is `latency` after a rising clock,
+    // so every message rides the lane of its latency (three of them here).
+    let lane_round = |queue: &mut EventQueue<u64>, round: u64| {
+        for i in 0..9u64 {
+            let latency = [50, 15, 300][(i % 3) as usize];
+            let key = EventKey {
+                time: SimTime::from_nanos(1_000_000 + round * 10 + latency),
+                src: NodeId(0),
+                seq: 10_000 + round * 9 + i,
+            };
+            let hint = SimDuration::from_nanos(latency);
+            *queue.claim_message_after(key, NodeId(1), NodeId(0), hint) = Some(round ^ i);
+        }
+    };
+    lane_round(&mut queue, 0);
+    let shown = format!("{queue:?}");
+    assert!(
+        shown.contains("len: 9") && shown.contains("in_heap: 0"),
+        "hinted claims with rising keys ride the lanes: {shown}"
+    );
+    let (allocs, ()) = counting_allocs(|| {
+        for round in 1..=1_000u64 {
+            for _ in 0..9 {
+                queue.pop().expect("queue holds the events just claimed");
+            }
+            lane_round(&mut queue, round);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm EventQueue lane claim/pop must not allocate"
+    );
+    assert_eq!(queue.capacity(), capacity, "no lane ever grew");
+    assert_eq!(queue.len(), 9);
 
     // --- Network: a warmed-up engine delivers events without allocating ----
     let mut net: Network<u64> = Network::new(1, Topology::datacenter());

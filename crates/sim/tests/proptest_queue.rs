@@ -1,16 +1,24 @@
 //! Property-based test of the event queue's split layout (heap entries,
-//! per-slot records, per-slot bodies) against a sort-by-key reference model.
+//! latency lanes, per-slot records, per-slot bodies) against a sort-by-key
+//! reference model.
 //!
-//! Random interleavings of message pushes, timer pushes, pops (by value, by
-//! head, bounded), `restore`, `admit` and fault-style body discards must
-//! agree with the model on pop order, on which body and target belong to
-//! which key, on `len` and on `scheduled_total` — and must never create more
-//! slots than were ever pending at once: freed slots (also a discarded
-//! body's) are reused.
+//! Random interleavings of message pushes, latency-hinted claims, timer
+//! pushes, pops (by value, by head, bounded), `restore`, `admit` and
+//! fault-style body discards must agree with the model on pop order, on
+//! which body and target belong to which key, on `len` and on
+//! `scheduled_total` — and must never create more slots than were ever
+//! pending at once: freed slots (also a discarded body's) are reused.
+//!
+//! The model knows nothing of lanes: a latency hint may only change where
+//! the queue keeps an event, never when it pops.  The hinted claims cover
+//! what the engine does (`key.time = now + latency`, so a lane's keys mostly
+//! rise) and what it never does (a hint unrelated to the key, so keys fall
+//! below the lane's back key all the time), over more distinct latencies
+//! than there are lanes and in no particular order.
 
 use proptest::prelude::*;
 use srlb_sim::event::{EventPayload, HeadKind, ScheduledEvent};
-use srlb_sim::{EventKey, EventQueue, NodeId, SimTime, TimerToken};
+use srlb_sim::{EventKey, EventQueue, NodeId, SimDuration, SimTime, TimerToken};
 
 /// Pending events never exceed this, so neither may the slab's slot count.
 const CAPACITY: usize = 16;
@@ -25,10 +33,15 @@ type Op = (u8, u64, usize, usize, u64);
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
-        (0u8..12, 0u64..40, 0usize..4, 0usize..8, any::<u64>()),
+        (0u8..18, 0u64..40, 0usize..4, 0usize..8, any::<u64>()),
         300..301,
     )
 }
+
+/// Link latencies the hinted claims draw from: more than the queue has lanes
+/// (`srlb_sim::event::LANES`), the zero-latency self link among them.
+const LATENCIES: [u64; 7] = [0, 1, 2, 3, 5, 8, 13];
+const _: () = assert!(LATENCIES.len() > srlb_sim::event::LANES);
 
 /// The reference: pending events in a plain vector, popped by scanning for
 /// the smallest key.
@@ -69,8 +82,14 @@ proptest! {
         // Keys are globally unique in the engine (per-source counters); a
         // single counter gives the same guarantee here.
         let mut seq = 0u64;
+        // The engine's clock: the time of the latest pop.
+        let mut now = 0u64;
 
         for (op, time, src, target, value) in ops {
+            let latency = LATENCIES[(value % LATENCIES.len() as u64) as usize];
+            // Ops 15.. schedule like a node callback does, `latency` after
+            // the clock; every other op at an arbitrary time.
+            let time = if op >= 15 { now + latency } else { time };
             let key = EventKey { time: SimTime::from_nanos(time), src: NodeId(src), seq };
             seq += 1;
             let target = NodeId(target);
@@ -78,8 +97,16 @@ proptest! {
             let message = EventPayload::Message { from, msg: vec![value, seq] };
             let timer = EventPayload::Timer { token: TimerToken(value) };
             // A full pending set turns every push into a pop.
-            let op = if model.pending.len() == CAPACITY && op < 6 { 6 } else { op };
+            let pushes = !(6..12).contains(&op);
+            let op = if model.pending.len() == CAPACITY && pushes { 6 } else { op };
             match op {
+                // Latency-hinted claims, filled in place like `Context::send`.
+                12.. => {
+                    let hint = SimDuration::from_nanos(latency);
+                    *queue.claim_message_after(key, target, from, hint) = Some(vec![value, seq]);
+                    model.pending.push(ScheduledEvent { key, target, payload: message });
+                    model.admitted += 1;
+                }
                 // In-place pushes.
                 0 | 1 => {
                     queue.push_message(key, target, from, vec![value, seq]);
@@ -109,17 +136,19 @@ proptest! {
                     let got = queue.pop();
                     prop_assert!(same_event(&got, &model.pop_within(None)));
                     if let Some(event) = got {
+                        now = now.max(event.key.time.as_nanos());
                         queue.restore(event.clone());
                         model.pending.push(event);
                     }
                 }
                 // By-value pops, unbounded and bounded.
-                6 | 7 => {
-                    prop_assert!(same_event(&queue.pop(), &model.pop_within(None)));
-                }
-                8 | 9 => {
-                    let bound = Some(SimTime::from_nanos(time));
-                    prop_assert!(same_event(&queue.pop_within(bound), &model.pop_within(bound)));
+                6..=9 => {
+                    let bound = (op >= 8).then(|| SimTime::from_nanos(time));
+                    let got = queue.pop_within(bound);
+                    prop_assert!(same_event(&got, &model.pop_within(bound)));
+                    if let Some(event) = got {
+                        now = now.max(event.key.time.as_nanos());
+                    }
                 }
                 // Head pops: the body is taken, or — the fault layer's drop —
                 // destroyed in place.
@@ -129,6 +158,7 @@ proptest! {
                     let got = queue.pop_head(bound);
                     prop_assert_eq!(got.is_some(), want.is_some());
                     if let (Some(head), Some(want)) = (got, want) {
+                        now = now.max(head.key.time.as_nanos());
                         prop_assert_eq!(head.key, want.key);
                         prop_assert_eq!(head.target, want.target);
                         match (head.kind, want.payload) {
