@@ -36,8 +36,8 @@
 use srlb_bench::output::fmt;
 use srlb_bench::{
     default_jobs, fig2_mean_response, fig3_cdf_high_load, fig4_load_fairness, fig5_cdf_low_load,
-    fig6_wiki_median, fig7_wiki_deciles, fig8_wiki_cdf, fig9_rackzone_hunting, write_bench_micro,
-    write_csv, Scale, Sweep,
+    fig6_wiki_median, fig8_wiki_cdf, fig9_rackzone_hunting, write_bench_micro, write_csv, Scale,
+    Sweep,
 };
 use srlb_sim::ExecMode;
 
@@ -294,11 +294,10 @@ fn run_bench_macro(sweep: Sweep) {
     let report = srlb_bench::run_macro_bench(sweep);
     let fs = &report.flow_scale;
     println!(
-        "flow-scale: {} flows -> {} x {} slots ({} shards each), timeout {:.0} ms",
+        "flow-scale: {} flows -> {} x {} slots, timeout {:.0} ms",
         fs.distinct_flows,
         fs.instances,
         fs.capacity_per_instance,
-        fs.shards_per_instance,
         fs.idle_timeout_ns as f64 / 1e6,
     );
     println!(
@@ -603,9 +602,6 @@ fn run_fig6_and_7(sweep: Sweep) {
         ],
         &rows7,
     ));
-    // Figure 7 uses the same runs; fig7_wiki_deciles exists for programmatic
-    // use and the Criterion bench.
-    let _ = fig7_wiki_deciles;
 }
 
 fn run_fig8(sweep: Sweep) {

@@ -25,8 +25,8 @@ pub enum Scale {
     /// A reduced scale for quick command-line runs: fewer queries, fewer ρ
     /// points, a slice of the Wikipedia day.
     Quick,
-    /// The smallest meaningful scale, used by the Criterion benches so each
-    /// measured iteration stays in the tens-of-milliseconds range.
+    /// The smallest meaningful scale (`--tiny`): each run stays in the
+    /// tens-of-milliseconds range, for CI byte-diffs and the tests.
     Tiny,
 }
 
@@ -315,8 +315,8 @@ fn wiki_bins(result: &RunOutcome, bin_seconds: f64) -> WikiBinSeries {
     }
 }
 
-/// Figure 6: wiki-page query rate and median load time per time bin over the
-/// Wikipedia replay, for RR and SR4.
+/// Figures 6 and 7: wiki-page query rate, median load time and deciles 1–9
+/// per time bin over the Wikipedia replay, for RR and SR4 (one set of runs).
 pub fn fig6_wiki_median(sweep: Sweep) -> Vec<WikiBinSeries> {
     parallel_map(
         &[PolicyKind::RoundRobin, PolicyKind::Static { threshold: 4 }],
@@ -328,12 +328,6 @@ pub fn fig6_wiki_median(sweep: Sweep) -> Vec<WikiBinSeries> {
             )
         },
     )
-}
-
-/// Figure 7: deciles 1–9 of the wiki-page load time per time bin, for RR and
-/// SR4 (same runs as Figure 6).
-pub fn fig7_wiki_deciles(sweep: Sweep) -> Vec<WikiBinSeries> {
-    fig6_wiki_median(sweep)
 }
 
 /// The whole-day CDF comparison of Figure 8.

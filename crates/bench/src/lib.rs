@@ -1,18 +1,13 @@
 //! # srlb-bench — the figure-regeneration harness
 //!
 //! One function per figure of the paper's evaluation section (Figures 2–8,
-//! plus a deferred fault-injection figure, fig9),
-//! shared between:
+//! plus a deferred fault-injection figure, fig9), run by the `figures`
+//! binary (`cargo run -p srlb-bench --release --bin figures`), which prints
+//! and writes the series.
 //!
-//! * the `figures` binary (`cargo run -p srlb-bench --release --bin figures`),
-//!   which runs the paper-scale experiments and prints/writes the series, and
-//! * the Criterion benches (`cargo bench -p srlb-bench`), which run
-//!   scaled-down versions of the same code so the whole harness is exercised
-//!   quickly and regressions in experiment runtime are visible.
-//!
-//! Every function takes a [`Sweep`] — a [`Scale`] so the same code path
-//! serves both uses, a seed, a `jobs` worker count and the execution mode of
-//! each simulation: independent `(policy, ρ)` simulation points run across
+//! Every function takes a [`Sweep`] — a [`Scale`] (paper scale, or the
+//! `--quick` / `--tiny` reductions CI and the tests run), a seed, a `jobs`
+//! worker count and the execution mode of each simulation: independent `(policy, ρ)` simulation points run across
 //! scoped threads ([`parallel`]) with deterministic, byte-identical output
 //! regardless of the worker count and execution mode.  The [`micro`]
 //! module additionally writes machine-readable micro-bench medians
@@ -32,8 +27,8 @@ pub mod spec_run;
 
 pub use figures::{
     fig2_mean_response, fig3_cdf_high_load, fig4_load_fairness, fig5_cdf_low_load,
-    fig6_wiki_median, fig7_wiki_deciles, fig8_wiki_cdf, fig9_rackzone_hunting, CdfSeries,
-    Fig2Series, Fig4Series, Fig9Cell, Scale, Sweep, WikiBinSeries, WikiCdf, FIG9_LB_COUNTS,
+    fig6_wiki_median, fig8_wiki_cdf, fig9_rackzone_hunting, CdfSeries, Fig2Series, Fig4Series,
+    Fig9Cell, Scale, Sweep, WikiBinSeries, WikiCdf, FIG9_LB_COUNTS,
 };
 pub use macrobench::{
     run_macro_bench, write_bench_macro, AblationCell, FlowScaleReport, MacroBenchReport,

@@ -56,8 +56,6 @@ pub struct FlowScaleReport {
     pub instances: u64,
     /// Hard capacity bound per instance.
     pub capacity_per_instance: u64,
-    /// Shards per instance.
-    pub shards_per_instance: u64,
     /// Idle timeout used, in nanoseconds of simulated time.
     pub idle_timeout_ns: u64,
     /// Learns per wall-clock second over the primary pass (0 at tiny
@@ -198,7 +196,6 @@ pub fn flow_scale(flows: usize, timed: bool) -> FlowScaleReport {
         distinct_flows: (flows + 2 * churn) as u64,
         instances: INSTANCES as u64,
         capacity_per_instance: capacity as u64,
-        shards_per_instance: tables[0].config().shards() as u64,
         idle_timeout_ns: timeout.as_nanos(),
         learns_per_sec: 0.0,
         lookups_per_sec: 0.0,

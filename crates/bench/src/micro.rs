@@ -1,8 +1,8 @@
 //! Machine-readable micro-benchmarks of the per-flow hot path.
 //!
-//! This module runs the same operations as the `micro_lb` / `micro_net`
-//! Criterion benches but reports the medians as JSON (`BENCH_micro.json` at
-//! the repository root), so successive PRs can diff the perf trajectory
+//! The one micro harness: every per-flow and per-packet operation is timed
+//! here and the medians are written as JSON (`BENCH_micro.json` at the
+//! repository root), so successive PRs can diff the perf trajectory
 //! mechanically instead of eyeballing bench logs.  Invoke with:
 //!
 //! ```text
@@ -24,7 +24,7 @@ use srlb_core::dispatch::{
 };
 use srlb_core::spec::{ExperimentSpec, PolicyKind};
 use srlb_core::Runner;
-use srlb_core::{FlowState, IdWindow};
+use srlb_core::{FlowState, FlowStateConfig, IdWindow};
 use srlb_net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
 };
@@ -50,10 +50,9 @@ pub fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Measures `routine`'s median per-iteration time in nanoseconds, using the
-/// same batch-calibrated median-of-samples approach as the vendored
-/// criterion stand-in (batches sized so one sample spans ≥ 50 µs, median of
-/// 10 samples).
+/// Measures `routine`'s median per-iteration time in nanoseconds:
+/// batch-calibrated median of samples (batches sized so one sample spans
+/// ≥ 50 µs, median of 10 samples).
 fn median_ns<O, R: FnMut() -> O>(mut routine: R) -> f64 {
     black_box(routine());
     let target = Duration::from_micros(50);
@@ -109,7 +108,7 @@ pub fn run_all() -> BTreeMap<String, f64> {
         results.insert(name.to_string(), ns);
     };
 
-    // --- micro_lb: per-flow load-balancer operations -----------------------
+    // --- per-flow load-balancer operations ---------------------------------
     let mut out = CandidateList::new();
 
     let mut random = RandomDispatcher::power_of_two(servers.clone());
@@ -169,29 +168,10 @@ pub fn run_all() -> BTreeMap<String, f64> {
         }),
     );
 
-    // The explicitly-sharded flow state over the full 1024-key working set:
-    // the per-packet learn+lookup cost of the bounded-table subsystem in
-    // its unbounded configuration.
-    let mut sharded =
-        srlb_core::FlowState::with_config(srlb_core::FlowStateConfig::new().with_shards(8));
-    let mut i = 0;
-    record(
-        "flow_table_sharded_learn_and_lookup",
-        median_ns(|| {
-            i = (i + 1) % keys.len();
-            sharded.learn(keys[i], servers[i % servers.len()], SimTime::ZERO);
-            sharded.lookup(&keys[i], SimTime::ZERO)
-        }),
-    );
-
     // The eviction path: a table half the size of the cycling working set,
     // so (after warm-up) every learn is a miss that evicts the
     // least-recently-touched entry.
-    let mut bounded = srlb_core::FlowState::with_config(
-        srlb_core::FlowStateConfig::new()
-            .with_shards(8)
-            .with_capacity(512),
-    );
+    let mut bounded = FlowState::with_config(FlowStateConfig::new().with_capacity(512));
     let mut i = 0;
     record(
         "flow_table_bounded_learn_evict",
@@ -202,7 +182,7 @@ pub fn run_all() -> BTreeMap<String, f64> {
         }),
     );
 
-    // --- micro_net: per-packet wire operations -----------------------------
+    // --- per-packet wire operations ----------------------------------------
     let route = vec![
         plan.server_addr(ServerId(3)),
         plan.server_addr(ServerId(7)),
@@ -441,12 +421,6 @@ fn ping_pong<M: Bounce>(bounces: u64, batched: bool) -> u64 {
     stats.events_processed
 }
 
-/// The engine-loop ping-pong of a hunted SYN [`Packet`], for the criterion
-/// bench.
-pub fn packet_ping_pong(bounces: u64, batched: bool) -> u64 {
-    ping_pong::<Packet>(bounces, batched)
-}
-
 /// Events per wall-clock second of a million-bounce [`ping_pong`] with
 /// empty callbacks — the engine's loop overhead in isolation, without any
 /// load-balancer or server logic on top.
@@ -471,7 +445,7 @@ fn engine_loop_rate<M: Bounce>(batched: bool) -> f64 {
 ///
 /// The stepwise loop intentionally trails the batched loop by a few percent:
 /// its per-event time-bound check is already fused into the queue pop
-/// (`SimCore::step_within`), but only the batched loop can amortise the
+/// (`Network::run_until_stepwise`), but only the batched loop can amortise the
 /// node-registry take/put across a same-timestamp burst and hoist the bound
 /// check to once per time group.  Closing the rest would mean making the
 /// reference stepper batch — at which point it no longer cross-checks
@@ -685,7 +659,7 @@ mod tests {
     fn packet_ping_pong_bounces_a_routed_syn() {
         assert_eq!(<Packet as Bounce>::first().srh.unwrap().num_segments(), 3);
         // Four pairs: the opening message plus `bounces` returns each.
-        assert_eq!(packet_ping_pong(10, true), 4 * 11);
-        assert_eq!(packet_ping_pong(10, false), ping_pong::<u64>(10, false));
+        assert_eq!(ping_pong::<Packet>(10, true), 4 * 11);
+        assert_eq!(ping_pong::<Packet>(10, false), ping_pong::<u64>(10, false));
     }
 }

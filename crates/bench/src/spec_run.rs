@@ -47,11 +47,11 @@ use crate::figures::Scale;
 ///   shallow bounded LB → server queue, tail drops absorbed by
 ///   retransmission,
 /// * `bounded_flow_table` — the Poisson testbed at ρ = 0.89 through a
-///   memory-bounded flow table (256 entries over 8 shards, 30 s idle
-///   timeout, 5 s incremental sweep) under the load-aware policy: flows
-///   out-living their table entry are evicted under pressure, counted by
-///   cause, and candidates are ranked by the load hints servers piggyback
-///   on acceptance SYN-ACKs.
+///   memory-bounded flow table (256 entries, 30 s idle timeout, 5 s
+///   incremental sweep) under the load-aware policy: flows out-living
+///   their table entry are evicted under pressure, counted by cause, and
+///   candidates are ranked by the load hints servers piggyback on
+///   acceptance SYN-ACKs.
 pub fn example_specs() -> Vec<(&'static str, ExperimentSpec)> {
     let poisson = ExperimentSpec::poisson_paper(0.89, PolicyKind::Dynamic).with_seed(42);
     let poisson_48 = ExperimentSpec::poisson_paper(0.89, PolicyKind::Dynamic)
@@ -105,7 +105,6 @@ pub fn example_specs() -> Vec<(&'static str, ExperimentSpec)> {
     .with_flow_table(srlb_core::spec::FlowTableSpec {
         idle_timeout_s: 30.0,
         capacity: Some(256),
-        shards: 8,
         sweep_interval_s: Some(5.0),
     });
     vec![

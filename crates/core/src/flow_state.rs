@@ -1,26 +1,23 @@
-//! Sharded, memory-bounded flow-state store.
+//! Memory-bounded flow-state store.
 //!
-//! This module replaces the original single-map flow table with a subsystem
-//! designed for the "millions of concurrent flows" regime the paper targets:
+//! One load balancer is one single-threaded node keeping one table (flow →
+//! accepting server, learned from the SR header of the SYN-ACK), sized for
+//! the "millions of concurrent flows" regime the paper targets: one index
+//! map, one intrusive recency list and one free list over one slot vector.
 //!
-//! * **Sharding** — entries are spread over a power-of-two number of shards
-//!   selected from the upper bits of [`FlowKey`]'s cached 64-bit hash (the
-//!   map bucket index consumes the low bits), so each shard's recency list
-//!   and expiry cursor stay short and independent.
 //! * **Bounded capacity** — an optional hard bound on the number of entries.
-//!   When full, learning a new flow evicts the globally least-recently
-//!   touched entry.  Every eviction is classified ([`EvictionCause`]) and
-//!   counted: an established, recently-active flow is *never* dropped
-//!   silently.
-//! * **Incremental expiry** — each shard keeps its entries in an intrusive
-//!   least-recently-touched list, so [`FlowState::expire_idle`] pops only the
-//!   expired prefix of each shard: cost is O(entries actually expired), not
-//!   O(table size) as the old full-scan `retain` was.
-//! * **Alloc-free steady state** — slots are recycled through an intrusive
-//!   free list, so the warm learn/lookup/evict path performs no heap
-//!   allocation (pinned by the counting-allocator test suite).
+//!   When full, learning a new flow evicts the least-recently touched entry,
+//!   the head of the recency list: O(1).  Every eviction is classified
+//!   ([`EvictionCause`]) and counted: an established, recently-active flow
+//!   is *never* dropped silently.
+//! * **Incremental expiry** — [`FlowState::expire_idle`] pops only the
+//!   expired prefix of the recency list: cost is O(entries actually
+//!   expired), not O(table size) as a full-scan `retain` would be.
+//! * **Alloc-free steady state** — slots are recycled through the free list,
+//!   so the warm learn/lookup/evict path performs no heap allocation (pinned
+//!   by the counting-allocator test suite).
 //!
-//! Expiry exactness: the recency list orders entries by *touch* sequence.
+//! Expiry exactness: the recency list orders entries by *touch* order.
 //! Under monotonic timestamps — which the simulator guarantees per node —
 //! touch order equals `last_active` order and prefix-popping is exact.  If a
 //! caller supplies out-of-order timestamps, an entry may expire *late* (a
@@ -37,10 +34,6 @@ use srlb_sim::{SimDuration, SimTime};
 /// Sentinel index terminating the intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Default shard count; a small power of two keeps per-shard lists short
-/// without bloating tiny tables.
-pub const DEFAULT_SHARDS: usize = 8;
-
 /// Default idle timeout in seconds (a typical TCP session timeout for
 /// data-centre load balancers).
 pub const DEFAULT_IDLE_TIMEOUT_SECS: u64 = 300;
@@ -50,17 +43,14 @@ pub const DEFAULT_IDLE_TIMEOUT_SECS: u64 = 300;
 pub struct FlowStateConfig {
     idle_timeout: SimDuration,
     capacity: Option<usize>,
-    shards: usize,
 }
 
 impl FlowStateConfig {
-    /// The default configuration: five-minute idle timeout, unbounded,
-    /// [`DEFAULT_SHARDS`] shards.
+    /// The default configuration: five-minute idle timeout, unbounded.
     pub fn new() -> Self {
         FlowStateConfig {
             idle_timeout: SimDuration::from_secs(DEFAULT_IDLE_TIMEOUT_SECS),
             capacity: None,
-            shards: DEFAULT_SHARDS,
         }
     }
 
@@ -81,20 +71,6 @@ impl FlowStateConfig {
         self
     }
 
-    /// Sets the shard count (must be a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or not a power of two.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(
-            shards.is_power_of_two(),
-            "flow-state shard count must be a power of two, got {shards}"
-        );
-        self.shards = shards;
-        self
-    }
-
     /// The configured idle timeout.
     pub fn idle_timeout(&self) -> SimDuration {
         self.idle_timeout
@@ -103,11 +79,6 @@ impl FlowStateConfig {
     /// The configured capacity bound, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 }
 
@@ -137,22 +108,21 @@ pub struct FlowStateStats {
 
 /// One stored flow entry plus its intrusive-list links.
 ///
-/// `prev`/`next` thread the shard's recency list while occupied and the free
-/// list (via `next`) while vacant, so slot recycling never allocates.
+/// `prev`/`next` thread the recency list while occupied and the free list
+/// (via `next`) while vacant, so slot recycling never allocates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     key: FlowKey,
     server: Ipv6Addr,
     last_active: SimTime,
-    /// Global touch sequence number; higher = touched more recently.
-    seq: u64,
     prev: u32,
     next: u32,
 }
 
-/// One shard: an index map plus an intrusive recency list over `slots`.
-#[derive(Debug, Clone, Default)]
-struct Shard {
+/// The optionally bounded flow → server stickiness table.
+#[derive(Debug, Clone)]
+pub struct FlowState {
+    config: FlowStateConfig,
     map: HashMap<FlowKey, u32, PassthroughHashBuilder>,
     slots: Vec<Slot>,
     /// Head of the vacant-slot free list (linked through `Slot::next`).
@@ -161,96 +131,6 @@ struct Shard {
     head: u32,
     /// Most-recently-touched occupied slot.
     tail: u32,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            map: HashMap::with_hasher(PassthroughHashBuilder),
-            slots: Vec::new(),
-            free_head: NIL,
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let s = &self.slots[idx as usize];
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    fn push_tail(&mut self, idx: u32) {
-        let old_tail = self.tail;
-        {
-            let s = &mut self.slots[idx as usize];
-            s.prev = old_tail;
-            s.next = NIL;
-        }
-        if old_tail == NIL {
-            self.head = idx;
-        } else {
-            self.slots[old_tail as usize].next = idx;
-        }
-        self.tail = idx;
-    }
-
-    fn move_to_tail(&mut self, idx: u32) {
-        if self.tail == idx {
-            return;
-        }
-        self.unlink(idx);
-        self.push_tail(idx);
-    }
-
-    fn alloc(&mut self, slot: Slot) -> u32 {
-        if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next;
-            self.slots[idx as usize] = slot;
-            idx
-        } else {
-            assert!(self.slots.len() < NIL as usize, "shard slot index overflow");
-            let idx = self.slots.len() as u32;
-            self.slots.push(slot);
-            idx
-        }
-    }
-
-    fn release(&mut self, idx: u32) {
-        self.slots[idx as usize].next = self.free_head;
-        self.free_head = idx;
-    }
-
-    /// Removes the occupied slot `idx` from map, recency list and storage.
-    fn discard(&mut self, idx: u32) {
-        let key = self.slots[idx as usize].key;
-        self.map.remove(&key);
-        self.unlink(idx);
-        self.release(idx);
-    }
-}
-
-/// The sharded, optionally bounded flow → server stickiness table.
-#[derive(Debug, Clone)]
-pub struct FlowState {
-    config: FlowStateConfig,
-    shards: Vec<Shard>,
-    shard_mask: usize,
-    len: usize,
-    /// Global monotonic touch counter, stamped on every learn/lookup.
-    seq: u64,
     occupancy: OccupancyGauge,
     inserted: u64,
     expired: u64,
@@ -262,10 +142,11 @@ impl FlowState {
     pub fn with_config(config: FlowStateConfig) -> Self {
         FlowState {
             config,
-            shards: (0..config.shards).map(|_| Shard::new()).collect(),
-            shard_mask: config.shards - 1,
-            len: 0,
-            seq: 0,
+            map: HashMap::with_hasher(PassthroughHashBuilder),
+            slots: Vec::new(),
+            free_head: NIL,
+            head: NIL,
+            tail: NIL,
             occupancy: OccupancyGauge::new(),
             inserted: 0,
             expired: 0,
@@ -301,12 +182,12 @@ impl FlowState {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.map.len()
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.map.is_empty()
     }
 
     /// Total number of insertions performed.
@@ -333,73 +214,103 @@ impl FlowState {
         }
     }
 
-    #[inline]
-    fn shard_of(&self, flow: &FlowKey) -> usize {
-        // The map's bucket index consumes the low hash bits; bits 32+ are
-        // uniformly mixed by the SplitMix64 finaliser and independent enough
-        // to pick the shard.
-        ((flow.stable_hash() >> 32) as usize) & self.shard_mask
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next) = {
+            let s = &self.slots[idx as usize];
+            (s.prev, s.next)
+        };
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+    }
+
+    fn push_tail(&mut self, idx: u32) {
+        let old_tail = self.tail;
+        {
+            let s = &mut self.slots[idx as usize];
+            s.prev = old_tail;
+            s.next = NIL;
+        }
+        if old_tail == NIL {
+            self.head = idx;
+        } else {
+            self.slots[old_tail as usize].next = idx;
+        }
+        self.tail = idx;
+    }
+
+    /// Marks the occupied slot `idx` as touched at `now`.
+    fn touch(&mut self, idx: u32, now: SimTime) {
+        self.slots[idx as usize].last_active = now;
+        if self.tail != idx {
+            self.unlink(idx);
+            self.push_tail(idx);
+        }
+    }
+
+    fn alloc(&mut self, slot: Slot) -> u32 {
+        if self.free_head != NIL {
+            let idx = self.free_head;
+            self.free_head = self.slots[idx as usize].next;
+            self.slots[idx as usize] = slot;
+            idx
+        } else {
+            assert!(self.slots.len() < NIL as usize, "slot index overflow");
+            let idx = self.slots.len() as u32;
+            self.slots.push(slot);
+            idx
+        }
+    }
+
+    /// Removes the occupied slot `idx` from map, recency list and storage.
+    fn discard(&mut self, idx: u32) {
+        let key = self.slots[idx as usize].key;
+        self.map.remove(&key);
+        self.unlink(idx);
+        self.slots[idx as usize].next = self.free_head;
+        self.free_head = idx;
+        self.occupancy.remove(1);
     }
 
     /// Records (or refreshes) the owner of `flow`.
     ///
     /// At capacity, learning a *new* flow first evicts the least-recently
-    /// touched entry across all shards (see [`EvictionCause`] for how the
-    /// victim's state is classified and counted).
+    /// touched entry (see [`EvictionCause`] for how the victim's state is
+    /// classified and counted).
     pub fn learn(&mut self, flow: FlowKey, server: Ipv6Addr, now: SimTime) {
         self.inserted += 1;
-        self.seq += 1;
-        let seq = self.seq;
-        let si = self.shard_of(&flow);
-        if let Some(&idx) = self.shards[si].map.get(&flow) {
-            let shard = &mut self.shards[si];
-            let slot = &mut shard.slots[idx as usize];
-            slot.server = server;
-            slot.last_active = now;
-            slot.seq = seq;
-            shard.move_to_tail(idx);
+        if let Some(&idx) = self.map.get(&flow) {
+            self.slots[idx as usize].server = server;
+            self.touch(idx, now);
             return;
         }
-        if let Some(cap) = self.config.capacity {
-            if self.len >= cap {
-                self.evict_lru(now);
-            }
+        if self.config.capacity.is_some_and(|cap| self.len() >= cap) {
+            self.evict_lru(now);
         }
-        let shard = &mut self.shards[si];
-        let idx = shard.alloc(Slot {
+        let idx = self.alloc(Slot {
             key: flow,
             server,
             last_active: now,
-            seq,
             prev: NIL,
             next: NIL,
         });
-        shard.map.insert(flow, idx);
-        shard.push_tail(idx);
-        self.len += 1;
+        self.map.insert(flow, idx);
+        self.push_tail(idx);
         self.occupancy.add(1);
     }
 
-    /// Evicts the globally least-recently-touched entry.
-    ///
-    /// Each shard's recency list is ordered by touch sequence, so the global
-    /// minimum is always one of the shard heads — victim selection is a scan
-    /// over `shards` heads, independent of table size.
+    /// Evicts the least-recently-touched entry: the head of the recency
+    /// list.  Only called at capacity, which is at least one entry.
     fn evict_lru(&mut self, now: SimTime) {
-        let mut victim: Option<(usize, u32, u64)> = None;
-        for (si, shard) in self.shards.iter().enumerate() {
-            if shard.head == NIL {
-                continue;
-            }
-            let seq = shard.slots[shard.head as usize].seq;
-            if victim.is_none_or(|(_, _, best)| seq < best) {
-                victim = Some((si, shard.head, seq));
-            }
-        }
-        let Some((si, idx, _)) = victim else {
-            return;
-        };
-        let idle = now.duration_since(self.shards[si].slots[idx as usize].last_active);
+        let idx = self.head;
+        let idle = now.duration_since(self.slots[idx as usize].last_active);
         let timeout = self.config.idle_timeout;
         let cause = if idle > timeout {
             EvictionCause::Expired
@@ -409,64 +320,46 @@ impl FlowState {
             EvictionCause::Active
         };
         self.evictions.record(cause);
-        self.shards[si].discard(idx);
-        self.len -= 1;
-        self.occupancy.remove(1);
+        self.discard(idx);
     }
 
     /// Looks up the owner of `flow`, refreshing its activity timestamp.
     pub fn lookup(&mut self, flow: &FlowKey, now: SimTime) -> Option<Ipv6Addr> {
-        let si = self.shard_of(flow);
-        let shard = &mut self.shards[si];
-        let &idx = shard.map.get(flow)?;
-        self.seq += 1;
-        let slot = &mut shard.slots[idx as usize];
-        slot.last_active = now;
-        slot.seq = self.seq;
-        let server = slot.server;
-        shard.move_to_tail(idx);
-        Some(server)
+        let &idx = self.map.get(flow)?;
+        self.touch(idx, now);
+        Some(self.slots[idx as usize].server)
     }
 
     /// Looks up the owner of `flow` without refreshing it.
     pub fn peek(&self, flow: &FlowKey) -> Option<Ipv6Addr> {
-        let shard = &self.shards[self.shard_of(flow)];
-        let idx = *shard.map.get(flow)?;
-        Some(shard.slots[idx as usize].server)
+        let &idx = self.map.get(flow)?;
+        Some(self.slots[idx as usize].server)
     }
 
     /// Removes the entry for `flow` (connection closed), returning the owner.
     pub fn remove(&mut self, flow: &FlowKey) -> Option<Ipv6Addr> {
-        let si = self.shard_of(flow);
-        let shard = &mut self.shards[si];
-        let &idx = shard.map.get(flow)?;
-        let server = shard.slots[idx as usize].server;
-        shard.discard(idx);
-        self.len -= 1;
-        self.occupancy.remove(1);
+        let &idx = self.map.get(flow)?;
+        let server = self.slots[idx as usize].server;
+        self.discard(idx);
         Some(server)
     }
 
     /// Drops every entry idle for longer than the configured timeout;
     /// returns how many were removed.
     ///
-    /// Cost is O(removed + shards): each shard pops the expired prefix of
-    /// its recency list and stops at the first survivor.
+    /// Cost is O(removed): the expired prefix of the recency list is popped,
+    /// stopping at the first survivor.
     pub fn expire_idle(&mut self, now: SimTime) -> usize {
         let timeout = self.config.idle_timeout;
         let mut removed = 0usize;
-        for shard in &mut self.shards {
-            while shard.head != NIL {
-                let idx = shard.head;
-                if now.duration_since(shard.slots[idx as usize].last_active) <= timeout {
-                    break;
-                }
-                shard.discard(idx);
-                removed += 1;
+        while self.head != NIL {
+            let idx = self.head;
+            if now.duration_since(self.slots[idx as usize].last_active) <= timeout {
+                break;
             }
+            self.discard(idx);
+            removed += 1;
         }
-        self.len -= removed;
-        self.occupancy.remove(removed as u64);
         self.expired += removed as u64;
         removed
     }
@@ -474,32 +367,26 @@ impl FlowState {
     /// Drops all entries (a fail-over wipe) while keeping the configuration
     /// and accumulated statistics; returns how many entries were lost.
     pub fn wipe(&mut self) -> usize {
-        let lost = self.len;
-        for shard in &mut self.shards {
-            shard.map.clear();
-            shard.slots.clear();
-            shard.free_head = NIL;
-            shard.head = NIL;
-            shard.tail = NIL;
-        }
-        self.len = 0;
+        let lost = self.len();
+        self.map.clear();
+        self.slots.clear();
+        self.free_head = NIL;
+        self.head = NIL;
+        self.tail = NIL;
         self.occupancy.clear();
         lost
     }
 
     /// Analytic resident-memory estimate in bytes: slot storage plus an
-    /// approximation of the index maps' bucket arrays.  Deterministic for a
+    /// approximation of the index map's bucket array.  Deterministic for a
     /// given operation sequence (container growth is deterministic), which is
     /// what the macro-bench's committed numbers rely on.
     pub fn resident_bytes(&self) -> u64 {
-        let mut total = std::mem::size_of::<Self>() as u64;
         // Per bucket, the map stores the key/value pair plus one control byte.
         let bucket = std::mem::size_of::<(FlowKey, u32)>() + 1;
-        for shard in &self.shards {
-            total += (shard.slots.capacity() * std::mem::size_of::<Slot>()) as u64;
-            total += (shard.map.capacity() * bucket) as u64;
-        }
-        total
+        (std::mem::size_of::<Self>()
+            + self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.map.capacity() * bucket) as u64
     }
 }
 
@@ -511,26 +398,23 @@ impl Default for FlowState {
 
 impl PartialEq for FlowState {
     /// Structural equality: same configuration, same lifetime counters and
-    /// the same `flow → (server, last_active)` entries — independent of shard
-    /// layout, slot placement or touch history.
+    /// the same `flow → (server, last_active)` entries — independent of slot
+    /// placement or touch history.
     fn eq(&self, other: &Self) -> bool {
         if self.config != other.config
-            || self.len != other.len
+            || self.len() != other.len()
             || self.inserted != other.inserted
             || self.expired != other.expired
             || self.evictions != other.evictions
         {
             return false;
         }
-        self.shards.iter().all(|shard| {
-            // srlb-lint: allow(unordered-iter) -- `.all()` over every entry is order-independent; no order-sensitive value escapes
-            shard.map.iter().all(|(key, &idx)| {
-                let slot = &shard.slots[idx as usize];
-                let other_shard = &other.shards[other.shard_of(key)];
-                other_shard.map.get(key).is_some_and(|&oidx| {
-                    let oslot = &other_shard.slots[oidx as usize];
-                    oslot.server == slot.server && oslot.last_active == slot.last_active
-                })
+        // srlb-lint: allow(unordered-iter) -- `.all()` over every entry is order-independent; no order-sensitive value escapes
+        self.map.iter().all(|(key, &idx)| {
+            let slot = &self.slots[idx as usize];
+            other.map.get(key).is_some_and(|&oidx| {
+                let oslot = &other.slots[oidx as usize];
+                oslot.server == slot.server && oslot.last_active == slot.last_active
             })
         })
     }
@@ -676,8 +560,8 @@ mod tests {
 
     #[test]
     fn eviction_victim_is_globally_least_recently_touched() {
-        // Many flows spread over shards; the victim must always be the entry
-        // with the globally smallest touch sequence, regardless of shard.
+        // The victim must always be the entry touched longest ago, wherever
+        // it was learned.
         let mut table = bounded(16, 1000);
         for p in 0..16 {
             table.learn(flow(p), server(p), at(p as u64));
@@ -737,21 +621,15 @@ mod tests {
 
     #[test]
     fn slots_are_recycled_through_the_free_list() {
-        // A single shard makes the recycling bound exact: storage never
-        // exceeds the shard's peak occupancy, i.e. the capacity.
-        let mut table = FlowState::with_config(
-            FlowStateConfig::new()
-                .with_idle_timeout(SimDuration::from_secs(100))
-                .with_capacity(2)
-                .with_shards(1),
-        );
+        // Storage never exceeds the peak occupancy, i.e. the capacity.
+        let mut table = bounded(2, 100);
         for p in 0..20u16 {
             table.learn(flow(p), server(p), at(p as u64));
         }
         assert_eq!(table.len(), 2);
         assert_eq!(table.stats().evictions.total(), 18);
         assert_eq!(
-            table.shards[0].slots.len(),
+            table.slots.len(),
             2,
             "churn through distinct keys must recycle slots, not allocate"
         );
@@ -797,18 +675,6 @@ mod tests {
         assert_ne!(a, b, "a refreshed timestamp is a structural difference");
         assert!(b.lookup(&flow(1), at(5)).is_some());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn shard_counts_are_validated() {
-        FlowStateConfig::new().with_shards(1);
-        FlowStateConfig::new().with_shards(64);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_shards_panics() {
-        FlowStateConfig::new().with_shards(6);
     }
 
     #[test]

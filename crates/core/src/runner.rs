@@ -26,7 +26,7 @@
 //!
 //! # Execution modes
 //!
-//! The runner drives the simulation through [`srlb_sim::ShardedNetwork`]
+//! The runner drives the simulation through [`srlb_sim::Network`]
 //! under an [`ExecMode`]: the reference per-event loop, the single-threaded
 //! same-timestamp batched loop (default), or conservative-window sharding
 //! across worker threads.  All three produce **byte-identical** outcomes —
@@ -52,8 +52,7 @@ use srlb_metrics::{
 use srlb_net::{AddressPlan, Packet, ServerId};
 use srlb_server::{tier_members, Directory, ServerConfig, ServerNode, ServerStats};
 use srlb_sim::{
-    ExecMode, NodeId, PoolPolicy, RunUntil, ShardPlan, ShardedNetwork, SimDuration, SimStats,
-    SimTime,
+    ExecMode, Network, NodeId, PoolPolicy, RunUntil, ShardPlan, SimDuration, SimStats, SimTime,
 };
 
 use crate::client::{client_addr_count, ClientNode};
@@ -278,7 +277,7 @@ impl Runner {
 
     /// Advances the network under `policy` using the configured execution
     /// mode's loop.
-    fn drive(&self, network: &mut ShardedNetwork<Packet>, policy: RunUntil) -> SimStats {
+    fn drive(&self, network: &mut Network<Packet>, policy: RunUntil) -> SimStats {
         match self.exec {
             ExecMode::SerialStep => network.run_until_stepwise(policy),
             ExecMode::Batched | ExecMode::Sharded { .. } => network.run_until(policy),
@@ -334,8 +333,8 @@ impl Runner {
                 node_count,
             );
         }
-        let mut network: ShardedNetwork<Packet> =
-            ShardedNetwork::with_pool_policy(spec.seed, topology, self.shard_plan(), self.pool);
+        let mut network: Network<Packet> =
+            Network::with_pool_policy(spec.seed, topology, self.shard_plan(), self.pool);
         // Describe the plan actually in effect (after any single-core
         // collapse).  Informational only — it must never enter serialized
         // run reports, which are byte-diffed across `--sim-threads` values.
@@ -439,7 +438,7 @@ impl Runner {
         // Rebuilds every tier instance's dispatcher over the current
         // backend set (server churn is tier-wide: withdrawn instances are
         // rebuilt too, so a later re-advertisement steers correctly).
-        let rebuild_tier = |network: &mut ShardedNetwork<Packet>, addrs: &[Ipv6Addr]| {
+        let rebuild_tier = |network: &mut Network<Packet>, addrs: &[Ipv6Addr]| {
             for &lb in &lb_ids {
                 network
                     .node_as_mut::<LoadBalancerNode>(lb)
@@ -830,7 +829,6 @@ mod tests {
             .with_flow_table(FlowTableSpec {
                 idle_timeout_s: 30.0,
                 capacity: Some(32),
-                shards: 4,
                 sweep_interval_s: Some(5.0),
             });
         let outcome = Runner::new(spec.clone()).unwrap().run();

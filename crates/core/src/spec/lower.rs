@@ -15,8 +15,7 @@ impl FlowTableSpec {
     /// Builds the configured [`FlowState`] table.
     pub fn build(&self) -> FlowState {
         let mut config = FlowStateConfig::new()
-            .with_idle_timeout(srlb_sim::SimDuration::from_secs_f64(self.idle_timeout_s))
-            .with_shards(self.shards);
+            .with_idle_timeout(srlb_sim::SimDuration::from_secs_f64(self.idle_timeout_s));
         if let Some(capacity) = self.capacity {
             config = config.with_capacity(capacity);
         }
@@ -198,7 +197,6 @@ mod tests {
         let table = FlowTableSpec {
             idle_timeout_s: 30.0,
             capacity: Some(256),
-            shards: 4,
             sweep_interval_s: Some(5.0),
         };
         let state = table.build();
@@ -207,7 +205,6 @@ mod tests {
             srlb_sim::SimDuration::from_secs_f64(30.0)
         );
         assert_eq!(state.capacity(), Some(256));
-        assert_eq!(state.config().shards(), 4);
         assert_eq!(
             table.sweep_interval(),
             Some(srlb_sim::SimDuration::from_secs_f64(5.0))

@@ -23,7 +23,7 @@ use srlb_sim::TopologyModel;
 use srlb_workload::Request;
 
 use crate::dispatch::DispatcherConfig;
-use crate::flow_state::{DEFAULT_IDLE_TIMEOUT_SECS, DEFAULT_SHARDS};
+use crate::flow_state::DEFAULT_IDLE_TIMEOUT_SECS;
 
 mod lower;
 mod presets;
@@ -243,14 +243,6 @@ fn idle_timeout_is_default(s: &f64) -> bool {
     *s == DEFAULT_IDLE_TIMEOUT_SECS as f64
 }
 
-fn default_flow_shards() -> usize {
-    DEFAULT_SHARDS
-}
-
-fn shards_is_default(n: &usize) -> bool {
-    *n == DEFAULT_SHARDS
-}
-
 /// Serde skip predicate for [`ClusterSpec::flow_table`]: the unbounded
 /// default table is not serialised, so committed specs written before the
 /// flow-state subsystem existed parse and re-serialise byte-identically
@@ -278,12 +270,6 @@ pub struct FlowTableSpec {
     /// is counted by cause in [`crate::lb_node::LbStats`].
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub capacity: Option<usize>,
-    /// Number of power-of-two shards the table is split into.
-    #[serde(
-        default = "default_flow_shards",
-        skip_serializing_if = "shards_is_default"
-    )]
-    pub shards: usize,
     /// Interval of the amortised incremental expiry sweep, in seconds;
     /// `None` expires lazily on access only.
     #[serde(default, skip_serializing_if = "Option::is_none")]
@@ -295,7 +281,6 @@ impl Default for FlowTableSpec {
         FlowTableSpec {
             idle_timeout_s: default_idle_timeout_s(),
             capacity: None,
-            shards: DEFAULT_SHARDS,
             sweep_interval_s: None,
         }
     }
@@ -889,16 +874,20 @@ mod tests {
         let spec = spec.with_flow_table(FlowTableSpec {
             idle_timeout_s: 30.0,
             capacity: Some(256),
-            shards: DEFAULT_SHARDS,
             sweep_interval_s: Some(5.0),
         });
         let json = serde_json::to_string(&spec).unwrap();
         assert!(json.contains("\"capacity\":256"), "{json}");
         assert!(json.contains("\"idle_timeout_s\":30.0"), "{json}");
-        assert!(!json.contains("shards"), "default shards skipped: {json}");
         let back: ExperimentSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back, spec);
         spec.validate().unwrap();
+
+        // The retired `shards` knob never changed an output; a spec that
+        // still carries it parses to the same experiment.
+        let old = json.replace("\"capacity\":256", "\"capacity\":256,\"shards\":4");
+        assert_ne!(old, json);
+        assert_eq!(serde_json::from_str::<ExperimentSpec>(&old).unwrap(), spec);
     }
 
     #[test]

@@ -22,12 +22,6 @@ impl FlowTableSpec {
         if self.capacity == Some(0) {
             return bad("a bounded flow table needs capacity for at least one flow".into());
         }
-        if self.shards == 0 || !self.shards.is_power_of_two() {
-            return bad(format!(
-                "flow-table shard count {} must be a power of two",
-                self.shards
-            ));
-        }
         if let Some(sweep) = self.sweep_interval_s {
             if !sweep.is_finite() || sweep <= 0.0 {
                 return bad(format!(
@@ -429,13 +423,6 @@ mod tests {
         // Zero capacity.
         assert!(with_table(FlowTableSpec {
             capacity: Some(0),
-            ..FlowTableSpec::default()
-        })
-        .validate()
-        .is_err());
-        // Non-power-of-two shard count.
-        assert!(with_table(FlowTableSpec {
-            shards: 3,
             ..FlowTableSpec::default()
         })
         .validate()

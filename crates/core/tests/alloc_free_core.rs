@@ -103,18 +103,15 @@ fn per_flow_operations_are_allocation_free() {
 
     // Bounded table under sustained eviction pressure: cycle a fixed
     // working set twice the capacity, so every learn of a currently-absent
-    // key evicts the LRU entry and recycles its slot from the shard's free
-    // list.  After one warm-up lap has grown each shard to its peak, the
+    // key evicts the LRU entry and recycles its slot from the free list.
+    // After one warm-up lap has grown the table to its peak, the
     // steady-state learn → evict → reinsert → lookup cycle must not touch
     // the allocator.
-    let mut bounded = srlb_core::FlowState::with_config(
-        srlb_core::FlowStateConfig::new()
-            .with_capacity(128)
-            .with_shards(8),
-    );
+    let mut bounded =
+        srlb_core::FlowState::with_config(srlb_core::FlowStateConfig::new().with_capacity(128));
     // Two untimed laps: the first fills the table, the second cycles the
-    // eviction window through every wrap-around position so each shard's
-    // slot storage and index map reach their all-time peak before timing.
+    // eviction window through every wrap-around position so the slot
+    // storage and index map reach their all-time peak before timing.
     for _ in 0..2 {
         for (i, key) in keys.iter().enumerate() {
             bounded.learn(*key, servers[i % servers.len()], SimTime::ZERO);

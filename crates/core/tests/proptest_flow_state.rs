@@ -1,13 +1,13 @@
-//! Property-based equivalence between the sharded, bounded [`FlowState`]
-//! and an unsharded reference model.
+//! Property-based equivalence between the bounded [`FlowState`] and a
+//! reference model.
 //!
 //! The model is deliberately naive — a flat `Vec` with linear scans and a
 //! min-sequence victim search — so its semantics are obvious by inspection:
 //! LRU eviction picks the globally least-recently-touched entry, expiry
 //! drops everything idle beyond the timeout, and every departure is counted
-//! under exactly one cause.  The sharded table must match it entry for
-//! entry and counter for counter at every shard count, and a bounded spec
-//! must replay byte-identically across every execution mode.
+//! under exactly one cause.  The table must match it entry for entry and
+//! counter for counter, and a bounded spec must replay byte-identically
+//! across every execution mode.
 
 use std::net::Ipv6Addr;
 
@@ -30,7 +30,7 @@ fn flow(client: u32, port: u16) -> FlowKey {
     )
 }
 
-/// Unsharded reference: the exact published semantics of [`FlowState`],
+/// Reference: the exact published semantics of [`FlowState`],
 /// written as linear scans over a flat entry list.
 struct Model {
     capacity: Option<usize>,
@@ -128,10 +128,10 @@ impl Model {
 }
 
 proptest! {
-    /// The bounded sharded table matches the unsharded reference model —
-    /// entries, lookup/remove results and all lifetime counters — at every
-    /// shard count, under an arbitrary interleaving of learn / lookup /
-    /// peek / remove / expire with monotonically advancing time.
+    /// The bounded table matches the reference model — entries,
+    /// lookup/remove results and all lifetime counters — under an arbitrary
+    /// interleaving of learn / lookup / peek / remove / expire with
+    /// monotonically advancing time.
     ///
     /// The closing accounting identity pins the headline guarantee: every
     /// entry that ever left a bounded table is attributed to exactly one of
@@ -139,7 +139,7 @@ proptest! {
     /// dropped silently — in particular, every capacity eviction of an
     /// active established entry shows up in `evictions.active`.
     #[test]
-    fn bounded_sharded_table_matches_unsharded_model(
+    fn bounded_table_matches_the_model(
         ops in prop::collection::vec(
             // (op selector, client, port, server, time advance in µs)
             (0u8..5, 0u32..8, 1u16..12, 0u32..12, 0u64..2_000_000),
@@ -151,17 +151,11 @@ proptest! {
         let plan = AddressPlan::default();
         let timeout = SimDuration::from_secs(timeout_s);
         let mut model = Model::new(capacity, timeout);
-        let mut tables: Vec<FlowState> = [1usize, 2, 4, 8]
-            .iter()
-            .map(|&shards| {
-                FlowState::with_config(
-                    FlowStateConfig::new()
-                        .with_idle_timeout(timeout)
-                        .with_capacity(capacity)
-                        .with_shards(shards),
-                )
-            })
-            .collect();
+        let mut table = FlowState::with_config(
+            FlowStateConfig::new()
+                .with_idle_timeout(timeout)
+                .with_capacity(capacity),
+        );
         let mut now = SimTime::ZERO;
         let mut fresh_learns = 0u64;
         let mut removed_ok = 0u64;
@@ -175,62 +169,48 @@ proptest! {
                         fresh_learns += 1;
                     }
                     model.learn(f, addr, now);
-                    for table in &mut tables {
-                        table.learn(f, addr, now);
-                    }
+                    table.learn(f, addr, now);
                 }
                 1 => {
                     let expected = model.lookup(&f, now);
-                    for table in &mut tables {
-                        prop_assert_eq!(table.lookup(&f, now), expected);
-                    }
+                    prop_assert_eq!(table.lookup(&f, now), expected);
                 }
                 2 => {
                     let expected = model.peek(&f);
-                    for table in &tables {
-                        prop_assert_eq!(table.peek(&f), expected);
-                    }
+                    prop_assert_eq!(table.peek(&f), expected);
                 }
                 3 => {
                     let expected = model.remove(&f);
                     if expected.is_some() {
                         removed_ok += 1;
                     }
-                    for table in &mut tables {
-                        prop_assert_eq!(table.remove(&f), expected);
-                    }
+                    prop_assert_eq!(table.remove(&f), expected);
                 }
                 _ => {
                     let expected = model.expire_idle(now);
-                    for table in &mut tables {
-                        prop_assert_eq!(table.expire_idle(now), expected);
-                    }
+                    prop_assert_eq!(table.expire_idle(now), expected);
                 }
             }
-            for table in &tables {
-                prop_assert_eq!(table.len(), model.entries.len());
-            }
+            prop_assert_eq!(table.len(), model.entries.len());
         }
-        for table in &tables {
-            for &(f, addr, _, _) in &model.entries {
-                prop_assert_eq!(table.peek(&f), Some(addr));
-            }
-            let stats = table.stats();
-            prop_assert_eq!(stats.inserted, model.inserted);
-            prop_assert_eq!(stats.expired, model.expired);
-            prop_assert_eq!(stats.evictions, model.evictions);
-            prop_assert_eq!(stats.peak_occupancy, model.peak);
-            prop_assert!(stats.peak_occupancy <= capacity as u64);
-            // Every departure is accounted for: distinct insertions equal
-            // survivors plus expiries plus per-cause evictions plus removes.
-            prop_assert_eq!(
-                fresh_learns,
-                table.len() as u64
-                    + stats.expired
-                    + stats.evictions.total()
-                    + removed_ok
-            );
+        for &(f, addr, _, _) in &model.entries {
+            prop_assert_eq!(table.peek(&f), Some(addr));
         }
+        let stats = table.stats();
+        prop_assert_eq!(stats.inserted, model.inserted);
+        prop_assert_eq!(stats.expired, model.expired);
+        prop_assert_eq!(stats.evictions, model.evictions);
+        prop_assert_eq!(stats.peak_occupancy, model.peak);
+        prop_assert!(stats.peak_occupancy <= capacity as u64);
+        // Every departure is accounted for: distinct insertions equal
+        // survivors plus expiries plus per-cause evictions plus removes.
+        prop_assert_eq!(
+            fresh_learns,
+            table.len() as u64
+                + stats.expired
+                + stats.evictions.total()
+                + removed_ok
+        );
     }
 }
 
@@ -240,8 +220,7 @@ proptest! {
 ///
 /// Each case replays the full run five times, so this test drives the
 /// generation loop itself with a reduced case count (the [`proptest!`] shim
-/// always runs 256) while still sweeping load, seed, capacity, shard count
-/// and timeout.  The seed mixing matches the shim's, so cases reproduce the
+/// always runs 256) while still sweeping load, seed, capacity and timeout.  The seed mixing matches the shim's, so cases reproduce the
 /// same way.
 #[test]
 fn bounded_runs_replay_identically_across_exec_modes() {
@@ -250,7 +229,6 @@ fn bounded_runs_replay_identically_across_exec_modes() {
         let rho = Strategy::generate(&(0.4f64..0.8), &mut rng);
         let seed = Strategy::generate(&(0u64..1_000), &mut rng);
         let capacity = Strategy::generate(&(8usize..48), &mut rng);
-        let shards = Strategy::generate(&(0u32..4), &mut rng);
         let timeout_s = Strategy::generate(&(5.0f64..40.0), &mut rng);
         let spec = ExperimentSpec::poisson_paper(rho, PolicyKind::Static { threshold: 4 })
             .with_queries(120)
@@ -258,7 +236,6 @@ fn bounded_runs_replay_identically_across_exec_modes() {
             .with_flow_table(FlowTableSpec {
                 idle_timeout_s: timeout_s,
                 capacity: Some(capacity),
-                shards: 1 << shards,
                 sweep_interval_s: Some(timeout_s / 4.0),
             });
         let reference = Runner::new(spec.clone())

@@ -15,7 +15,6 @@
 //!   (Figures 6 and 7),
 //! * [`DisruptionCollector`] — per-phase disruption statistics (broken /
 //!   rerouted connections, fairness) for dynamic-cluster scenario runs,
-//! * [`Histogram`] — fixed-bucket latency histograms used by the benches,
 //! * [`OccupancyGauge`] / [`EvictionBreakdown`] — occupancy and per-cause
 //!   eviction accounting for the bounded flow-state tables,
 //! * [`ResponseTimeCollector`] — the per-query sample store from which all
@@ -33,7 +32,6 @@ pub mod collector;
 pub mod disruption;
 pub mod ewma;
 pub mod fairness;
-pub mod histogram;
 pub mod occupancy;
 pub mod summary;
 pub mod timebin;
@@ -43,7 +41,6 @@ pub use collector::{RequestClass, RequestOutcome, RequestRecord, ResponseTimeCol
 pub use disruption::{DisruptionCollector, PhaseStats};
 pub use ewma::Ewma;
 pub use fairness::jain_fairness;
-pub use histogram::Histogram;
 pub use occupancy::{EvictionBreakdown, EvictionCause, OccupancyGauge};
 pub use summary::Summary;
 pub use timebin::{BinStats, TimeBinner};

@@ -1,11 +1,10 @@
-//! The reusable simulation core: clock + event queue + node registry +
-//! statistics, drivable one event at a time.
+//! The engine core: clock + event queue + node registry + statistics.
 //!
-//! [`SimCore`] owns the dispatch logic once; the serial loop
-//! ([`crate::Network`]), the batched loop and the sharded worker threads
-//! ([`crate::ShardedNetwork`]) are all thin drivers over [`SimCore::step`] /
-//! [`SimCore::step_batch`] / [`SimCore::peek_time`] instead of three copies
-//! of the dispatch `match`.
+//! [`SimCore`] owns the dispatch logic once; [`crate::Network`] holds one
+//! core per shard and drives it on the calling thread
+//! ([`SimCore::run_segment`], or [`SimCore::step_within`] for the reference
+//! per-event loop) or lends it to a pool worker ([`SimCore::run_window`]).
+//! Private to the crate: everything a driver needs is on the frontend.
 
 use std::fmt;
 use std::sync::Arc;
@@ -64,9 +63,9 @@ impl SimStats {
     }
 }
 
-/// What a single [`SimCore::step`] call did.
+/// What a single [`SimCore::step_within`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
+pub(crate) enum StepOutcome {
     /// One event was dispatched; the clock now reads `time`.
     Processed {
         /// Delivery time of the dispatched event.
@@ -99,7 +98,7 @@ type HeldNode<M> = Option<(NodeId, Box<dyn AnyNode<M>>)>;
 ///
 /// `M` is the message type exchanged by nodes (for SRLB experiments this is
 /// the packet/message enum defined in `srlb-core`).
-pub struct SimCore<M> {
+pub(crate) struct SimCore<M> {
     nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
     meta: Vec<SlotMeta>,
     queue: EventQueue<M>,
@@ -136,7 +135,7 @@ impl<M> fmt::Debug for SimCore<M> {
 
 impl<M> SimCore<M> {
     /// Creates an empty core with the given seed and topology.
-    pub fn new(seed: u64, topology: Topology) -> Self {
+    pub(crate) fn new(seed: u64, topology: Topology) -> Self {
         SimCore {
             nodes: Vec::new(),
             meta: Vec::new(),
@@ -159,7 +158,7 @@ impl<M> SimCore<M> {
     /// [`crate::faults`]).  An empty config removes the layer.  Must be
     /// called before any node is started so every execution mode sees the
     /// same fault state from the first delivery on.
-    pub fn set_faults(&mut self, config: &FaultConfig) {
+    pub(crate) fn set_faults(&mut self, config: &FaultConfig) {
         debug_assert!(!self.started, "faults must be installed before start");
         self.faults = if config.is_empty() {
             None
@@ -187,26 +186,11 @@ impl<M> SimCore<M> {
         id
     }
 
-    /// Adds a node and returns its id.
-    ///
-    /// Nodes added before the core starts receive their `on_start` callback
-    /// when the first run begins; a node added to an already-started core
-    /// (e.g. a backend brought up mid-experiment by a scenario schedule) is
-    /// started immediately at the current simulated time.
-    pub fn add_node(&mut self, node: impl Node<M> + Send + 'static) -> NodeId {
-        let id = self.push_slot();
-        self.nodes[id.index()] = Some(Box::new(node));
-        if self.started {
-            self.start_node(id);
-        }
-        id
-    }
-
     /// Reserves an empty node slot and returns its id, so a scenario can fix
     /// the id ↔ address layout of backends that only join the cluster later
     /// (via [`SimCore::insert_node`]).  Events addressed to a reserved but
     /// unfilled slot are dropped and counted in [`SimStats::dropped_vacant`].
-    pub fn reserve_node(&mut self) -> NodeId {
+    pub(crate) fn reserve_node(&mut self) -> NodeId {
         self.push_slot()
     }
 
@@ -218,7 +202,7 @@ impl<M> SimCore<M> {
     /// # Panics
     ///
     /// Panics if the id is out of range or the slot is occupied.
-    pub fn insert_node(&mut self, id: NodeId, node: impl Node<M> + Send + 'static) {
+    pub(crate) fn insert_node(&mut self, id: NodeId, node: impl Node<M> + Send + 'static) {
         let slot = self
             .nodes
             .get_mut(id.index())
@@ -252,7 +236,7 @@ impl<M> SimCore<M> {
 
     /// Runs `on_start` on every node (idempotent; only the first call does
     /// anything).
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         if self.started {
             return;
         }
@@ -266,18 +250,18 @@ impl<M> SimCore<M> {
 
     /// Enables tracing of message deliveries, using `describe` to render each
     /// message for the trace log.
-    pub fn enable_trace(&mut self, describe: impl Fn(&M) -> String + Send + 'static) {
+    pub(crate) fn enable_trace(&mut self, describe: impl Fn(&M) -> String + Send + 'static) {
         self.trace = TraceLog::new();
         self.trace_describe = Some(Box::new(describe));
     }
 
     /// The trace log (empty unless [`SimCore::enable_trace`] was called).
-    pub fn trace(&self) -> &TraceLog {
+    pub(crate) fn trace(&self) -> &TraceLog {
         &self.trace
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
@@ -285,50 +269,35 @@ impl<M> SimCore<M> {
     /// backwards).  The sharded driver uses this at window barriers so that
     /// control callbacks observe the same `now` on every shard as they would
     /// on the serial engine.
-    pub fn align_clock(&mut self, t: SimTime) {
+    pub(crate) fn align_clock(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
 
     /// Run statistics so far.
-    pub fn stats(&self) -> SimStats {
+    pub(crate) fn stats(&self) -> SimStats {
         self.stats
     }
 
-    /// Number of node slots (occupied or not).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The topology used for link latencies.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
     /// Whether a node requested a stop that has not been cleared yet.
-    pub fn stop_requested(&self) -> bool {
+    pub(crate) fn stop_requested(&self) -> bool {
         self.stop_requested
     }
 
     /// Clears a pending stop request (drivers call this when a new run
     /// segment begins).
-    pub fn clear_stop_request(&mut self) {
+    pub(crate) fn clear_stop_request(&mut self) {
         self.stop_requested = false;
     }
 
     /// Delivery time of the next pending event, if any — the driver's view
     /// for deciding whether stepping is worthwhile under a time bound.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total number of events ever scheduled on this core.
-    pub fn scheduled_total(&self) -> u64 {
-        self.queue.scheduled_total()
     }
 
     /// Ingests the messages other shards scheduled for nodes owned by this
@@ -518,20 +487,14 @@ impl<M> SimCore<M> {
         }
     }
 
-    /// Pops and dispatches the single next event.
+    /// Pops and dispatches the single next event, if its time is at or
+    /// below `until` (`None` bounds nothing); the bound rides the pop, so a
+    /// step is one queue operation.
     ///
     /// This is the reference entry point: every other execution mode is
     /// defined as "produces exactly the per-event effects of repeated
-    /// `step()` calls in key order".
-    pub fn step(&mut self) -> StepOutcome {
-        self.step_within(None)
-    }
-
-    /// [`SimCore::step`] with the time bound fused into the pop: dispatches
-    /// the next event only if its time is at or below `until`, in one queue
-    /// operation instead of a separate peek + bounds check + pop.  `None`
-    /// bounds nothing (identical to `step`).
-    pub fn step_within(&mut self, until: Option<SimTime>) -> StepOutcome {
+    /// `step_within` calls in key order".
+    pub(crate) fn step_within(&mut self, until: Option<SimTime>) -> StepOutcome {
         let Some(event) = self.queue.pop_head(until) else {
             return StepOutcome::Idle;
         };
@@ -552,7 +515,7 @@ impl<M> SimCore<M> {
     /// so dispatch order is exactly ascending key order.  If a stop request
     /// or the budget interrupts the batch, the remaining ties simply stay
     /// queued with their keys intact.
-    pub fn step_batch(&mut self, budget: u64) -> u64 {
+    pub(crate) fn step_batch(&mut self, budget: u64) -> u64 {
         if budget == 0 || self.stop_requested {
             return 0;
         }
@@ -593,10 +556,10 @@ impl<M> SimCore<M> {
     /// Runs events in key order until the queue drains, an event at a time
     /// later than `until` surfaces, `budget` events have been dispatched, or
     /// a callback requests a stop — the batched engine loop.  Exactly
-    /// equivalent to driving [`SimCore::step`] under the same bounds, but
+    /// equivalent to driving [`SimCore::step_within`] under the same bounds, but
     /// with the target node staying out of the registry across consecutive
     /// events that hit it.  Returns the number of events processed.
-    pub fn run_segment(&mut self, until: Option<SimTime>, budget: u64) -> u64 {
+    pub(crate) fn run_segment(&mut self, until: Option<SimTime>, budget: u64) -> u64 {
         let mut processed = 0u64;
         let mut held: HeldNode<M> = None;
         while processed < budget && !self.stop_requested {
@@ -613,7 +576,7 @@ impl<M> SimCore<M> {
     /// Immutable access to a node as a `dyn Node<M>`.
     ///
     /// Returns `None` if the id is out of range.
-    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&dyn Node<M>) -> R) -> Option<R> {
+    pub(crate) fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&dyn Node<M>) -> R) -> Option<R> {
         self.nodes
             .get(id.index())
             .and_then(|slot| slot.as_ref())
@@ -625,7 +588,7 @@ impl<M> SimCore<M> {
     /// Returns `None` if the id is out of range or the node has a different
     /// type.  Useful for peeking at node state (e.g. a server's scoreboard)
     /// while the simulation is paused between run segments.
-    pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
+    pub(crate) fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
         self.nodes
             .get(id.index())
             .and_then(|slot| slot.as_ref())
@@ -638,7 +601,7 @@ impl<M> SimCore<M> {
     /// type.  Intended for applying out-of-band state changes between run
     /// segments; prefer [`SimCore::control`] when the change needs to
     /// schedule timers or send messages.
-    pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
+    pub(crate) fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
         self.nodes
             .get_mut(id.index())
             .and_then(|slot| slot.as_mut())
@@ -654,7 +617,7 @@ impl<M> SimCore<M> {
     ///
     /// Returns `None` (without running `f`) if the id is out of range, the
     /// slot is empty, or the node is not of type `T`.
-    pub fn control<T: 'static, R>(
+    pub(crate) fn control<T: 'static, R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
@@ -691,7 +654,7 @@ impl<M> SimCore<M> {
     /// Use this after a run to extract results from several nodes (the
     /// engine will simply drop any further events addressed to the removed
     /// node, counting them in [`SimStats::dropped_vacant`]).
-    pub fn take_node<T: 'static>(&mut self, id: NodeId) -> Option<T>
+    pub(crate) fn take_node<T: 'static>(&mut self, id: NodeId) -> Option<T>
     where
         M: 'static,
     {
@@ -756,10 +719,16 @@ mod tests {
         }
     }
 
+    fn add(core: &mut SimCore<u32>, node: impl Node<u32> + Send + 'static) -> NodeId {
+        let id = core.reserve_node();
+        core.insert_node(id, node);
+        id
+    }
+
     fn drained(core: &mut SimCore<u32>) -> u64 {
         core.start();
         let mut n = 0;
-        while let StepOutcome::Processed { .. } = core.step() {
+        while let StepOutcome::Processed { .. } = core.step_within(None) {
             n += 1;
         }
         n
@@ -768,19 +737,25 @@ mod tests {
     #[test]
     fn step_processes_one_event_and_reports_time() {
         let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(100)));
-        let a = core.add_node(Echo {
-            peer: None,
-            cap: 2,
-            seen: vec![],
-        });
-        let _b = core.add_node(Echo {
-            peer: Some(a),
-            cap: 2,
-            seen: vec![],
-        });
+        let a = add(
+            &mut core,
+            Echo {
+                peer: None,
+                cap: 2,
+                seen: vec![],
+            },
+        );
+        let _b = add(
+            &mut core,
+            Echo {
+                peer: Some(a),
+                cap: 2,
+                seen: vec![],
+            },
+        );
         core.start();
         assert_eq!(core.peek_time(), Some(SimTime::from_nanos(100_000)));
-        let outcome = core.step();
+        let outcome = core.step_within(None);
         assert_eq!(
             outcome,
             StepOutcome::Processed {
@@ -794,7 +769,7 @@ mod tests {
     fn idle_step_on_empty_queue() {
         let mut core: SimCore<u32> = SimCore::new(1, Topology::datacenter());
         core.start();
-        assert_eq!(core.step(), StepOutcome::Idle);
+        assert_eq!(core.step_within(None), StepOutcome::Idle);
         assert_eq!(core.stats().events_processed, 0);
     }
 
@@ -813,7 +788,7 @@ mod tests {
         }
         let mut core = SimCore::new(1, Topology::datacenter());
         let vacant = core.reserve_node();
-        core.add_node(Sprayer { vacant });
+        add(&mut core, Sprayer { vacant });
         drained(&mut core);
         let stats = core.stats();
         assert_eq!(stats.dropped_unroutable, 2);
@@ -845,21 +820,27 @@ mod tests {
             let mut core = SimCore::new(9, Topology::uniform(SimDuration::from_micros(10)));
             let sinks: Vec<NodeId> = (0..4)
                 .map(|_| {
-                    core.add_node(Echo {
-                        peer: None,
-                        cap: 0,
-                        seen: vec![],
-                    })
+                    add(
+                        &mut core,
+                        Echo {
+                            peer: None,
+                            cap: 0,
+                            seen: vec![],
+                        },
+                    )
                 })
                 .collect();
-            core.add_node(Fan {
-                peers: sinks.clone(),
-            });
+            add(
+                &mut core,
+                Fan {
+                    peers: sinks.clone(),
+                },
+            );
             core.start();
             if batched {
                 while core.step_batch(u64::MAX) > 0 {}
             } else {
-                while let StepOutcome::Processed { .. } = core.step() {}
+                while let StepOutcome::Processed { .. } = core.step_within(None) {}
             }
             let seen = sinks
                 .iter()
@@ -894,19 +875,25 @@ mod tests {
         }
         fn order(batched: bool) -> Vec<(usize, u64)> {
             let mut core = SimCore::new(3, Topology::datacenter());
-            let a = core.add_node(ZeroDelay {
-                fired: vec![],
-                chain: true,
-            });
-            let b = core.add_node(ZeroDelay {
-                fired: vec![],
-                chain: false,
-            });
+            let a = add(
+                &mut core,
+                ZeroDelay {
+                    fired: vec![],
+                    chain: true,
+                },
+            );
+            let b = add(
+                &mut core,
+                ZeroDelay {
+                    fired: vec![],
+                    chain: false,
+                },
+            );
             core.start();
             if batched {
                 while core.step_batch(u64::MAX) > 0 {}
             } else {
-                while let StepOutcome::Processed { .. } = core.step() {}
+                while let StepOutcome::Processed { .. } = core.step_within(None) {}
             }
             let mut log = vec![];
             for (idx, id) in [a, b].into_iter().enumerate() {
@@ -949,23 +936,29 @@ mod tests {
         }
         fn heard(run: impl FnOnce(&mut SimCore<u32>)) -> Vec<u32> {
             let mut core = SimCore::new(1, Topology::uniform(SimDuration::from_micros(50)));
-            let sink = core.add_node(Echo {
-                peer: None,
-                cap: 0,
-                seen: vec![],
-            });
-            let one = core.add_node(Forward { sink });
-            let two = core.add_node(Forward { sink });
-            core.add_node(Trigger {
-                first: two,
-                second: one,
-            });
+            let sink = add(
+                &mut core,
+                Echo {
+                    peer: None,
+                    cap: 0,
+                    seen: vec![],
+                },
+            );
+            let one = add(&mut core, Forward { sink });
+            let two = add(&mut core, Forward { sink });
+            add(
+                &mut core,
+                Trigger {
+                    first: two,
+                    second: one,
+                },
+            );
             core.start();
             run(&mut core);
             assert_eq!(core.stats().messages_delivered, 4);
             core.take_node::<Echo>(sink).unwrap().seen
         }
-        let stepwise = heard(|core| while core.step() != StepOutcome::Idle {});
+        let stepwise = heard(|core| while core.step_within(None) != StepOutcome::Idle {});
         let batched = heard(|core| while core.step_batch(u64::MAX) > 0 {});
         let segment = heard(|core| {
             core.run_segment(None, u64::MAX);
@@ -991,19 +984,25 @@ mod tests {
         let mut core = SimCore::new(9, Topology::uniform(SimDuration::from_micros(10)));
         let sinks: Vec<NodeId> = (0..6)
             .map(|_| {
-                core.add_node(Echo {
-                    peer: None,
-                    cap: 0,
-                    seen: vec![],
-                })
+                add(
+                    &mut core,
+                    Echo {
+                        peer: None,
+                        cap: 0,
+                        seen: vec![],
+                    },
+                )
             })
             .collect();
-        core.add_node(Fan {
-            peers: sinks.clone(),
-        });
+        add(
+            &mut core,
+            Fan {
+                peers: sinks.clone(),
+            },
+        );
         core.start();
         assert_eq!(core.step_batch(2), 2);
-        assert_eq!(core.pending_events(), 4, "unprocessed ties stay queued");
+        assert_eq!(core.queue.len(), 4, "unprocessed ties stay queued");
         assert_eq!(core.step_batch(u64::MAX), 4);
         assert_eq!(core.stats().messages_delivered, 6);
     }
@@ -1081,15 +1080,21 @@ mod tests {
             ..FaultConfig::default()
         };
         core.set_faults(&config);
-        let sink = core.add_node(Echo {
-            peer: None,
-            cap: 0,
-            seen: vec![],
-        });
-        let talker = core.add_node(Talker {
-            peer: sink,
-            timer_fired: false,
-        });
+        let sink = add(
+            &mut core,
+            Echo {
+                peer: None,
+                cap: 0,
+                seen: vec![],
+            },
+        );
+        let talker = add(
+            &mut core,
+            Talker {
+                peer: sink,
+                timer_fired: false,
+            },
+        );
         drained(&mut core);
         let stats = core.stats();
         assert_eq!(stats.messages_delivered, 0);

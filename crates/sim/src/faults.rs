@@ -2,8 +2,9 @@
 //! one-shot drops, link down/up windows and per-link bounded queues.
 //!
 //! A [`FaultConfig`] is plain serde data describing *what can go wrong* on
-//! the wire; it is installed into a [`SimCore`](crate::SimCore) before the
-//! run starts and consulted once per message delivery.  A message judged
+//! the wire; it is installed with
+//! [`Network::set_faults`](crate::Network::set_faults) before the run
+//! starts and consulted once per message delivery.  A message judged
 //! faulty is silently consumed (the network lost it) and counted by cause
 //! in [`SimStats`](crate::SimStats); timers and self-addressed messages are
 //! never faulted.
@@ -232,8 +233,8 @@ impl QueueState {
     }
 }
 
-/// The runtime form of a [`FaultConfig`], held by a
-/// [`SimCore`](crate::SimCore) and consulted once per message delivery.
+/// The runtime form of a [`FaultConfig`], held by each engine core and
+/// consulted once per message delivery.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     /// Run-seed-derived salt for the loss hash, so distinct seeds lose

@@ -18,14 +18,11 @@
 //! * [`Topology`] — per-link one-way latencies,
 //! * [`Steering`] — resilient ECMP hashing across a tier of equal-cost
 //!   nodes (the model of the routers in front of a load-balancer fleet),
-//! * [`SimCore`] — the reusable engine core: clock + event queue + node
-//!   registry, drivable one event ([`SimCore::step`]) or one
-//!   same-timestamp batch at a time,
-//! * [`Network`] — the single-threaded frontend over the core, run under a
-//!   [`RunUntil`] policy,
-//! * [`ShardedNetwork`] — the multi-threaded frontend: worker-thread shards
-//!   synchronised by conservative time windows, byte-identical to the
-//!   serial loop,
+//! * [`Network`] — the engine frontend, the one way to build and drive a
+//!   simulation, run under a [`RunUntil`] policy: [`Network::new`] is the
+//!   single-threaded engine, and [`Network::with_pool_policy`] partitions the
+//!   node table by a [`ShardPlan`] into worker-thread shards synchronised by
+//!   conservative time windows, byte-identical to the serial loop,
 //! * [`SimRng`] — a seeded random number generator that can be forked into
 //!   independent, reproducible streams.
 //!
@@ -35,6 +32,11 @@
 //! randomness from a private stream forked from the run seed.  Any
 //! execution order that respects the keys therefore reproduces the same
 //! run, bit for bit.
+//!
+//! The engine core behind the frontend (clock, slab-backed event queue, node
+//! registry, dispatch — `SimCore` in `core.rs`) is private to this crate: a
+//! driver adds nodes, delivers control events and runs segments through
+//! [`Network`], and reads the counters back as [`SimStats`].
 //!
 //! ## Example
 //!
@@ -68,7 +70,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod core;
+mod core;
 pub mod event;
 pub mod faults;
 pub mod link;
@@ -81,14 +83,19 @@ pub mod steering;
 pub mod time;
 pub mod trace;
 
-pub use crate::core::{SimCore, SimStats, StepOutcome};
+pub use crate::core::SimStats;
 pub use event::{EventKey, EventQueue};
 pub use faults::{DownWindow, DropCause, FaultConfig, LinkMatch, LossRule, OneShotDrop, QueueRule};
 pub use link::{Topology, TopologyModel};
 pub use network::{Network, RunUntil};
 pub use node::{Context, Node, NodeId, TimerToken};
 pub use rng::SimRng;
-pub use shard::{ExecMode, PoolPolicy, ShardPlan, ShardedNetwork};
+pub use shard::{ExecMode, PoolPolicy, ShardPlan};
 pub use steering::{ecmp_steer, steer_rack, Steering};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEntry, TraceKind, TraceLog};
+
+// The one line of debt this crate carries: `benchmark/`, frozen outside
+// benchmark-only PRs, still spells the general constructor's type this way.
+// Leaves with the next benchmark-only PR; CI fails on any other use.
+pub use network::Network as ShardedNetwork;

@@ -326,9 +326,8 @@ fn worker_loop<M>(shared: Arc<Shared<M>>, shard: usize) {
     }
 }
 
-/// Long-lived threads + shared window state for one [`ShardedNetwork`].
-///
-/// [`ShardedNetwork`]: crate::shard::ShardedNetwork
+/// Long-lived threads + shared window state for one multi-shard
+/// [`Network`](crate::Network).
 pub(crate) struct WorkerPool<M> {
     shared: Arc<Shared<M>>,
     handles: Vec<JoinHandle<()>>,

@@ -1,10 +1,12 @@
-//! Multi-threaded sharded execution over [`SimCore`]s, synchronised by
+//! Sharded execution: how a [`Network`](crate::Network) is partitioned
+//! ([`ShardPlan`]), when it really uses threads ([`PoolPolicy`]) and which
+//! loop a driver asks for ([`ExecMode`]).  Several shards advance in
 //! conservative time windows — byte-identical to the serial loop.
 //!
 //! # Model
 //!
 //! The node table is partitioned by a [`ShardPlan`]; each shard owns one
-//! [`SimCore`] holding the nodes assigned to it (foreign slots stay vacant so
+//! engine core holding the nodes assigned to it (foreign slots stay vacant so
 //! ids line up).  A classic conservative (Chandy–Misra–Bryant-style) window
 //! protocol synchronises the shards: with `lookahead` = the minimum link
 //! latency between any cross-shard node pair, every event a shard processes
@@ -42,8 +44,9 @@
 //! the serial engine and emits exactly the same events with the same keys —
 //! regardless of shard count, shard plan, or thread interleaving.  One
 //! caveat (not exercised by the SRLB experiment drivers): a
-//! [`Context::stop`] request is honoured at the next window boundary rather
-//! than the next event.
+//! [`Context::stop`](crate::Context::stop) request is honoured at the next
+//! window boundary — the start of the segment included — rather than the
+//! next event.
 //!
 //! # `RunUntil::Events` overshoot contract
 //!
@@ -56,16 +59,9 @@
 //! globally, or more generally whenever the budget does not expire mid
 //! window.  The contract is pinned by unit tests below.
 
-use std::fmt;
-use std::sync::Arc;
-
-use crate::core::{SimCore, SimStats};
-use crate::event::Mail;
 use crate::link::{Topology, TopologyModel};
-use crate::network::{drive_core, RunUntil};
-use crate::node::{Context, Node, NodeId};
-use crate::pool::WorkerPool;
-use crate::time::{SimDuration, SimTime};
+use crate::node::NodeId;
+use crate::time::SimDuration;
 
 /// How an experiment driver executes the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,7 +111,7 @@ pub enum PoolPolicy {
 
 impl PoolPolicy {
     /// Whether a multi-shard plan should run on the threaded pool.
-    fn threaded(self) -> bool {
+    pub(crate) fn threaded(self) -> bool {
         match self {
             PoolPolicy::Force => true,
             PoolPolicy::Never => false,
@@ -127,7 +123,7 @@ impl PoolPolicy {
 /// Assignment of node-table slots to shards.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
-    shard_of: Vec<u32>,
+    pub(crate) shard_of: Vec<u32>,
     shards: u32,
 }
 
@@ -243,7 +239,7 @@ impl ShardPlan {
     /// The minimum link latency between any two slots on *different* shards
     /// — the conservative lookahead.  `None` when no cross-shard pair
     /// exists (single shard).
-    fn lookahead(&self, topology: &Topology) -> Option<SimDuration> {
+    pub(crate) fn lookahead(&self, topology: &Topology) -> Option<SimDuration> {
         let n = self.shard_of.len();
         let mut min: Option<SimDuration> = None;
         for a in 0..n {
@@ -258,325 +254,13 @@ impl ShardPlan {
     }
 }
 
-/// The multi-threaded discrete-event engine frontend: a set of per-shard
-/// [`SimCore`]s advancing in conservative time windows.
-///
-/// With a single shard this is exactly the batched serial engine (no threads
-/// are spawned); with `S > 1` shards, a persistent `WorkerPool` of `S - 1`
-/// threads plus the calling thread each drive one core.  Either way the run
-/// output is byte-identical to [`crate::Network`] on the same seed and node
-/// layout.
-pub struct ShardedNetwork<M> {
-    cores: Vec<SimCore<M>>,
-    plan: ShardPlan,
-    lookahead: SimDuration,
-    /// Lazily spawned on the first multi-shard run segment; reused (workers
-    /// parked, buffers warm) for every segment after.
-    pool: Option<WorkerPool<M>>,
-    /// Cross-shard events awaiting ingestion, per destination shard (from
-    /// barrier-time `control` / `on_start` callbacks).
-    pending: Vec<Mail<M>>,
-    next_slot: usize,
-}
-
-impl<M> fmt::Debug for ShardedNetwork<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedNetwork")
-            .field("shards", &self.cores.len())
-            .field("lookahead", &self.lookahead)
-            .field("nodes", &self.next_slot)
-            .finish()
-    }
-}
-
-impl<M> ShardedNetwork<M> {
-    /// Creates an empty sharded network under [`PoolPolicy::Auto`]; see
-    /// [`ShardedNetwork::with_pool_policy`].
-    pub fn new(seed: u64, topology: Topology, plan: ShardPlan) -> Self {
-        Self::with_pool_policy(seed, topology, plan, PoolPolicy::default())
-    }
-
-    /// Creates an empty sharded network.
-    ///
-    /// A multi-shard plan *collapses* to one shard (the batched single-core
-    /// engine, byte-identical outputs) when the cross-shard lookahead is
-    /// zero (some cross-shard link has no latency, so conservative windows
-    /// would permit no parallelism), when the plan has one shard, or when
-    /// `policy` resolves against worker threads (no second core available,
-    /// or [`PoolPolicy::Never`]).
-    pub fn with_pool_policy(
-        seed: u64,
-        topology: Topology,
-        plan: ShardPlan,
-        policy: PoolPolicy,
-    ) -> Self {
-        let lookahead = plan.lookahead(&topology);
-        let (plan, lookahead) = match lookahead {
-            Some(l) if l > SimDuration::ZERO && plan.shards() > 1 && policy.threaded() => (plan, l),
-            _ => (ShardPlan::single(plan.slots()), SimDuration::ZERO),
-        };
-        let shards = plan.shards();
-        let shard_of: Arc<[u32]> = Arc::from(plan.shard_of.clone().into_boxed_slice());
-        let cores = (0..shards)
-            .map(|s| {
-                let mut core = SimCore::new(seed, topology.clone());
-                if shards > 1 {
-                    core.set_router(Arc::clone(&shard_of), s as u32, shards);
-                }
-                core
-            })
-            .collect();
-        ShardedNetwork {
-            cores,
-            plan,
-            lookahead,
-            pool: None,
-            pending: (0..shards).map(|_| Mail::default()).collect(),
-            next_slot: 0,
-        }
-    }
-
-    /// The shard plan in effect (after any collapse).
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Installs a fault-injection layer on every core (see
-    /// [`crate::faults`]).  Must be called before any node is added so all
-    /// execution modes see the same fault state from the first delivery on.
-    ///
-    /// Each core compiles its own copy of the config; the stateless rules
-    /// are pure functions of event keys and the stateful rules are per
-    /// directed link, whose deliveries all land on the destination's owning
-    /// core in global key order — so per-shard copies evolve exactly like
-    /// the single serial copy would.
-    pub fn set_faults(&mut self, config: &crate::faults::FaultConfig) {
-        for core in &mut self.cores {
-            core.set_faults(config);
-        }
-    }
-
-    /// Number of shards actually in use (after any zero-lookahead collapse).
-    pub fn shards(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// The conservative lookahead window length (zero on a single shard).
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    fn owner_of(&self, id: NodeId) -> usize {
-        if self.cores.len() == 1 {
-            0
-        } else {
-            self.plan.shard_of(id)
-        }
-    }
-
-    /// Allocates the next slot id on every core (keeping the tables
-    /// aligned) and returns it.
-    fn alloc_slot(&mut self) -> NodeId {
-        let expected = NodeId(self.next_slot);
-        for core in &mut self.cores {
-            let id = core.reserve_node();
-            debug_assert_eq!(id, expected, "core node tables must stay aligned");
-        }
-        self.next_slot += 1;
-        expected
-    }
-
-    /// Adds a node (owned by the shard its slot is planned onto) and returns
-    /// its id.  Same start semantics as [`SimCore::add_node`].
-    pub fn add_node(&mut self, node: impl Node<M> + Send + 'static) -> NodeId {
-        let id = self.alloc_slot();
-        let owner = self.owner_of(id);
-        self.cores[owner].insert_node(id, node);
-        id
-    }
-
-    /// Reserves an empty node slot on every shard; see
-    /// [`SimCore::reserve_node`].
-    pub fn reserve_node(&mut self) -> NodeId {
-        self.alloc_slot()
-    }
-
-    /// Fills a reserved (or vacated) slot on its owning shard; see
-    /// [`SimCore::insert_node`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range or the slot is occupied.
-    pub fn insert_node(&mut self, id: NodeId, node: impl Node<M> + Send + 'static) {
-        let owner = self.owner_of(id);
-        self.cores[owner].insert_node(id, node);
-    }
-
-    /// Current simulated time: the furthest any shard has processed.
-    pub fn now(&self) -> SimTime {
-        self.cores
-            .iter()
-            .map(SimCore::now)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Merged run statistics across all shards (counts add,
-    /// `last_event_time` is the maximum).
-    pub fn stats(&self) -> SimStats {
-        let mut merged = SimStats::default();
-        for core in &self.cores {
-            merged.absorb(core.stats());
-        }
-        merged
-    }
-
-    /// Number of node slots.
-    pub fn node_count(&self) -> usize {
-        self.next_slot
-    }
-
-    /// The topology used for link latencies.
-    pub fn topology(&self) -> &Topology {
-        self.cores[0].topology()
-    }
-
-    /// Total number of events ever scheduled, summed over shards.  An event
-    /// is counted once: on the queue of the shard that delivers it.
-    pub fn scheduled_total(&self) -> u64 {
-        self.cores.iter().map(SimCore::scheduled_total).sum()
-    }
-
-    /// Immutable access to a node as a `dyn Node<M>`; see
-    /// [`SimCore::with_node`].
-    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&dyn Node<M>) -> R) -> Option<R> {
-        self.cores[self.owner_of(id)].with_node(id, f)
-    }
-
-    /// Immutable, downcast access to a node; see [`SimCore::node_as`].
-    pub fn node_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.cores[self.owner_of(id)].node_as(id)
-    }
-
-    /// Mutable, downcast access to a node; see [`SimCore::node_as_mut`].
-    pub fn node_as_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let owner = self.owner_of(id);
-        self.cores[owner].node_as_mut(id)
-    }
-
-    /// Delivers a **control event** to a node on its owning shard; see
-    /// [`SimCore::control`].  Cross-shard messages emitted by the callback
-    /// are exchanged when the next run segment begins.
-    pub fn control<T: 'static, R>(
-        &mut self,
-        id: NodeId,
-        f: impl FnOnce(&mut T, &mut Context<'_, M>) -> R,
-    ) -> Option<R> {
-        let owner = self.owner_of(id);
-        self.cores[owner].control(id, f)
-    }
-
-    /// Removes a node from its owning shard and returns it; see
-    /// [`SimCore::take_node`].
-    pub fn take_node<T: 'static>(&mut self, id: NodeId) -> Option<T>
-    where
-        M: 'static,
-    {
-        let owner = self.owner_of(id);
-        self.cores[owner].take_node(id)
-    }
-
-    /// Moves every event sitting in a core outbox (from `on_start` or
-    /// barrier-time `control` callbacks) into the owning core's queue or the
-    /// coordinator's pending set.
-    fn collect_outboxes(&mut self) {
-        let pending = &mut self.pending;
-        for core in &mut self.cores {
-            core.publish_outboxes(|dest, outbox| outbox.append_to(&mut pending[dest]));
-        }
-        self.flush_pending();
-    }
-
-    /// Ingests all coordinator-held cross-shard events into their cores.
-    fn flush_pending(&mut self) {
-        for (core, mail) in self.cores.iter_mut().zip(&mut self.pending) {
-            core.ingest(mail);
-        }
-    }
-
-    /// Runs under the given policy with batched stepping (and conservative
-    /// windows when more than one shard is in use).  Returns merged
-    /// statistics for the whole run so far.
-    pub fn run_until(&mut self, policy: RunUntil) -> SimStats
-    where
-        M: Send + 'static,
-    {
-        self.run_internal(policy, true)
-    }
-
-    /// Runs under the given policy one event at a time — the reference
-    /// serial loop.  Only meaningful on a single shard; with multiple shards
-    /// the workers still step batched (the result is identical either way).
-    pub fn run_until_stepwise(&mut self, policy: RunUntil) -> SimStats
-    where
-        M: Send + 'static,
-    {
-        self.run_internal(policy, false)
-    }
-
-    fn run_internal(&mut self, policy: RunUntil, batched: bool) -> SimStats
-    where
-        M: Send + 'static,
-    {
-        for core in &mut self.cores {
-            core.clear_stop_request();
-        }
-        // Start all cores first, then exchange: an on_start callback may
-        // have queued cross-shard messages into the outboxes.
-        for core in &mut self.cores {
-            core.start();
-        }
-        self.collect_outboxes();
-
-        if self.cores.len() == 1 {
-            drive_core(&mut self.cores[0], policy, batched);
-        } else {
-            self.run_windows(policy);
-            // At a time-bounded barrier the serial engine's clock reads the
-            // time of the last processed event *globally*; align every shard
-            // so barrier-time control callbacks observe the identical `now`.
-            let global_now = self.now();
-            for core in &mut self.cores {
-                core.align_clock(global_now);
-            }
-        }
-        self.stats()
-    }
-
-    /// One conservative-window run segment on the persistent pool.
-    ///
-    /// All cross-shard events are fully exchanged and ingested by the time
-    /// `run_segment` returns, so between segments the only coordinator-held
-    /// state is `pending` (barrier-time control traffic).
-    fn run_windows(&mut self, policy: RunUntil)
-    where
-        M: Send + 'static,
-    {
-        let (until, max_events) = policy.bounds();
-        let lookahead = self.lookahead.as_nanos();
-        let shards = self.cores.len();
-        let pool = self
-            .pool
-            .get_or_insert_with(|| WorkerPool::new(shards, lookahead));
-        pool.run_segment(&mut self.cores, until, max_events);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
-    use crate::node::TimerToken;
+    use crate::core::SimStats;
+    use crate::network::{Network, RunUntil};
+    use crate::node::{Context, Node, TimerToken};
+    use crate::time::SimTime;
 
     /// Ping-pong across a uniform-latency link, counting what each side saw.
     struct Echo {
@@ -662,7 +346,7 @@ mod tests {
         let plan = ShardPlan::from_assignments((0..n).map(|i| i as u32 % shards).collect(), shards);
         // Force the worker pool so the full window protocol runs even when
         // the test host reports a single available core.
-        let mut net = ShardedNetwork::with_pool_policy(
+        let mut net = Network::with_pool_policy(
             11,
             Topology::uniform(SimDuration::from_micros(50)),
             plan,
@@ -710,7 +394,7 @@ mod tests {
         }
         fn sharded() -> (SimStats, Vec<u32>) {
             let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-            let mut net = ShardedNetwork::with_pool_policy(
+            let mut net = Network::with_pool_policy(
                 1,
                 Topology::uniform(SimDuration::from_micros(100)),
                 plan,
@@ -744,7 +428,7 @@ mod tests {
             let bound = RunUntil::Time(SimTime::from_secs_f64(0.001));
             if sharded {
                 let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-                let mut net = ShardedNetwork::with_pool_policy(3, topo, plan, PoolPolicy::Force);
+                let mut net = Network::with_pool_policy(3, topo, plan, PoolPolicy::Force);
                 let a = net.add_node(Echo {
                     peer: None,
                     cap: 1_000,
@@ -791,8 +475,12 @@ mod tests {
     #[test]
     fn zero_lookahead_collapses_to_one_shard() {
         let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-        let net: ShardedNetwork<u32> =
-            ShardedNetwork::new(1, Topology::uniform(SimDuration::ZERO), plan);
+        let net: Network<u32> = Network::with_pool_policy(
+            1,
+            Topology::uniform(SimDuration::ZERO),
+            plan,
+            PoolPolicy::Force,
+        );
         assert_eq!(net.shards(), 1);
         assert_eq!(net.lookahead(), SimDuration::ZERO);
     }
@@ -800,7 +488,7 @@ mod tests {
     #[test]
     fn reserved_and_late_inserted_nodes_work_across_shards() {
         let plan = ShardPlan::from_assignments(vec![0, 1, 1], 2);
-        let mut net = ShardedNetwork::with_pool_policy(
+        let mut net = Network::with_pool_policy(
             5,
             Topology::uniform(SimDuration::from_micros(10)),
             plan,
@@ -873,7 +561,7 @@ mod tests {
     #[test]
     fn pool_policy_never_collapses_to_one_shard() {
         let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-        let net: ShardedNetwork<u32> = ShardedNetwork::with_pool_policy(
+        let net: Network<u32> = Network::with_pool_policy(
             1,
             Topology::uniform(SimDuration::from_micros(100)),
             plan,
@@ -891,7 +579,7 @@ mod tests {
     fn event_budget_is_exact_when_windows_hold_single_events() {
         for budget in [1u64, 2, 3, 7, 20] {
             let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-            let mut net = ShardedNetwork::with_pool_policy(
+            let mut net = Network::with_pool_policy(
                 1,
                 Topology::uniform(SimDuration::from_micros(100)),
                 plan,
@@ -931,7 +619,7 @@ mod tests {
                         (0..6).map(|i| i as u32 % shards).collect(),
                         shards,
                     );
-                    let mut net = ShardedNetwork::with_pool_policy(
+                    let mut net = Network::with_pool_policy(
                         11,
                         Topology::uniform(SimDuration::from_micros(50)),
                         plan,
@@ -988,7 +676,7 @@ mod tests {
         serial.run_until_stepwise(RunUntil::Drained);
 
         let plan = ShardPlan::from_assignments(vec![0, 0, 1, 1], 2);
-        let mut sharded = ShardedNetwork::with_pool_policy(
+        let mut sharded = Network::with_pool_policy(
             9,
             Topology::uniform(SimDuration::from_micros(40)),
             plan,
@@ -1058,7 +746,7 @@ mod tests {
             let (stats, log, acked);
             if sharded {
                 let plan = ShardPlan::from_assignments(vec![0, 1], 2);
-                let mut net = ShardedNetwork::with_pool_policy(7, topo, plan, PoolPolicy::Force);
+                let mut net = Network::with_pool_policy(7, topo, plan, PoolPolicy::Force);
                 let relay = NodeId(1);
                 let t = net.add_node(Ticker {
                     relay,

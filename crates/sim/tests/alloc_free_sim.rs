@@ -183,7 +183,7 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
         "steady-state event delivery must not allocate (got {allocs})"
     );
     assert!(stats.messages_delivered >= 400);
-    let b2_node: Counter = net.into_node(b2);
+    let b2_node: Counter = net.take_node(b2).expect("counter present");
     assert!(b2_node.received > 0);
 
     // --- Batched loop: same-timestamp bursts stay alloc-free ---------------
@@ -261,7 +261,7 @@ fn event_scheduling_is_allocation_free_in_steady_state() {
         sinks,
         remaining: 50,
     });
-    net.core_mut().set_faults(&srlb_sim::FaultConfig {
+    net.set_faults(&srlb_sim::FaultConfig {
         loss: vec![srlb_sim::LossRule {
             link: srlb_sim::LinkMatch {
                 from: None,
