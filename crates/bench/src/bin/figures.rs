@@ -19,8 +19,7 @@
 //! fault-injection figure with no paper counterpart).
 //!
 //! The `(policy, ρ)` sweep runs across `--jobs` worker threads (default:
-//! the `SRLB_JOBS` environment variable, then the machine's available
-//! parallelism).  Results are assembled in input order, so the output is
+//! the machine's available parallelism).  Results are assembled in input order, so the output is
 //! byte-identical whatever the worker count; `--jobs 1` forces the fully
 //! serial, single-threaded schedule for constrained CI runners.
 //!

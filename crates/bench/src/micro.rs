@@ -294,8 +294,8 @@ pub fn run_all() -> BTreeMap<String, f64> {
     );
 
     // --- server: the steer path ---------------------------------------------
-    // What every VIP-bound packet pays: the tier entry, the epoch check, and
-    // the rendezvous hash over the cached membership (1 and 8 instances).
+    // What every VIP-bound packet pays: the tier entry and the rendezvous
+    // hash over its membership (1 and 8 instances).
     for tier_size in [1usize, 8] {
         let mut directory = Directory::new();
         let lbs: Vec<NodeId> = (1..=tier_size).map(NodeId).collect();

@@ -8,23 +8,17 @@
 //! byte-identical to a serial run — `parallel_map` with `jobs = 1` *is* the
 //! serial run (no threads are spawned).
 //!
-//! The worker count comes from the `--jobs` CLI flag or the `SRLB_JOBS`
-//! environment variable (see [`default_jobs`]), falling back to the
-//! machine's available parallelism; CI runners with few cores can pin
-//! `SRLB_JOBS=1` for a fully deterministic single-threaded schedule.
+//! The worker count comes from the `--jobs` CLI flag, falling back to the
+//! machine's available parallelism ([`default_jobs`]); CI runners with few
+//! cores can pass `--jobs 1` for a fully deterministic single-threaded
+//! schedule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The worker count used when the caller does not specify one: the
-/// `SRLB_JOBS` environment variable if set (minimum 1), otherwise the
 /// machine's available parallelism, otherwise 1.
 pub fn default_jobs() -> usize {
-    if let Ok(value) = std::env::var("SRLB_JOBS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -289,6 +289,12 @@ impl ClientNode {
         &self.collector
     }
 
+    /// The client's routing table, for re-advertising an ECMP tier between
+    /// run segments.
+    pub fn directory_mut(&mut self) -> &mut Directory {
+        &mut self.directory
+    }
+
     /// The load-balancer instance a VIP-bound packet of `flow` goes to: the
     /// VIP is anycast to the load-balancer tier, so the packet is
     /// ECMP-steered by its flow's 5-tuple hash — the simulator's model of

@@ -176,15 +176,6 @@ pub trait Dispatcher: std::fmt::Debug + Send {
     /// dispatchers ignore it; [`LoadAwareDispatcher`] folds it into its
     /// per-server EWMA.  Performs no heap allocation.
     fn observe_load(&mut self, _server: Ipv6Addr, _load: f64, _now_s: f64) {}
-
-    /// Convenience wrapper around [`Dispatcher::candidates_into`] returning
-    /// a fresh `Vec`.  Allocates; intended for tests and reporting, not the
-    /// per-flow fast path.
-    fn candidates(&mut self, flow: &FlowKey, rng: &mut dyn RngCore) -> Vec<Ipv6Addr> {
-        let mut out = CandidateList::new();
-        self.candidates_into(flow, rng, &mut out);
-        out.as_slice().to_vec()
-    }
 }
 
 /// `k` distinct servers chosen uniformly at random.
@@ -738,6 +729,13 @@ mod tests {
         FlowKey::new(plan.client_addr(0), plan.vip(0), port, 80, Protocol::Tcp)
     }
 
+    /// The candidates `d` writes for `f`, in a list of their own.
+    fn pick(d: &mut dyn Dispatcher, f: &FlowKey, rng: &mut SimRng) -> CandidateList {
+        let mut out = CandidateList::new();
+        d.candidates_into(f, rng, &mut out);
+        out
+    }
+
     #[test]
     fn bounded_draw_is_in_range_and_unbiased_at_tiny_n() {
         let mut rng = SimRng::new(11);
@@ -793,7 +791,7 @@ mod tests {
         let mut d = RandomDispatcher::power_of_two(servers(12));
         let mut rng = SimRng::new(1);
         for port in 0..1000 {
-            let c = d.candidates(&flow(port), &mut rng);
+            let c = pick(&mut d, &flow(port), &mut rng);
             assert_eq!(c.len(), 2);
             assert_ne!(c[0], c[1], "candidates must be distinct");
         }
@@ -809,7 +807,7 @@ mod tests {
         let mut counts = std::collections::HashMap::new();
         let trials = 24_000;
         for port in 0..trials {
-            let c = d.candidates(&flow(port as u16), &mut rng);
+            let c = pick(&mut d, &flow(port as u16), &mut rng);
             *counts.entry(c[0]).or_insert(0usize) += 1;
         }
         for s in &all {
@@ -826,7 +824,7 @@ mod tests {
     fn random_dispatcher_k_capped_at_server_count() {
         let mut d = RandomDispatcher::new(servers(3), 10);
         let mut rng = SimRng::new(1);
-        let c = d.candidates(&flow(1), &mut rng);
+        let c = pick(&mut d, &flow(1), &mut rng);
         assert_eq!(c.len(), 3);
         let unique: std::collections::HashSet<_> = c.iter().collect();
         assert_eq!(unique.len(), 3);
@@ -842,9 +840,9 @@ mod tests {
     fn consistent_hash_is_deterministic_per_flow() {
         let mut d = ConsistentHashDispatcher::new(servers(12), 100, 2);
         let mut rng = SimRng::new(1);
-        let a = d.candidates(&flow(42), &mut rng);
-        let b = d.candidates(&flow(42), &mut rng);
-        assert_eq!(a, b, "same flow must map to the same candidates");
+        let a = pick(&mut d, &flow(42), &mut rng);
+        let b = pick(&mut d, &flow(42), &mut rng);
+        assert_eq!(a[..], b[..], "same flow must map to the same candidates");
         assert_eq!(a.len(), 2);
         assert_ne!(a[0], a[1]);
         assert_eq!(d.ring_size(), 1200);
@@ -864,7 +862,7 @@ mod tests {
                 80,
                 Protocol::Tcp,
             );
-            let c = d.candidates(&f, &mut rng);
+            let c = pick(&mut d, &f, &mut rng);
             *counts.entry(c[0]).or_insert(0usize) += 1;
         }
         assert_eq!(counts.len(), 12, "every server should receive some flows");
@@ -896,9 +894,9 @@ mod tests {
     fn maglev_is_deterministic_and_distinct() {
         let mut d = MaglevDispatcher::new(servers(12), 251, 2);
         let mut rng = SimRng::new(1);
-        let a = d.candidates(&flow(7), &mut rng);
-        let b = d.candidates(&flow(7), &mut rng);
-        assert_eq!(a, b);
+        let a = pick(&mut d, &flow(7), &mut rng);
+        let b = pick(&mut d, &flow(7), &mut rng);
+        assert_eq!(a[..], b[..]);
         assert_eq!(a.len(), 2);
         assert_ne!(a[0], a[1]);
         assert_eq!(d.fanout(), 2);
@@ -924,7 +922,7 @@ mod tests {
             },
         ] {
             let mut d = config.build(s.clone());
-            let c = d.candidates(&flow(3), &mut rng);
+            let c = pick(d.as_mut(), &flow(3), &mut rng);
             assert_eq!(c.len(), 2);
             assert_eq!(config.fanout(), 2);
         }
@@ -942,8 +940,8 @@ mod tests {
         assert_eq!(ch, fresh_ch);
         assert_eq!(ch.backends(), &after[..]);
         assert_eq!(
-            ch.candidates(&flow(9), &mut rng),
-            fresh_ch.candidates(&flow(9), &mut rng)
+            pick(&mut ch, &flow(9), &mut rng)[..],
+            pick(&mut fresh_ch, &flow(9), &mut rng)[..]
         );
 
         let mut maglev = MaglevDispatcher::new(before.clone(), 251, 2);
@@ -995,11 +993,11 @@ mod tests {
         let mut pool = ConsistentHashDispatcher::new(s, 64, 4);
         let mut rng = SimRng::new(1);
         for port in 0..200 {
-            let chosen = aware.candidates(&flow(port), &mut rng);
-            let ring = pool.candidates(&flow(port), &mut rng);
+            let chosen = pick(&mut aware, &flow(port), &mut rng);
+            let ring = pick(&mut pool, &flow(port), &mut rng);
             assert_eq!(
-                chosen,
-                ring[..2].to_vec(),
+                chosen[..],
+                ring[..2],
                 "unobserved loads must preserve ring order"
             );
         }
@@ -1016,18 +1014,18 @@ mod tests {
         let mut rng = SimRng::new(1);
 
         let f = flow(42);
-        let ring = pool.candidates(&f, &mut rng);
+        let ring = pick(&mut pool, &f, &mut rng);
         // Mark the first two ring candidates heavily loaded; the tail two
         // (still load 0) must now win, in ring order.
         aware.observe_load(ring[0], 10.0, 0.0);
         aware.observe_load(ring[1], 10.0, 0.0);
-        assert_eq!(aware.candidates(&f, &mut rng), vec![ring[2], ring[3]]);
+        assert_eq!(pick(&mut aware, &f, &mut rng)[..], [ring[2], ring[3]]);
         assert!(aware.load_of(&ring[0]) > 9.0);
 
         // The least-loaded of the loaded pair still outranks the other.
         aware.observe_load(ring[2], 20.0, 1.0);
         aware.observe_load(ring[3], 20.0, 1.0);
-        assert_eq!(aware.candidates(&f, &mut rng)[0], ring[0]);
+        assert_eq!(pick(&mut aware, &f, &mut rng)[0], ring[0]);
     }
 
     #[test]
@@ -1060,8 +1058,8 @@ mod tests {
         let mut observed = RandomDispatcher::power_of_two(s.clone());
         observed.observe_load(s[0], 100.0, 0.0);
         assert_eq!(
-            plain.candidates(&flow(5), &mut rng.clone()),
-            observed.candidates(&flow(5), &mut rng)
+            pick(&mut plain, &flow(5), &mut rng.clone())[..],
+            pick(&mut observed, &flow(5), &mut rng)[..]
         );
     }
 

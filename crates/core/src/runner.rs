@@ -13,10 +13,12 @@
 //!
 //! The load-balancer tier is fronted by deterministic resilient ECMP
 //! steering ([`srlb_sim::ecmp_steer`]): every instance advertises the same
-//! anycast address and VIPs, registered in the [`Directory`] as a shared
-//! tier whose membership the runner mutates on `AddLb` / `RemoveLb` events
-//! — route advertisement and withdrawal, observed by every node on its
-//! next send.  With `lb_count = 1` the tier degenerates to the single load
+//! anycast address and VIPs, registered in the [`Directory`] as a tier.
+//! The runner owns the tier's membership; on `AddLb` / `RemoveLb` events —
+//! route advertisement and withdrawal — it changes it and re-registers it
+//! between segments in its own directory and in the client's and every live
+//! server's, so every node steers by the new membership from the next
+//! segment on.  With `lb_count = 1` the tier degenerates to the single load
 //! balancer of the paper's testbed and runs are byte-identical to the
 //! pre-tier runner.
 //!
@@ -53,6 +55,7 @@ use srlb_net::{AddressPlan, Packet, ServerId};
 use srlb_server::{tier_members, Directory, ServerConfig, ServerNode, ServerStats};
 use srlb_sim::{
     ExecMode, Network, NodeId, PoolPolicy, RunUntil, ShardPlan, SimDuration, SimStats, SimTime,
+    Steering,
 };
 
 use crate::client::{client_addr_count, ClientNode};
@@ -305,18 +308,22 @@ impl Runner {
         let server_ids: Vec<NodeId> = (0..cluster.max_servers).map(server_node_id).collect();
 
         // The whole tier advertises one anycast LB address and the VIPs;
-        // the shared membership handle is the runner's model of the ECMP
-        // routing table, mutated on AddLb/RemoveLb events below.
-        let tier = tier_members(lb_ids.clone());
+        // `tier` is the runner's model of the ECMP routing table, changed on
+        // AddLb/RemoveLb events below and re-advertised to every directory
+        // that steers by it.
+        let mut tier = tier_members(lb_ids.clone());
+        let vips: Vec<Ipv6Addr> = (0..cluster.vips).map(|v| plan.vip(v)).collect();
+        let advertise = |directory: &mut Directory, tier: &Steering| {
+            directory.register_tier(plan.lb_addr(), tier.clone());
+            for &vip in &vips {
+                directory.register_tier(vip, tier.clone());
+            }
+        };
         let mut directory = Directory::new();
         for a in 0..client_addr_count(total_requests) {
             directory.register(plan.client_addr(a), client_id);
         }
-        directory.register_tier(plan.lb_addr(), tier.clone());
-        let vips: Vec<Ipv6Addr> = (0..cluster.vips).map(|v| plan.vip(v)).collect();
-        for &vip in &vips {
-            directory.register_tier(vip, tier.clone());
-        }
+        advertise(&mut directory, &tier);
         for (i, &sid) in server_ids.iter().enumerate() {
             directory.register(plan.server_addr(ServerId(i as u32)), sid);
         }
@@ -448,6 +455,23 @@ impl Runner {
             }
         };
 
+        // Re-advertises `tier` in the runner's own directory (which later
+        // servers are built from), the client's and every live server's:
+        // the only nodes that steer by it.  Runs between segments, so every
+        // node switches membership at the same instant.
+        let readvertise =
+            |network: &mut Network<Packet>, directory: &mut Directory, tier: &Steering| {
+                advertise(directory, tier);
+                if let Some(client) = network.node_as_mut::<ClientNode>(client_id) {
+                    advertise(client.directory_mut(), tier);
+                }
+                for &sid in &server_ids {
+                    if let Some(server) = network.node_as_mut::<ServerNode>(sid) {
+                        advertise(server.directory_mut(), tier);
+                    }
+                }
+            };
+
         // Segment the run at each control event's timestamp.
         let mut boundaries: Vec<(String, f64)> = Vec::with_capacity(spec.scenario.len());
         for timed in &spec.scenario {
@@ -477,16 +501,9 @@ impl Runner {
                     rebuild_tier(&mut network, &alive_addrs(&alive));
                 }
                 ScenarioEvent::LbFailover => {
-                    // Fail over every *advertised* instance; the shared
-                    // tier is the single source of truth for advertisement.
-                    let advertised: Vec<usize> = {
-                        // srlb-lint: allow(panic-hygiene) -- lock poisoning means another thread already panicked; propagating is the only sound option
-                        let tier = tier.read().expect("tier lock poisoned");
-                        (0..lb_count)
-                            .filter(|&j| tier.contains(lb_node_id(j)))
-                            .collect()
-                    };
-                    for j in advertised {
+                    // Fail over every *advertised* instance; the tier is
+                    // the single source of truth for advertisement.
+                    for j in (0..lb_count).filter(|&j| tier.contains(lb_node_id(j))) {
                         network
                             .control::<LoadBalancerNode, _>(lb_node_id(j), |lb, ctx| {
                                 lb.fail_over(ctx.now())
@@ -496,19 +513,15 @@ impl Runner {
                     }
                 }
                 ScenarioEvent::AddLb { lb } => {
-                    tier.write()
-                        // srlb-lint: allow(panic-hygiene) -- lock poisoning means another thread already panicked; propagating is the only sound option
-                        .expect("tier lock poisoned")
-                        .add(lb_node_id(lb as usize));
+                    tier.add(lb_node_id(lb as usize));
+                    readvertise(&mut network, &mut directory, &tier);
                 }
                 ScenarioEvent::RemoveLb { lb } => {
                     // A route withdrawal, not a node removal: packets
                     // already in the fabric still deliver, subsequent
                     // packets of the instance's flows re-steer to peers.
-                    tier.write()
-                        // srlb-lint: allow(panic-hygiene) -- lock poisoning means another thread already panicked; propagating is the only sound option
-                        .expect("tier lock poisoned")
-                        .remove(lb_node_id(lb as usize));
+                    tier.remove(lb_node_id(lb as usize));
+                    readvertise(&mut network, &mut directory, &tier);
                 }
                 ScenarioEvent::SetCapacity {
                     server,
@@ -744,6 +757,64 @@ mod tests {
         assert!(outcome.per_lb_stats[1].new_flows > 0);
         assert!(outcome.per_lb_stats[0].rehunts > 0, "re-hunts expected");
         assert_eq!(outcome.lb_stats.missing_flow, 0);
+    }
+
+    #[test]
+    fn a_server_added_after_a_withdrawal_steers_only_to_the_remaining_lb() {
+        // Two bursts of traffic with a quiet gap between them: LB 1 is
+        // withdrawn in the gap and server 4 joins after it, so the second
+        // burst must reach LB 0 alone — including the SYN-ACKs of the new
+        // server, whose directory is cloned from the runner's own.  A stale
+        // copy would teach LB 1 flows it never hunted and leave LB 0, which
+        // steers their requests, without an entry (no flow recovery here).
+        let service = ServiceTime::Constant { ms: 10.0 };
+        let early = PoissonWorkload::new(100.0, 60, service).generate(1);
+        let late = PoissonWorkload::new(100.0, 60, service).generate(2);
+        let shift = SimDuration::from_secs(3);
+        let requests: Vec<Request> = early
+            .into_iter()
+            .chain(
+                late.into_iter()
+                    .map(|r| Request::new(r.id + 60, r.arrival + shift, r.class, r.service)),
+            )
+            .collect();
+        let mut spec = trace_spec(requests, PolicyConfig::Static { threshold: 2 }, 2)
+            .at(2.0, ScenarioEvent::RemoveLb { lb: 1 })
+            .at(2.5, ScenarioEvent::AddServer { server: 4 });
+        spec.cluster.lb_count = 2;
+        spec.cluster.max_servers = 5;
+
+        let batched = Runner::new(spec.clone()).unwrap().run();
+        let sharded = Runner::new(spec)
+            .unwrap()
+            .with_exec(ExecMode::Sharded { threads: 2 })
+            .with_pool_policy(PoolPolicy::Force)
+            .with_shard_planning(ShardPlanning::RoundRobin)
+            .run();
+        assert!(sharded.shard_plan.is_some(), "two shards actually ran");
+        assert_eq!(sharded.collector.records(), batched.collector.records());
+        for outcome in [&batched, &sharded] {
+            assert_eq!(
+                outcome.collector.completed_count(),
+                120,
+                "every request completes"
+            );
+            assert!(
+                outcome.server_stats[4].completed > 0,
+                "the new server took flows"
+            );
+            let [lb0, lb1] = [outcome.per_lb_stats[0], outcome.per_lb_stats[1]];
+            assert!(
+                lb1.new_flows > 0 && lb1.new_flows < 60,
+                "LB 1 shared the first burst"
+            );
+            // Each instance learned exactly the flows it hunted: nothing
+            // reached LB 1 after its withdrawal.
+            assert_eq!(lb1.flows_learned, lb1.new_flows);
+            assert_eq!(lb0.flows_learned, lb0.new_flows);
+            assert_eq!(lb0.new_flows + lb1.new_flows, 120);
+            assert_eq!(outcome.lb_stats.missing_flow, 0);
+        }
     }
 
     #[test]

@@ -58,14 +58,6 @@ pub enum PolicyKind {
         /// The busy-thread threshold servers still enforce.
         threshold: usize,
     },
-    /// Service Hunting with an explicit candidate count and policy (used by
-    /// the ablation benches).
-    Custom {
-        /// Number of candidates in the SR list.
-        candidates: usize,
-        /// Per-server acceptance policy.
-        policy: PolicyConfig,
-    },
     /// Fully explicit pairing of a candidate-selection dispatcher and a
     /// per-server acceptance policy — the form the dynamic-cluster
     /// scenarios use (consistent-hash / Maglev selection).
@@ -85,9 +77,6 @@ impl PolicyKind {
             PolicyKind::Static { threshold } => format!("SR{threshold}"),
             PolicyKind::Dynamic => "SRdyn".to_string(),
             PolicyKind::LoadAware { pool, threshold } => format!("SRla-p{pool}c{threshold}"),
-            PolicyKind::Custom { candidates, policy } => {
-                format!("custom-k{}-{}", candidates, policy.name())
-            }
             PolicyKind::Explicit {
                 dispatcher,
                 acceptance,
@@ -105,7 +94,6 @@ impl PolicyKind {
                 pool: *pool,
                 k: 2,
             },
-            PolicyKind::Custom { candidates, .. } => DispatcherConfig::Random { k: *candidates },
             PolicyKind::Explicit { dispatcher, .. } => *dispatcher,
         }
     }
@@ -121,7 +109,6 @@ impl PolicyKind {
                 }
             }
             PolicyKind::Dynamic => PolicyConfig::paper_dynamic(),
-            PolicyKind::Custom { policy, .. } => *policy,
             PolicyKind::Explicit { acceptance, .. } => *acceptance,
         }
     }

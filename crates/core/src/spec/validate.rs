@@ -360,9 +360,9 @@ mod tests {
         // Fan-out above server count.
         let spec = ExperimentSpec::poisson_paper(
             0.5,
-            PolicyKind::Custom {
-                candidates: 50,
-                policy: PolicyConfig::Static { threshold: 2 },
+            PolicyKind::Explicit {
+                dispatcher: DispatcherConfig::Random { k: 50 },
+                acceptance: PolicyConfig::Static { threshold: 2 },
             },
         );
         assert!(spec.validate().is_err());

@@ -225,15 +225,14 @@ proptest! {
         let mut fresh_ch = ConsistentHashDispatcher::new(membership.clone(), 32, 2);
         let mut fresh_maglev = MaglevDispatcher::new(membership.clone(), 251, 2);
         let mut rng = SimRng::new(1);
+        let (mut a, mut b) = (CandidateList::new(), CandidateList::new());
         for f in &flows {
-            prop_assert_eq!(
-                ch.candidates(f, &mut rng),
-                fresh_ch.candidates(f, &mut rng)
-            );
-            prop_assert_eq!(
-                maglev.candidates(f, &mut rng),
-                fresh_maglev.candidates(f, &mut rng)
-            );
+            ch.candidates_into(f, &mut rng, &mut a);
+            fresh_ch.candidates_into(f, &mut rng, &mut b);
+            prop_assert_eq!(&a[..], &b[..]);
+            maglev.candidates_into(f, &mut rng, &mut a);
+            fresh_maglev.candidates_into(f, &mut rng, &mut b);
+            prop_assert_eq!(&a[..], &b[..]);
         }
         // The per-flow owner maps agree as well (sanity over the whole set).
         let via_rebuild: HashMap<&FlowKey, Ipv6Addr> =

@@ -3,16 +3,13 @@
 //! The paper smooths the instantaneous per-server loads of Figure 4 with an
 //! EWMA whose parameter is `alpha = 1 - exp(-dt)` where `dt` is the interval
 //! in seconds between successive data points; this module implements exactly
-//! that filter, plus a fixed-alpha variant.
+//! that filter.
 
 use serde::{Deserialize, Serialize};
 
 /// An exponential window moving average filter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ewma {
-    /// Time constant in seconds used by the time-aware update
-    /// (`alpha = 1 - exp(-dt / tau)`); the paper uses `tau = 1`.
-    tau_seconds: f64,
     value: Option<f64>,
     last_time: Option<f64>,
 }
@@ -21,21 +18,7 @@ impl Ewma {
     /// Creates a filter with the paper's parameterisation
     /// (`alpha = 1 - exp(-dt)`, i.e. a time constant of one second).
     pub fn new() -> Self {
-        Self::with_time_constant(1.0)
-    }
-
-    /// Creates a filter with a custom time constant in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tau_seconds` is not strictly positive and finite.
-    pub fn with_time_constant(tau_seconds: f64) -> Self {
-        assert!(
-            tau_seconds.is_finite() && tau_seconds > 0.0,
-            "time constant must be positive"
-        );
         Ewma {
-            tau_seconds,
             value: None,
             last_time: None,
         }
@@ -55,7 +38,7 @@ impl Ewma {
         let new_value = match (self.value, self.last_time) {
             (Some(prev), Some(last)) => {
                 let dt = (time_seconds - last).max(0.0);
-                let alpha = 1.0 - (-dt / self.tau_seconds).exp();
+                let alpha = 1.0 - (-dt).exp();
                 prev + alpha * (sample - prev)
             }
             _ => sample,
@@ -126,29 +109,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_time_constant_slows_decay() {
-        let mut fast = Ewma::with_time_constant(0.1);
-        let mut slow = Ewma::with_time_constant(10.0);
-        fast.observe(0.0, 0.0);
-        slow.observe(0.0, 0.0);
-        let f = fast.observe(1.0, 1.0);
-        let s = slow.observe(1.0, 1.0);
-        assert!(f > s);
-    }
-
-    #[test]
     fn reset_clears_state() {
         let mut e = Ewma::new();
         e.observe(0.0, 3.0);
         e.reset();
         assert_eq!(e.value(), None);
         assert_eq!(e.observe(5.0, 7.0), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn non_positive_tau_panics() {
-        Ewma::with_time_constant(0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every quantity reported in the paper's evaluation section is computed by
 //! this crate:
 //!
-//! * [`Summary`] — mean, standard deviation, arbitrary percentiles and the
+//! * [`Summary`] — mean, arbitrary percentiles and the
 //!   deciles 1–9 used in Figure 7,
 //! * [`Cdf`] — empirical CDFs of response times (Figures 3, 5 and 8),
 //! * [`jain_fairness`] — the fairness index of per-server loads used in

@@ -1,4 +1,4 @@
-//! Summary statistics: mean, standard deviation, percentiles and deciles.
+//! Summary statistics: mean, percentiles and deciles.
 
 use serde::{Deserialize, Serialize};
 
@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 pub struct Summary {
     sorted: Vec<f64>,
     sum: f64,
-    sum_sq: f64,
 }
 
 impl Summary {
@@ -22,12 +21,7 @@ impl Summary {
         let mut sorted: Vec<f64> = samples.into_iter().filter(|x| x.is_finite()).collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         let sum = sorted.iter().sum();
-        let sum_sq = sorted.iter().map(|x| x * x).sum();
-        Summary {
-            sorted,
-            sum,
-            sum_sq,
-        }
+        Summary { sorted, sum }
     }
 
     /// Number of samples.
@@ -47,16 +41,6 @@ impl Summary {
         } else {
             self.sum / self.sorted.len() as f64
         }
-    }
-
-    /// Population standard deviation, or 0.0 for fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        let n = self.sorted.len() as f64;
-        if self.sorted.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        ((self.sum_sq / n) - mean * mean).max(0.0).sqrt()
     }
 
     /// Smallest sample, or `None` if empty.
@@ -142,7 +126,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.median(), None);
@@ -150,10 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std_of_known_set() {
+    fn mean_of_known_set() {
         let s = Summary::from_samples([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert_eq!(s.count(), 8);
@@ -184,7 +166,6 @@ mod tests {
     fn single_sample() {
         let s = Summary::from_samples([42.0]);
         assert_eq!(s.mean(), 42.0);
-        assert_eq!(s.std_dev(), 0.0);
         assert_eq!(s.median(), Some(42.0));
         assert_eq!(s.deciles(), Some([42.0; 9]));
     }

@@ -106,13 +106,6 @@ impl ProcessorSharingCpu {
         assert!(previous.is_none(), "job {id} is already running");
     }
 
-    /// Removes a job regardless of its remaining work (connection aborted).
-    /// Returns `true` if the job was running.
-    pub fn abort_job(&mut self, id: u64, now: SimTime) -> bool {
-        self.progress_to(now);
-        self.remaining.remove(&id).is_some()
-    }
-
     /// Advances to `now` and removes every job whose remaining work has
     /// dropped to (approximately) zero, returning their ids sorted
     /// ascending for determinism.
@@ -213,18 +206,6 @@ mod tests {
         // Job 1 then has 50 ms left at full speed.
         assert_eq!(cpu.next_completion(t(150)), Some(t(200)));
         assert_eq!(cpu.take_completed(t(200)), vec![1]);
-    }
-
-    #[test]
-    fn abort_removes_work_and_speeds_up_the_rest() {
-        let mut cpu = ProcessorSharingCpu::new(1);
-        cpu.add_job(0, SimDuration::from_millis(100), t(0));
-        cpu.add_job(1, SimDuration::from_millis(100), t(0));
-        assert!(cpu.abort_job(1, t(50)));
-        assert!(!cpu.abort_job(1, t(50)));
-        // Job 0 progressed 25 ms (half speed for 50 ms); 75 ms remain at full
-        // speed.
-        assert_eq!(cpu.next_completion(t(50)), Some(t(125)));
     }
 
     #[test]

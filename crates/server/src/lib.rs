@@ -43,7 +43,7 @@ pub mod worker;
 pub use agent::ApplicationAgent;
 pub use backlog::Backlog;
 pub use cpu::ProcessorSharingCpu;
-pub use directory::{tier_members, Directory, TierMembers};
+pub use directory::{tier_members, Directory};
 pub use policy::{AcceptDecision, AcceptPolicy, PolicyConfig};
 pub use server_node::{ServerConfig, ServerNode, ServerStats};
 pub use vrouter::{RouterAction, VirtualRouter};

@@ -158,8 +158,6 @@ impl ServerStats {
 /// retained entry can only ever match its own request's retransmissions.
 #[derive(Debug, Clone, Copy)]
 struct Connection {
-    /// The client's address (responses go here, direct server return).
-    client: Ipv6Addr,
     /// Id of the request this connection completed, once the response has
     /// been sent.
     completed: Option<u64>,
@@ -169,7 +167,6 @@ struct Connection {
 #[derive(Debug, Clone)]
 struct PendingJob {
     flow: FlowKey,
-    client: Ipv6Addr,
     request_id: u64,
     service: SimDuration,
 }
@@ -179,7 +176,6 @@ struct PendingJob {
 struct RunningJob {
     worker: WorkerId,
     flow: FlowKey,
-    client: Ipv6Addr,
     request_id: u64,
 }
 
@@ -350,9 +346,10 @@ impl ServerNode {
         self.backlog.len()
     }
 
-    /// Number of connections currently established on this server.
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
+    /// The server's routing table, for re-advertising an ECMP tier between
+    /// run segments.
+    pub fn directory_mut(&mut self) -> &mut Directory {
+        &mut self.directory
     }
 
     /// Re-provisions the server's capacity at runtime (dynamic-cluster
@@ -418,13 +415,8 @@ impl ServerNode {
     fn accept_connection(&mut self, packet: &Packet, ctx: &mut Context<'_, Packet>) {
         let flow = packet.flow_key_forward();
         let client = flow.client();
-        self.connections.insert(
-            flow,
-            Connection {
-                client,
-                completed: None,
-            },
-        );
+        self.connections
+            .insert(flow, Connection { completed: None });
 
         // The active segment of the acceptance route is the load balancer —
         // specifically the tier instance this flow is ECMP-steered to, so
@@ -451,19 +443,16 @@ impl ServerNode {
         let Some((request_id, service)) = decode_request_payload(&packet.payload) else {
             return; // bare ACK / FIN of the handshake: nothing to do
         };
-        let connection = self.connections.get(&flow).copied();
         // A retransmitted request for an already-completed connection means
         // the response was lost on the way back: replay it from connection
         // state instead of re-serving the job.
-        if let Some(done) = connection.and_then(|c| c.completed) {
+        if let Some(done) = self.connections.get(&flow).and_then(|c| c.completed) {
             if done == request_id {
                 self.stats.responses_replayed += 1;
-                let client = connection.map_or(flow.client(), |c| c.client);
-                self.send_response(&flow, client, request_id, ctx);
+                self.send_response(&flow, request_id, ctx);
             }
             return;
         }
-        let client = connection.map_or(flow.client(), |c| c.client);
         // Duplicate-segment suppression: a retransmitted request whose
         // original is already running or backlogged (a spurious client
         // timeout, or a drop between here and the client while the job is
@@ -486,7 +475,6 @@ impl ServerNode {
         }
         let job = PendingJob {
             flow,
-            client,
             request_id,
             service,
         };
@@ -499,7 +487,7 @@ impl ServerNode {
                     // tcp_abort_on_overflow: reset the connection.
                     self.stats.resets += 1;
                     self.connections.remove(&job.flow);
-                    self.send_reset(&job.flow, job.client, ctx);
+                    self.send_reset(&job.flow, ctx);
                 }
             }
         } else {
@@ -525,7 +513,6 @@ impl ServerNode {
             RunningJob {
                 worker,
                 flow: job.flow,
-                client: job.client,
                 request_id: job.request_id,
             },
         );
@@ -545,11 +532,10 @@ impl ServerNode {
         self.connections.insert(
             job.flow,
             Connection {
-                client: job.client,
                 completed: Some(job.request_id),
             },
         );
-        self.send_response(&job.flow, job.client, job.request_id, ctx);
+        self.send_response(&job.flow, job.request_id, ctx);
 
         // Pull the next waiting request onto the freed worker thread.
         if let Some(next) = self.backlog.pop() {
@@ -557,16 +543,11 @@ impl ServerNode {
         }
     }
 
-    /// Sends the response for `request_id` directly to the client (direct
-    /// server return); the payload names this server so completions are
-    /// attributable.
-    fn send_response(
-        &self,
-        flow: &FlowKey,
-        client: Ipv6Addr,
-        request_id: u64,
-        ctx: &mut Context<'_, Packet>,
-    ) {
+    /// Sends the response for `request_id` directly to the flow's client
+    /// (direct server return); the payload names this server so completions
+    /// are attributable.
+    fn send_response(&self, flow: &FlowKey, request_id: u64, ctx: &mut Context<'_, Packet>) {
+        let client = flow.client();
         let Some(node) = self.directory.lookup(client) else {
             return;
         };
@@ -581,8 +562,9 @@ impl ServerNode {
         ctx.send(node, response);
     }
 
-    /// Resets `flow`'s connection towards `client`.
-    fn send_reset(&self, flow: &FlowKey, client: Ipv6Addr, ctx: &mut Context<'_, Packet>) {
+    /// Resets `flow`'s connection towards its client.
+    fn send_reset(&self, flow: &FlowKey, ctx: &mut Context<'_, Packet>) {
+        let client = flow.client();
         let Some(node) = self.directory.lookup(client) else {
             return;
         };
@@ -637,7 +619,7 @@ impl ServerNode {
                 if let Some((request_id, _)) = decode_request_payload(&packet.payload) {
                     if conn.completed == Some(request_id) {
                         self.stats.responses_replayed += 1;
-                        self.send_response(&flow, conn.client, request_id, ctx);
+                        self.send_response(&flow, request_id, ctx);
                         return None;
                     }
                 }
@@ -652,7 +634,7 @@ impl ServerNode {
             packet.advance_segment().ok()
         } else {
             self.stats.orphaned += 1;
-            self.send_reset(&flow, flow.client(), ctx);
+            self.send_reset(&flow, ctx);
             None
         }
     }

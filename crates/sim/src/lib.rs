@@ -91,7 +91,7 @@ pub use network::{Network, RunUntil};
 pub use node::{Context, Node, NodeId, TimerToken};
 pub use rng::SimRng;
 pub use shard::{ExecMode, PoolPolicy, ShardPlan};
-pub use steering::{ecmp_steer, steer_rack, Steering};
+pub use steering::{ecmp_steer, Steering};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEntry, TraceKind, TraceLog};
 

@@ -61,32 +61,6 @@ impl RunUntil {
             RunUntil::TimeOrEvents { until, max_events } => (Some(until), Some(max_events)),
         }
     }
-
-    fn from_bounds(until: Option<SimTime>, max_events: Option<u64>) -> Self {
-        match (until, max_events) {
-            (None, None) => RunUntil::Drained,
-            (Some(t), None) => RunUntil::Time(t),
-            (None, Some(n)) => RunUntil::Events(n),
-            (Some(t), Some(n)) => RunUntil::TimeOrEvents {
-                until: t,
-                max_events: n,
-            },
-        }
-    }
-
-    /// Additionally bounds the policy by simulated time; the tighter of two
-    /// time bounds wins.
-    pub fn or_time(self, t: SimTime) -> Self {
-        let (until, max_events) = self.bounds();
-        Self::from_bounds(Some(until.map_or(t, |u| u.min(t))), max_events)
-    }
-
-    /// Additionally bounds the policy by an event budget; the tighter of two
-    /// budgets wins.
-    pub fn or_events(self, n: u64) -> Self {
-        let (until, max_events) = self.bounds();
-        Self::from_bounds(until, Some(max_events.map_or(n, |m| m.min(n))))
-    }
 }
 
 /// Drives a started single `core` under `policy`, either batched
@@ -557,34 +531,20 @@ mod tests {
     }
 
     #[test]
-    fn run_until_combinators_normalise_and_tighten() {
+    fn run_until_bounds_name_each_limit() {
         let t5 = SimTime::from_nanos(5);
-        let t9 = SimTime::from_nanos(9);
-        assert_eq!(RunUntil::Drained.or_time(t5), RunUntil::Time(t5));
-        assert_eq!(RunUntil::Stopped.or_events(3), RunUntil::Events(3));
-        assert_eq!(RunUntil::Time(t9).or_time(t5), RunUntil::Time(t5));
-        assert_eq!(RunUntil::Time(t5).or_time(t9), RunUntil::Time(t5));
-        assert_eq!(RunUntil::Events(7).or_events(9), RunUntil::Events(7));
-        assert_eq!(
-            RunUntil::Time(t5).or_events(7),
-            RunUntil::TimeOrEvents {
-                until: t5,
-                max_events: 7
-            }
-        );
-        assert_eq!(
-            RunUntil::TimeOrEvents {
-                until: t9,
-                max_events: 9
-            }
-            .or_time(t5)
-            .or_events(7),
-            RunUntil::TimeOrEvents {
-                until: t5,
-                max_events: 7
-            }
-        );
+        assert_eq!(RunUntil::Drained.bounds(), (None, None));
         assert_eq!(RunUntil::Stopped.bounds(), (None, None));
+        assert_eq!(RunUntil::Time(t5).bounds(), (Some(t5), None));
+        assert_eq!(RunUntil::Events(7).bounds(), (None, Some(7)));
+        assert_eq!(
+            RunUntil::TimeOrEvents {
+                until: t5,
+                max_events: 7
+            }
+            .bounds(),
+            (Some(t5), Some(7))
+        );
     }
 
     #[test]

@@ -39,9 +39,7 @@
 //! that hop's cost is fixed by the steering model.  What placement *can*
 //! keep local is the LB ↔ server hunting traffic, which is why the planner
 //! co-shards each rack's LB with that rack's servers and takes its
-//! lookahead from the cross-rack latency.  [`steer_rack`] exposes the
-//! steered member's rack so diagnostics (and the test below) can measure
-//! that fixed cross-rack share directly.
+//! lookahead from the cross-rack latency.
 
 use crate::node::NodeId;
 
@@ -75,20 +73,6 @@ fn rank(flow_hash: u64, member: NodeId) -> u64 {
 #[inline]
 pub fn ecmp_steer(flow_hash: u64, members: &[NodeId]) -> Option<NodeId> {
     members.iter().copied().max_by_key(|&m| rank(flow_hash, m))
-}
-
-/// The rack of the member a flow is steered to, under `rack_of` (the
-/// placement planner's member → rack assignment).  `None` on an empty
-/// tier.  This is the quantity shard-placement diagnostics care about:
-/// steering is uniform over members, so the distribution over racks is
-/// the distribution of members over racks, independent of the flow mix.
-#[inline]
-pub fn steer_rack(
-    flow_hash: u64,
-    members: &[NodeId],
-    rack_of: impl Fn(NodeId) -> usize,
-) -> Option<usize> {
-    ecmp_steer(flow_hash, members).map(rack_of)
 }
 
 /// A mutable ECMP tier: the declarative steering model the experiment
@@ -212,31 +196,6 @@ mod tests {
         assert_eq!(s.members(), &[NodeId(1), NodeId(2), NodeId(3)]);
         assert!(s.remove(NodeId(3)));
         assert_eq!(s.members(), &tier(2)[..]);
-    }
-
-    #[test]
-    fn cross_rack_steering_share_is_fixed_by_member_placement() {
-        // 4 LBs, one per rack (the topology-aware plan's layout for the
-        // default rack/zone model): member m lives in rack m - 1.
-        let members = tier(4);
-        let rack_of = |m: NodeId| m.0 - 1;
-        let flows = 8_192u64;
-        let mut per_rack = [0usize; 4];
-        for i in 0..flows {
-            let h = mix(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            per_rack[steer_rack(h, &members, rack_of).unwrap()] += 1;
-        }
-        // Uniform over members ⇒ uniform over racks: a client pinned to
-        // any one rack sees ≈ 3/4 of its flows steered cross-rack, and no
-        // placement of this one-LB-per-rack tier can change that.
-        let expected = flows as usize / 4;
-        for (rack, &count) in per_rack.iter().enumerate() {
-            assert!(
-                count * 2 > expected && count < expected * 2,
-                "rack {rack} share should be within 2x of fair, got {per_rack:?}"
-            );
-        }
-        assert_eq!(steer_rack(7, &[], rack_of), None);
     }
 
     #[test]

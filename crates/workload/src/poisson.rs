@@ -3,7 +3,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use srlb_metrics::RequestClass;
-use srlb_sim::{SimRng, SimTime};
 
 use crate::request::Request;
 use crate::service::ServiceTime;
@@ -87,35 +86,12 @@ impl PoissonWorkload {
         self
     }
 
-    /// Expected duration of the generated trace in seconds.
-    pub fn expected_duration_seconds(&self) -> f64 {
-        self.queries as f64 / self.rate_per_second
-    }
-
     /// Generates the request trace deterministically from `seed`.
     ///
     /// Compatibility shim: drains [`PoissonWorkload::stream`], so the eager
     /// and streaming paths cannot diverge.
     pub fn generate(&self, seed: u64) -> Vec<Request> {
         crate::stream::collect(&mut self.stream(seed))
-    }
-
-    /// Generates a trace whose arrivals are deterministic (evenly spaced at
-    /// the configured rate) but whose service times are still random; used
-    /// by tests that need exact arrival control.
-    pub fn generate_uniform_arrivals(&self, seed: u64) -> Vec<Request> {
-        let mut service_rng = SimRng::new(seed).fork_named("poisson-service");
-        let gap = 1.0 / self.rate_per_second;
-        (0..self.queries as u64)
-            .map(|id| {
-                Request::new(
-                    id,
-                    SimTime::from_secs_f64(gap * (id + 1) as f64),
-                    self.class,
-                    self.service.sample(&mut service_rng),
-                )
-            })
-            .collect()
     }
 }
 
@@ -152,6 +128,7 @@ pub(crate) fn poisson_count<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::request::is_well_formed;
+    use srlb_sim::SimRng;
 
     #[test]
     fn generates_requested_number_of_queries() {
@@ -171,7 +148,6 @@ mod tests {
             (rate - 200.0).abs() / 200.0 < 0.05,
             "empirical rate {rate} too far from 200"
         );
-        assert!((w.expected_duration_seconds() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -187,15 +163,6 @@ mod tests {
         let w = PoissonWorkload::paper(0.7, 100.0).with_queries(500);
         assert_eq!(w.generate(11), w.generate(11));
         assert_ne!(w.generate(11), w.generate(12));
-    }
-
-    #[test]
-    fn uniform_arrivals_are_evenly_spaced() {
-        let w = PoissonWorkload::new(10.0, 5, ServiceTime::Constant { ms: 1.0 });
-        let trace = w.generate_uniform_arrivals(1);
-        for (i, r) in trace.iter().enumerate() {
-            assert!((r.arrival_seconds() - 0.1 * (i + 1) as f64).abs() < 1e-9);
-        }
     }
 
     #[test]

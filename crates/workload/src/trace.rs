@@ -9,7 +9,6 @@
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
-use srlb_metrics::RequestClass;
 
 use crate::request::{is_well_formed, Request};
 
@@ -62,21 +61,6 @@ impl Trace {
             .unwrap_or(0.0)
     }
 
-    /// Number of requests of a given class.
-    pub fn count_class(&self, class: RequestClass) -> usize {
-        self.requests.iter().filter(|r| r.class == class).count()
-    }
-
-    /// Mean arrival rate over the trace, in requests per second.
-    pub fn mean_rate_per_second(&self) -> f64 {
-        let d = self.duration_seconds();
-        if d == 0.0 {
-            0.0
-        } else {
-            self.len() as f64 / d
-        }
-    }
-
     /// Serialises the trace as JSON to `writer`.
     ///
     /// # Errors
@@ -102,6 +86,7 @@ mod tests {
     use crate::poisson::PoissonWorkload;
     use crate::service::ServiceTime;
     use crate::wikipedia::WikipediaWorkload;
+    use srlb_metrics::RequestClass;
 
     #[test]
     fn wraps_generated_poisson_trace() {
@@ -111,9 +96,6 @@ mod tests {
         assert_eq!(trace.len(), 200);
         assert!(!trace.is_empty());
         assert!(trace.duration_seconds() > 0.0);
-        assert!(trace.mean_rate_per_second() > 50.0);
-        assert_eq!(trace.count_class(RequestClass::Synthetic), 200);
-        assert_eq!(trace.count_class(RequestClass::WikiPage), 0);
     }
 
     #[test]
@@ -133,7 +115,6 @@ mod tests {
         let trace = Trace::default();
         assert!(trace.is_empty());
         assert_eq!(trace.duration_seconds(), 0.0);
-        assert_eq!(trace.mean_rate_per_second(), 0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! load balancer decodes identically after a byte-level round trip).
 
 use srlb::core::calibration::{analytic_lambda0, calibrate_lambda0, CalibrationConfig};
-use srlb::core::dispatch::{Dispatcher, RandomDispatcher};
+use srlb::core::dispatch::{CandidateList, Dispatcher, RandomDispatcher};
 use srlb::net::{
     AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, TcpFlags,
 };
@@ -44,7 +44,8 @@ fn a_hunted_syn_survives_a_wire_roundtrip() {
     let mut dispatcher = RandomDispatcher::power_of_two(servers);
     let mut rng = SimRng::new(4);
     let flow = FlowKey::new(plan.client_addr(0), plan.vip(0), 50_000, 80, Protocol::Tcp);
-    let mut route = dispatcher.candidates(&flow, &mut rng);
+    let mut route = CandidateList::new();
+    dispatcher.candidates_into(&flow, &mut rng, &mut route);
     route.push(plan.vip(0));
 
     let packet = PacketBuilder::tcp(plan.client_addr(0), plan.vip(0))
@@ -58,7 +59,7 @@ fn a_hunted_syn_survives_a_wire_roundtrip() {
 
     // The decoded SRH still walks the same candidates.
     let srh = decoded.srh.expect("SRH present");
-    assert_eq!(srh.route(), route);
+    assert_eq!(srh.route(), route.as_slice());
     assert_eq!(srh.segments_left(), 2);
     assert_eq!(srh.final_segment(), plan.vip(0));
 }

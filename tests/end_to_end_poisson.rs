@@ -1,6 +1,7 @@
 //! Integration tests: end-to-end Poisson experiments across all crates,
 //! checking the qualitative results the paper reports (Section V).
 
+use srlb::core::dispatch::DispatcherConfig;
 use srlb::core::spec::{ExperimentSpec, PolicyKind, WorkloadSpec};
 use srlb::core::{RunOutcome, Runner};
 
@@ -115,18 +116,18 @@ fn degenerate_thresholds_reduce_to_random_balancing() {
     let rr = run(0.8, PolicyKind::RoundRobin, queries, 23);
     let never = run(
         0.8,
-        PolicyKind::Custom {
-            candidates: 2,
-            policy: srlb::server::PolicyConfig::NeverAccept,
+        PolicyKind::Explicit {
+            dispatcher: DispatcherConfig::Random { k: 2 },
+            acceptance: srlb::server::PolicyConfig::NeverAccept,
         },
         queries,
         23,
     );
     let always = run(
         0.8,
-        PolicyKind::Custom {
-            candidates: 2,
-            policy: srlb::server::PolicyConfig::AlwaysAccept,
+        PolicyKind::Explicit {
+            dispatcher: DispatcherConfig::Random { k: 2 },
+            acceptance: srlb::server::PolicyConfig::AlwaysAccept,
         },
         queries,
         23,
