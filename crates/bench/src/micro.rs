@@ -20,7 +20,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use srlb_core::dispatch::{
-    CandidateList, ConsistentHashDispatcher, Dispatcher, MaglevDispatcher, RandomDispatcher,
+    CandidateList, ConsistentHashDispatcher, Dispatcher, DispatcherConfig, MaglevDispatcher,
+    RandomDispatcher,
 };
 use srlb_core::spec::{ExperimentSpec, PolicyKind};
 use srlb_core::Runner;
@@ -129,6 +130,24 @@ pub fn run_all() -> BTreeMap<String, f64> {
         median_ns(|| {
             i = (i + 1) % keys.len();
             ring.candidates_into(&keys[i], &mut rng, &mut out);
+            out.as_slice().len()
+        }),
+    );
+
+    // The rackzone tier: 8 load-balancer instances over a 384-backend ×
+    // 128-vnode ring, built the way the runner builds them (one dispatcher,
+    // a clone per instance sharing its tables) and queried round-robin, over
+    // enough distinct flows that the lookups do not all stay in cache.
+    let tier_ring = DispatcherConfig::ConsistentHash { vnodes: 128, k: 2 }
+        .build(plan.server_addrs(384).collect());
+    let mut tier: Vec<Box<dyn Dispatcher>> = (0..8).map(|_| tier_ring.boxed_clone()).collect();
+    let many_keys = flows(16_384);
+    let mut i = 0;
+    record(
+        "dispatch_consistent_hash_384x128_tier8",
+        median_ns(|| {
+            i = (i + 1) % many_keys.len();
+            tier[i % 8].candidates_into(&many_keys[i], &mut rng, &mut out);
             out.as_slice().len()
         }),
     );

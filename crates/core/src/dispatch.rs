@@ -18,6 +18,41 @@
 //!   back through [`Dispatcher::observe_load`]), after Charon-style
 //!   load-aware selection.
 //!
+//! ## One table per tier
+//!
+//! A hash-based candidate list is a pure function of the flow and the
+//! backend set, so every instance of a load-balancer tier must compute the
+//! same one — that is what keeps a connection's candidates stable when ECMP
+//! moves its packets to another instance.  The runner therefore builds one
+//! dispatcher per tier membership and hands each instance a
+//! [`Dispatcher::boxed_clone`]: the clones share the immutable tables behind
+//! an `Arc` and start with fresh per-instance state (the load estimates of
+//! [`LoadAwareDispatcher`], the permutation scratch of [`RandomDispatcher`]),
+//! exactly as a newly built dispatcher would.  Tables store backends as
+//! `u16` indices into the shared address list, which caps a table-based
+//! dispatcher at 65 536 backends.
+//!
+//! ## The successor table
+//!
+//! [`ConsistentHashDispatcher`] does not walk its ring per flow.  At build
+//! time it sorts the ring's points (ties, where two backends hash to one
+//! point, ordered by address) and stores, for every ring position, the
+//! first `k` distinct backends clockwise from it — the answer the walk would
+//! give for any hash that lands on that position.  A lookup is then:
+//!
+//! 1. the flow hash's top bits select a *bucket*; `buckets[b]..buckets[b+1]`
+//!    is the run of points sharing those bits (the bucket count is the ring
+//!    length rounded down to a power of two, so a run holds one or two
+//!    points on average);
+//! 2. a search inside that run finds the first point `≥` the hash (wrapping
+//!    to position 0 past the last point), exactly where a binary search over
+//!    the whole ring would land;
+//! 3. the `k` indices of that position's successor row are read and mapped
+//!    to addresses.
+//!
+//! On a 384-backend × 128-vnode ring that is three short reads instead of a
+//! 16-step binary search over 1.2 MB plus a de-duplicating walk.
+//!
 //! ## Allocation-free selection
 //!
 //! Dispatchers write their candidates into a caller-supplied, reusable
@@ -28,6 +63,7 @@
 //! buffer to [`SegmentRoutingHeader::from_route`](srlb_net::SegmentRoutingHeader::from_route).
 
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -38,6 +74,41 @@ use srlb_net::{mix64, FlowKey, MAX_SEGMENTS};
 /// than the SRH segment capacity, so a full candidate list plus the VIP
 /// still fits in one Service Hunting route.
 pub const MAX_CANDIDATES: usize = MAX_SEGMENTS - 1;
+
+/// Largest backend set a table-based dispatcher can index (its tables hold
+/// `u16` backend indices).
+pub(crate) const MAX_BACKENDS: usize = 1 << u16::BITS;
+
+/// Checks the constructor arguments every dispatcher shares and returns the
+/// effective fan-out: `k` capped at the backend count.
+///
+/// # Panics
+///
+/// Panics if `servers` is empty, `k` is zero, or the capped `k` exceeds
+/// [`MAX_CANDIDATES`].
+fn capped_fanout(servers: &[Ipv6Addr], k: usize) -> usize {
+    assert!(!servers.is_empty(), "at least one server is required");
+    assert!(k > 0, "k must be at least 1");
+    let k = k.min(servers.len());
+    assert!(
+        k <= MAX_CANDIDATES,
+        "at most {MAX_CANDIDATES} candidates fit in a Service Hunting SRH"
+    );
+    k
+}
+
+/// The shared backend list of a table-based dispatcher.
+///
+/// # Panics
+///
+/// Panics if there are more than [`MAX_BACKENDS`] backends.
+fn backend_table(servers: Vec<Ipv6Addr>) -> Arc<[Ipv6Addr]> {
+    assert!(
+        servers.len() <= MAX_BACKENDS,
+        "a dispatcher table indexes at most {MAX_BACKENDS} backends"
+    );
+    servers.into()
+}
 
 /// A reusable, fixed-capacity candidate buffer.
 ///
@@ -158,18 +229,13 @@ pub trait Dispatcher: std::fmt::Debug + Send {
     /// The current backend set, in construction order.
     fn backends(&self) -> &[Ipv6Addr];
 
-    /// Rebuilds the dispatcher over a new backend set (server churn),
-    /// preserving the originally configured parameters (candidate count,
-    /// virtual nodes, table size).  The result is identical to constructing
-    /// a fresh dispatcher over `servers`, so hash-based dispatchers keep
-    /// their minimal-disruption guarantees across add/remove cycles: flows
-    /// not owned by a changed backend keep their candidates (exactly for
-    /// consistent hashing; within the property-tested tolerance for Maglev).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `servers` is empty.
-    fn rebuild(&mut self, servers: Vec<Ipv6Addr>);
+    /// A new instance over the same backend set that shares this one's
+    /// immutable tables and starts with fresh per-instance state (load
+    /// estimates, scratch buffers) — indistinguishable from building the
+    /// same configuration again, without the build.  The runner builds one
+    /// dispatcher per tier membership and gives every load-balancer
+    /// instance a clone.
+    fn boxed_clone(&self) -> Box<dyn Dispatcher>;
 
     /// Feeds a per-server load observation (e.g. the hint a server attached
     /// to its acceptance SYN-ACK), timestamped in seconds.  Load-oblivious
@@ -181,24 +247,13 @@ pub trait Dispatcher: std::fmt::Debug + Send {
 /// `k` distinct servers chosen uniformly at random.
 #[derive(Debug, Clone)]
 pub struct RandomDispatcher {
-    servers: Vec<Ipv6Addr>,
+    servers: Arc<[Ipv6Addr]>,
     k: usize,
-    /// The candidate count as configured (before capping at the server
-    /// count), so a rebuild over a larger server set can restore it.
-    k_config: usize,
-    /// Persistent index permutation for the partial Fisher-Yates draw; any
-    /// permutation is a valid starting state, so it is never rebuilt.
+    /// Persistent index permutation for the partial Fisher-Yates draw,
+    /// starting as the identity; any permutation is a valid state, so it is
+    /// never reset between flows.
     scratch: Vec<u32>,
 }
-
-impl PartialEq for RandomDispatcher {
-    fn eq(&self, other: &Self) -> bool {
-        // The scratch permutation is internal state, not configuration.
-        self.servers == other.servers && self.k == other.k
-    }
-}
-
-impl Eq for RandomDispatcher {}
 
 impl RandomDispatcher {
     /// Creates a dispatcher picking `k` distinct servers from `servers`.
@@ -208,19 +263,17 @@ impl RandomDispatcher {
     /// Panics if `servers` is empty, `k` is zero, or `k` (after capping at
     /// the server count) exceeds [`MAX_CANDIDATES`].
     pub fn new(servers: Vec<Ipv6Addr>, k: usize) -> Self {
-        assert!(!servers.is_empty(), "at least one server is required");
-        assert!(k > 0, "k must be at least 1");
-        let k_config = k;
-        let k = k.min(servers.len());
-        assert!(
-            k <= MAX_CANDIDATES,
-            "at most {MAX_CANDIDATES} candidates fit in a Service Hunting SRH"
-        );
+        let k = capped_fanout(&servers, k);
+        Self::over(servers.into(), k)
+    }
+
+    /// A dispatcher over an already-checked backend list, with a fresh
+    /// (identity) permutation.
+    fn over(servers: Arc<[Ipv6Addr]>, k: usize) -> Self {
         let scratch = (0..servers.len() as u32).collect();
         RandomDispatcher {
             servers,
             k,
-            k_config,
             scratch,
         }
     }
@@ -261,22 +314,28 @@ impl Dispatcher for RandomDispatcher {
         &self.servers
     }
 
-    fn rebuild(&mut self, servers: Vec<Ipv6Addr>) {
-        *self = Self::new(servers, self.k_config);
+    fn boxed_clone(&self) -> Box<dyn Dispatcher> {
+        Box::new(Self::over(Arc::clone(&self.servers), self.k))
     }
 }
 
-/// A consistent-hashing ring with virtual nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A consistent-hashing ring with virtual nodes, answered from a successor
+/// table (see the [module docs](self#the-successor-table)).
+#[derive(Debug, Clone)]
 pub struct ConsistentHashDispatcher {
-    /// `(point, server)` pairs sorted by point.
-    ring: Vec<(u64, Ipv6Addr)>,
+    servers: Arc<[Ipv6Addr]>,
+    /// Ring points in ascending order; points shared by several backends
+    /// are ordered by backend address.
+    points: Arc<[u64]>,
+    /// `k` backend indices per ring position: row `i` is the first `k`
+    /// distinct backends clockwise from `points[i]`, in ring order.
+    succ: Arc<[u16]>,
+    /// `buckets[b]` is the first position whose point's top bits (the bits
+    /// above `shift`) are `≥ b`; the last entry is the ring length.
+    buckets: Arc<[u32]>,
+    /// Right shift that maps a hash to its bucket.
+    shift: u32,
     k: usize,
-    /// The candidate count as configured (before capping).
-    k_config: usize,
-    /// Virtual nodes per server, kept so a rebuild reproduces the ring.
-    vnodes: usize,
-    servers: Vec<Ipv6Addr>,
 }
 
 impl ConsistentHashDispatcher {
@@ -285,34 +344,73 @@ impl ConsistentHashDispatcher {
     ///
     /// # Panics
     ///
-    /// Panics if `servers` is empty, `k`/`vnodes` is zero, or `k` (after
-    /// capping at the server count) exceeds [`MAX_CANDIDATES`].
+    /// Panics if `servers` is empty, holds an address twice or more than
+    /// 65 536 addresses, `k`/`vnodes` is zero, or `k` (after capping at the
+    /// server count) exceeds [`MAX_CANDIDATES`].
     pub fn new(servers: Vec<Ipv6Addr>, vnodes: usize, k: usize) -> Self {
-        assert!(!servers.is_empty(), "at least one server is required");
-        assert!(k > 0, "k must be at least 1");
+        let k = capped_fanout(&servers, k);
         assert!(
             vnodes > 0,
             "at least one virtual node per server is required"
         );
+        let servers = backend_table(servers);
+        let mut distinct = servers.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(
+            distinct.len(),
+            servers.len(),
+            "backend addresses must be distinct"
+        );
+
+        // `(point, backend index)`, ordered by point and then by address.
         let mut ring = Vec::with_capacity(servers.len() * vnodes);
-        for server in &servers {
+        for (i, server) in servers.iter().enumerate() {
             for v in 0..vnodes {
-                ring.push((Self::point(*server, v as u64), *server));
+                ring.push((Self::point(*server, v as u64), i as u16));
             }
         }
-        ring.sort_unstable();
-        let k_config = k;
-        let k = k.min(servers.len());
+        ring.sort_unstable_by_key(|&(point, i)| (point, servers[usize::from(i)]));
+        let len = ring.len();
         assert!(
-            k <= MAX_CANDIDATES,
-            "at most {MAX_CANDIDATES} candidates fit in a Service Hunting SRH"
+            u32::try_from(len).is_ok(),
+            "the ring must have fewer than 2^32 points"
         );
+
+        // The walk every lookup used to make, once per position.
+        let mut succ = Vec::with_capacity(len * k);
+        for start in 0..len {
+            let row = succ.len();
+            for i in 0..len {
+                let server = ring[(start + i) % len].1;
+                if !succ[row..].contains(&server) {
+                    succ.push(server);
+                    if succ.len() - row == k {
+                        break;
+                    }
+                }
+            }
+        }
+
+        let bits = len.ilog2().max(1);
+        let shift = u64::BITS - bits;
+        let mut buckets = Vec::with_capacity((1 << bits) + 1);
+        let mut position = 0;
+        for bucket in 0..1u64 << bits {
+            while position < len && ring[position].0 >> shift < bucket {
+                position += 1;
+            }
+            buckets.push(position as u32);
+        }
+        buckets.push(len as u32);
+
         ConsistentHashDispatcher {
-            ring,
-            k,
-            k_config,
-            vnodes,
             servers,
+            points: ring.iter().map(|&(point, _)| point).collect(),
+            succ: succ.into(),
+            buckets: buckets.into(),
+            shift,
+            k,
         }
     }
 
@@ -334,7 +432,26 @@ impl ConsistentHashDispatcher {
 
     /// Number of points on the ring.
     pub fn ring_size(&self) -> usize {
-        self.ring.len()
+        self.points.len()
+    }
+
+    /// Writes the candidates for ring position `hash` into `out` (cleared
+    /// first): the first `k` distinct backends clockwise from the first
+    /// point `≥ hash`, wrapping past the last point to the first.
+    /// [`Dispatcher::candidates_into`] is this at the flow's stable hash.
+    pub fn candidates_for_hash(&self, hash: u64, out: &mut CandidateList) {
+        out.clear();
+        let bucket = (hash >> self.shift) as usize;
+        let lo = self.buckets[bucket] as usize;
+        let hi = self.buckets[bucket + 1] as usize;
+        let mut position = lo + self.points[lo..hi].partition_point(|&p| p < hash);
+        if position == self.points.len() {
+            position = 0;
+        }
+        let row = position * self.k;
+        for &server in &self.succ[row..row + self.k] {
+            out.push(self.servers[usize::from(server)]);
+        }
     }
 }
 
@@ -342,18 +459,7 @@ impl Dispatcher for ConsistentHashDispatcher {
     fn candidates_into(&mut self, flow: &FlowKey, _rng: &mut dyn RngCore, out: &mut CandidateList) {
         // The flow key's cached stable hash is already SplitMix64-finalised,
         // so it is used as the ring position directly.
-        out.clear();
-        let h = flow.stable_hash();
-        let start = self.ring.partition_point(|&(p, _)| p < h);
-        for i in 0..self.ring.len() {
-            let (_, server) = self.ring[(start + i) % self.ring.len()];
-            if !out.contains(&server) {
-                out.push(server);
-                if out.len() == self.k {
-                    break;
-                }
-            }
-        }
+        self.candidates_for_hash(flow.stable_hash(), out);
     }
 
     fn fanout(&self) -> usize {
@@ -368,8 +474,8 @@ impl Dispatcher for ConsistentHashDispatcher {
         &self.servers
     }
 
-    fn rebuild(&mut self, servers: Vec<Ipv6Addr>) {
-        *self = Self::new(servers, self.vnodes, self.k_config);
+    fn boxed_clone(&self) -> Box<dyn Dispatcher> {
+        Box::new(self.clone())
     }
 }
 
@@ -379,13 +485,12 @@ impl Dispatcher for ConsistentHashDispatcher {
 /// slots, producing near-uniform slot ownership with minimal disruption on
 /// membership change.  Candidates for a flow are the owners of `k`
 /// consecutive slots starting at the flow's hash.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MaglevDispatcher {
-    table: Vec<Ipv6Addr>,
+    servers: Arc<[Ipv6Addr]>,
+    /// Slot owners, as indices into `servers`.
+    table: Arc<[u16]>,
     k: usize,
-    /// The candidate count as configured (before capping).
-    k_config: usize,
-    servers: Vec<Ipv6Addr>,
 }
 
 impl MaglevDispatcher {
@@ -395,16 +500,16 @@ impl MaglevDispatcher {
     ///
     /// # Panics
     ///
-    /// Panics if `servers` is empty, `k` is zero (or exceeds
-    /// [`MAX_CANDIDATES`] after capping at the server count), or
-    /// `table_size` is smaller than the number of servers.
+    /// Panics if `servers` is empty or holds more than 65 536 addresses, `k`
+    /// is zero (or exceeds [`MAX_CANDIDATES`] after capping at the server
+    /// count), or `table_size` is smaller than the number of servers or 2.
     pub fn new(servers: Vec<Ipv6Addr>, table_size: usize, k: usize) -> Self {
-        assert!(!servers.is_empty(), "at least one server is required");
-        assert!(k > 0, "k must be at least 1");
+        let k = capped_fanout(&servers, k);
         assert!(
-            table_size >= servers.len(),
-            "table must be at least as large as the server set"
+            table_size >= servers.len().max(2),
+            "table must be at least as large as the server set (and 2)"
         );
+        let servers = backend_table(servers);
         let n = servers.len();
         let m = table_size;
 
@@ -418,7 +523,8 @@ impl MaglevDispatcher {
             })
             .collect();
 
-        let mut table: Vec<Option<Ipv6Addr>> = vec![None; m];
+        let mut table = vec![0u16; m];
+        let mut taken = vec![false; m];
         let mut next = vec![0usize; n];
         let mut filled = 0;
         while filled < m {
@@ -431,29 +537,19 @@ impl MaglevDispatcher {
                     let (offset, skip) = params[i];
                     let slot = (offset + skip * next[i]) % m;
                     next[i] += 1;
-                    if table[slot].is_none() {
-                        table[slot] = Some(servers[i]);
+                    if !taken[slot] {
+                        taken[slot] = true;
+                        table[slot] = i as u16;
                         filled += 1;
                         break;
                     }
                 }
             }
         }
-        let k_config = k;
-        let k = k.min(n);
-        assert!(
-            k <= MAX_CANDIDATES,
-            "at most {MAX_CANDIDATES} candidates fit in a Service Hunting SRH"
-        );
         MaglevDispatcher {
-            table: table
-                .into_iter()
-                // srlb-lint: allow(panic-hygiene) -- Maglev population loop above runs until every table slot is Some
-                .map(|s| s.expect("table filled"))
-                .collect(),
-            k,
-            k_config,
             servers,
+            table: table.into(),
+            k,
         }
     }
 
@@ -475,8 +571,8 @@ impl MaglevDispatcher {
     /// checks.
     pub fn ownership(&self) -> std::collections::HashMap<Ipv6Addr, usize> {
         let mut map = std::collections::HashMap::new();
-        for s in &self.table {
-            *map.entry(*s).or_insert(0) += 1;
+        for &s in self.table.iter() {
+            *map.entry(self.servers[usize::from(s)]).or_insert(0) += 1;
         }
         map
     }
@@ -489,7 +585,7 @@ impl Dispatcher for MaglevDispatcher {
         // The cached stable hash is already finalised; index directly.
         let start = (flow.stable_hash() % m as u64) as usize;
         for i in 0..m {
-            let server = self.table[(start + i) % m];
+            let server = self.servers[usize::from(self.table[(start + i) % m])];
             if !out.contains(&server) {
                 out.push(server);
                 if out.len() == self.k {
@@ -511,9 +607,8 @@ impl Dispatcher for MaglevDispatcher {
         &self.servers
     }
 
-    fn rebuild(&mut self, servers: Vec<Ipv6Addr>) {
-        let table_size = self.table.len();
-        *self = Self::new(servers, table_size, self.k_config);
+    fn boxed_clone(&self) -> Box<dyn Dispatcher> {
+        Box::new(self.clone())
     }
 }
 
@@ -524,26 +619,17 @@ impl Dispatcher for MaglevDispatcher {
 /// candidates per flow; the `k` least-loaded of those (by EWMA-smoothed load
 /// hints fed in through [`Dispatcher::observe_load`]) become the Service
 /// Hunting candidates, in ascending-load order.  Servers with no observation
-/// yet count as load 0 so a fresh (or rebuilt) dispatcher degenerates to the
+/// yet count as load 0 so a fresh dispatcher (or clone) degenerates to the
 /// pool's natural ring order; ties keep ring order too, so selection is
 /// fully deterministic.
 #[derive(Debug, Clone)]
 pub struct LoadAwareDispatcher {
     inner: ConsistentHashDispatcher,
     k: usize,
-    /// The selection count as configured (before capping at the pool size).
-    k_config: usize,
     /// Per-server EWMA of observed load, in `inner` backend order.
     loads: Vec<(Ipv6Addr, Ewma)>,
     /// Persistent buffer for the inner pool, so re-ranking allocates nothing.
     scratch: CandidateList,
-}
-
-impl PartialEq for LoadAwareDispatcher {
-    fn eq(&self, other: &Self) -> bool {
-        // The scratch buffer is internal state, not configuration.
-        self.inner == other.inner && self.k == other.k && self.loads == other.loads
-    }
 }
 
 impl LoadAwareDispatcher {
@@ -557,18 +643,19 @@ impl LoadAwareDispatcher {
     /// (after capping at the server count) exceeds [`MAX_CANDIDATES`].
     pub fn new(servers: Vec<Ipv6Addr>, vnodes: usize, pool: usize, k: usize) -> Self {
         assert!(k > 0, "k must be at least 1");
-        let inner = ConsistentHashDispatcher::new(servers, vnodes, pool);
-        let k_config = k;
-        let k = k.min(inner.fanout());
+        Self::over(ConsistentHashDispatcher::new(servers, vnodes, pool), k)
+    }
+
+    /// A dispatcher re-ranking `inner`'s pool, with no load observed yet.
+    fn over(inner: ConsistentHashDispatcher, k: usize) -> Self {
         let loads = inner
             .backends()
             .iter()
             .map(|&addr| (addr, Ewma::new()))
             .collect();
         LoadAwareDispatcher {
+            k: k.min(inner.fanout()),
             inner,
-            k,
-            k_config,
             loads,
             scratch: CandidateList::new(),
         }
@@ -626,18 +713,10 @@ impl Dispatcher for LoadAwareDispatcher {
         self.inner.backends()
     }
 
-    fn rebuild(&mut self, servers: Vec<Ipv6Addr>) {
-        // Membership change invalidates the smoothed loads (server indices,
-        // capacities and queue states all shift), so start estimation afresh
-        // — identical to a newly constructed dispatcher.
-        self.inner.rebuild(servers);
-        self.k = self.k_config.min(self.inner.fanout());
-        self.loads = self
-            .inner
-            .backends()
-            .iter()
-            .map(|&addr| (addr, Ewma::new()))
-            .collect();
+    fn boxed_clone(&self) -> Box<dyn Dispatcher> {
+        // Load estimates are what one instance has observed, not part of
+        // the configuration: a clone starts estimating afresh.
+        Box::new(Self::over(self.inner.clone(), self.k))
     }
 
     fn observe_load(&mut self, server: Ipv6Addr, load: f64, now_s: f64) {
@@ -905,85 +984,86 @@ mod tests {
 
     #[test]
     fn config_builds_each_kind() {
-        let s = servers(4);
         assert_eq!(DispatcherConfig::paper_default().fanout(), 2);
         let mut rng = SimRng::new(1);
-        for config in [
-            DispatcherConfig::Random { k: 2 },
-            DispatcherConfig::ConsistentHash { vnodes: 16, k: 2 },
-            DispatcherConfig::Maglev {
-                table_size: 53,
-                k: 2,
-            },
-            DispatcherConfig::LoadAware {
-                vnodes: 16,
-                pool: 3,
-                k: 2,
-            },
-        ] {
-            let mut d = config.build(s.clone());
-            let c = pick(d.as_mut(), &flow(3), &mut rng);
-            assert_eq!(c.len(), 2);
-            assert_eq!(config.fanout(), 2);
+        // (servers, configured k, fan-out): k is capped at the server count,
+        // and a build over a grown set gets the configured k back.
+        for (n, k, fanout) in [(4, 2, 2), (2, 4, 2), (10, 4, 4)] {
+            for config in [
+                DispatcherConfig::Random { k },
+                DispatcherConfig::ConsistentHash { vnodes: 16, k },
+                DispatcherConfig::Maglev { table_size: 53, k },
+                DispatcherConfig::LoadAware {
+                    vnodes: 16,
+                    pool: k + 1,
+                    k,
+                },
+            ] {
+                let mut d = config.build(servers(n));
+                assert_eq!(pick(d.as_mut(), &flow(3), &mut rng).len(), fanout);
+                assert_eq!(d.fanout(), fanout, "{config:?} over {n} servers");
+                assert_eq!(config.fanout(), k);
+            }
         }
     }
 
     #[test]
-    fn rebuild_matches_fresh_construction() {
-        let before = servers(8);
-        let after = servers(6);
-        let mut rng = SimRng::new(3);
+    fn boxed_clone_shares_tables_and_answers_alike() {
+        let s = servers(12);
+        let ring = ConsistentHashDispatcher::new(s.clone(), 64, 3);
+        let copy = ring.clone();
+        assert!(Arc::ptr_eq(&ring.points, &copy.points));
+        assert!(Arc::ptr_eq(&ring.succ, &copy.succ));
+        assert!(Arc::ptr_eq(&ring.buckets, &copy.buckets));
+        let maglev = MaglevDispatcher::new(s.clone(), 251, 3);
+        assert!(Arc::ptr_eq(&maglev.table, &maglev.clone().table));
 
-        let mut ch = ConsistentHashDispatcher::new(before.clone(), 64, 2);
-        ch.rebuild(after.clone());
-        let mut fresh_ch = ConsistentHashDispatcher::new(after.clone(), 64, 2);
-        assert_eq!(ch, fresh_ch);
-        assert_eq!(ch.backends(), &after[..]);
-        assert_eq!(
-            pick(&mut ch, &flow(9), &mut rng)[..],
-            pick(&mut fresh_ch, &flow(9), &mut rng)[..]
-        );
-
-        let mut maglev = MaglevDispatcher::new(before.clone(), 251, 2);
-        maglev.rebuild(after.clone());
-        assert_eq!(maglev, MaglevDispatcher::new(after.clone(), 251, 2));
-        assert_eq!(maglev.backends(), &after[..]);
-
-        let mut random = RandomDispatcher::new(before, 2);
-        random.rebuild(after.clone());
-        assert_eq!(random, RandomDispatcher::new(after, 2));
-    }
-
-    #[test]
-    fn rebuild_restores_configured_fanout_after_capping() {
-        // Configured k = 4 but only 2 servers: effective fanout 2; growing
-        // the cluster back restores k = 4.
-        let mut d = RandomDispatcher::new(servers(2), 4);
-        assert_eq!(d.fanout(), 2);
-        d.rebuild(servers(10));
-        assert_eq!(d.fanout(), 4);
-        let mut ch = ConsistentHashDispatcher::new(servers(2), 16, 4);
-        assert_eq!(ch.fanout(), 2);
-        ch.rebuild(servers(10));
-        assert_eq!(ch.fanout(), 4);
-        let mut m = MaglevDispatcher::new(servers(2), 251, 4);
-        assert_eq!(m.fanout(), 2);
-        m.rebuild(servers(10));
-        assert_eq!(m.fanout(), 4);
-        assert_eq!(m.table_size(), 251, "rebuild keeps the table size");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn rebuild_with_empty_set_panics() {
-        let mut d = RandomDispatcher::new(servers(2), 2);
-        d.rebuild(vec![]);
+        for config in [
+            DispatcherConfig::ConsistentHash { vnodes: 64, k: 3 },
+            DispatcherConfig::Maglev {
+                table_size: 251,
+                k: 3,
+            },
+            DispatcherConfig::Random { k: 2 },
+            DispatcherConfig::LoadAware {
+                vnodes: 64,
+                pool: 4,
+                k: 2,
+            },
+        ] {
+            // Per-instance state a clone must not inherit: an observed load
+            // and the permutation left by earlier draws.
+            let mut original = config.build(s.clone());
+            original.observe_load(s[0], 10.0, 0.0);
+            let mut rng = SimRng::new(9);
+            for port in 0..50 {
+                pick(original.as_mut(), &flow(port), &mut rng);
+            }
+            let mut clone = original.boxed_clone();
+            assert!(std::ptr::eq(original.backends(), clone.backends()));
+            let mut fresh = config.build(s.clone());
+            let (mut a, mut b) = (SimRng::new(5), SimRng::new(5));
+            for port in 0..200 {
+                assert_eq!(
+                    pick(clone.as_mut(), &flow(port), &mut a)[..],
+                    pick(fresh.as_mut(), &flow(port), &mut b)[..],
+                    "{config:?}"
+                );
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_server_set_panics() {
         RandomDispatcher::new(vec![], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn duplicate_ring_backends_panic() {
+        let s = servers(3);
+        ConsistentHashDispatcher::new(vec![s[0], s[1], s[0]], 8, 2);
     }
 
     #[test]
@@ -1029,25 +1109,10 @@ mod tests {
     }
 
     #[test]
-    fn load_aware_rebuild_matches_fresh_construction_and_resets_loads() {
-        let before = servers(8);
-        let after = servers(6);
-        let mut d = LoadAwareDispatcher::new(before, 64, 4, 2);
-        d.observe_load(after[0], 5.0, 0.0);
-        d.rebuild(after.clone());
-        assert_eq!(d, LoadAwareDispatcher::new(after.clone(), 64, 4, 2));
-        assert_eq!(d.load_of(&after[0]), 0.0, "rebuild resets load estimates");
-        assert_eq!(d.backends(), &after[..]);
-    }
-
-    #[test]
     fn load_aware_pool_and_k_are_capped_at_server_count() {
-        let mut d = LoadAwareDispatcher::new(servers(3), 16, 6, 4);
+        let d = LoadAwareDispatcher::new(servers(3), 16, 6, 4);
         assert_eq!(d.pool(), 3);
         assert_eq!(d.fanout(), 3);
-        d.rebuild(servers(10));
-        assert_eq!(d.pool(), 6);
-        assert_eq!(d.fanout(), 4);
     }
 
     #[test]

@@ -263,22 +263,22 @@ impl LoadBalancerNode {
         self.dispatcher.backends()
     }
 
-    /// Rebuilds the dispatcher over a new backend set (server churn).
-    /// Existing flow-table entries are untouched: established flows keep
-    /// flowing to their owner (even one no longer in the candidate set)
-    /// until they finish or expire.
+    /// Replaces the dispatcher, e.g. with one built over a new backend set
+    /// (server churn).  Existing flow-table entries are untouched:
+    /// established flows keep flowing to their owner (even one no longer in
+    /// the candidate set) until they finish or expire.
     ///
     /// # Panics
     ///
-    /// Panics if flow recovery is enabled and the rebuilt dispatcher's
-    /// fan-out (which growth can raise back to its configured value)
-    /// exceeds [`MAX_RECOVERY_CANDIDATES`].
-    pub fn rebuild_backends(&mut self, servers: Vec<Ipv6Addr>) {
-        self.dispatcher.rebuild(servers);
+    /// Panics if flow recovery is enabled and the new dispatcher's fan-out
+    /// (which growth can raise back to its configured value) exceeds
+    /// [`MAX_RECOVERY_CANDIDATES`].
+    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
         assert!(
-            !self.recover_flows || self.dispatcher.fanout() <= MAX_RECOVERY_CANDIDATES,
+            !self.recover_flows || dispatcher.fanout() <= MAX_RECOVERY_CANDIDATES,
             "flow recovery supports at most {MAX_RECOVERY_CANDIDATES} candidates per flow"
         );
+        self.dispatcher = dispatcher;
     }
 
     /// Simulates the fail-over of this load balancer to a cold standby at

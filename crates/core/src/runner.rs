@@ -59,6 +59,7 @@ use srlb_sim::{
 };
 
 use crate::client::{client_addr_count, ClientNode};
+use crate::dispatch::DispatcherConfig;
 use crate::lb_node::{LbStats, LoadBalancerNode};
 use crate::spec::{ExperimentSpec, ScenarioEvent};
 use crate::CoreError;
@@ -197,6 +198,25 @@ pub enum ShardPlanning {
     /// ([`ShardPlan::round_robin`]) — the pre-placement baseline, kept as
     /// the comparison arm for the plan-equivalence tests.
     RoundRobin,
+}
+
+/// Builds one dispatcher over `servers` and gives every tier instance a
+/// clone of it.  Server churn is tier-wide: withdrawn instances get one too,
+/// so a later re-advertisement steers correctly.
+fn rebuild_tier(
+    network: &mut Network<Packet>,
+    lb_ids: &[NodeId],
+    config: DispatcherConfig,
+    servers: Vec<Ipv6Addr>,
+) {
+    let dispatcher = config.build(servers);
+    for &lb in lb_ids {
+        network
+            .node_as_mut::<LoadBalancerNode>(lb)
+            // srlb-lint: allow(panic-hygiene) -- lb_ids come from the layout the runner built; a missing node is a setup bug worth aborting on
+            .expect("load balancer present")
+            .set_dispatcher(dispatcher.boxed_clone());
+    }
 }
 
 /// Executes [`ExperimentSpec`]s.
@@ -384,14 +404,17 @@ impl Runner {
         };
 
         // Every instance of the tier: same anycast address, same VIPs, its
-        // own dispatcher and flow table.
-        let mut dispatcher_name = String::new();
+        // own flow table, and a clone of one dispatcher — the tables are
+        // built once per membership and shared.
+        let dispatcher_config = spec.policy.dispatcher();
+        let dispatcher = dispatcher_config.build(alive_addrs(&alive));
+        let dispatcher_name = dispatcher.name();
         for j in 0..lb_count {
             let mut lb = LoadBalancerNode::new(
                 plan.lb_addr(),
                 vips[0],
                 directory.clone(),
-                spec.policy.dispatcher().build(alive_addrs(&alive)),
+                dispatcher.boxed_clone(),
             )
             .with_vips(vips.clone())
             .with_flow_table(cluster.flow_table.build());
@@ -400,9 +423,6 @@ impl Runner {
             }
             if cluster.recover_flows {
                 lb = lb.with_flow_recovery();
-            }
-            if j == 0 {
-                dispatcher_name = lb.dispatcher_name();
             }
             let added_lb = network.add_node(lb);
             debug_assert_eq!(added_lb, lb_node_id(j));
@@ -442,19 +462,6 @@ impl Runner {
             acceptance_ratios[i] = node.agent().acceptance_ratio();
         };
 
-        // Rebuilds every tier instance's dispatcher over the current
-        // backend set (server churn is tier-wide: withdrawn instances are
-        // rebuilt too, so a later re-advertisement steers correctly).
-        let rebuild_tier = |network: &mut Network<Packet>, addrs: &[Ipv6Addr]| {
-            for &lb in &lb_ids {
-                network
-                    .node_as_mut::<LoadBalancerNode>(lb)
-                    // srlb-lint: allow(panic-hygiene) -- lb_ids come from the layout this runner just built; a missing node is a setup bug worth aborting on
-                    .expect("load balancer present")
-                    .rebuild_backends(addrs.to_vec());
-            }
-        };
-
         // Re-advertises `tier` in the runner's own directory (which later
         // servers are built from), the client's and every live server's:
         // the only nodes that steer by it.  Runs between segments, so every
@@ -488,7 +495,12 @@ impl Runner {
                         ServerNode::new(server_config(i), directory.clone()),
                     );
                     alive[i] = true;
-                    rebuild_tier(&mut network, &alive_addrs(&alive));
+                    rebuild_tier(
+                        &mut network,
+                        &lb_ids,
+                        dispatcher_config,
+                        alive_addrs(&alive),
+                    );
                 }
                 ScenarioEvent::RemoveServer { server } => {
                     let i = server as usize;
@@ -498,7 +510,12 @@ impl Runner {
                         .expect("validated schedule removes only live servers");
                     harvest(node, i);
                     alive[i] = false;
-                    rebuild_tier(&mut network, &alive_addrs(&alive));
+                    rebuild_tier(
+                        &mut network,
+                        &lb_ids,
+                        dispatcher_config,
+                        alive_addrs(&alive),
+                    );
                 }
                 ScenarioEvent::LbFailover => {
                     // Fail over every *advertised* instance; the tier is
@@ -614,7 +631,6 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::DispatcherConfig;
     use crate::spec::{ClusterSpec, FaultPlan, PolicyKind, WorkloadSpec};
     use srlb_server::PolicyConfig;
     use srlb_sim::TopologyModel;
@@ -706,6 +722,44 @@ mod tests {
         );
         assert_eq!(outcome.lb_stats.new_flows, 400);
         assert_eq!(outcome.lb_stats.flows_learned, 400);
+    }
+
+    #[test]
+    fn server_churn_deals_one_dispatcher_to_every_tier_instance() {
+        let plan = AddressPlan::default();
+        let config = DispatcherConfig::ConsistentHash { vnodes: 64, k: 2 };
+        let alive_addrs = |alive: &[bool]| -> Vec<Ipv6Addr> {
+            (0..alive.len())
+                .filter(|&i| alive[i])
+                .map(|i| plan.server_addr(ServerId(i as u32)))
+                .collect()
+        };
+        let mut alive = [true, true, true, true, false, false];
+        let mut network: Network<Packet> = Network::new(1, srlb_sim::Topology::datacenter());
+        let first = config.build(alive_addrs(&alive));
+        let lb_ids: Vec<NodeId> = (0..4)
+            .map(|_| {
+                network.add_node(LoadBalancerNode::new(
+                    plan.lb_addr(),
+                    plan.vip(0),
+                    Directory::new(),
+                    first.boxed_clone(),
+                ))
+            })
+            .collect();
+        // AddServer 4, RemoveServer 1, AddServer 5, RemoveServer 4.
+        for (server, up) in [(4, true), (1, false), (5, true), (4, false)] {
+            alive[server] = up;
+            rebuild_tier(&mut network, &lb_ids, config, alive_addrs(&alive));
+            let backends = |lb: NodeId| network.node_as::<LoadBalancerNode>(lb).unwrap().backends();
+            for &lb in &lb_ids {
+                assert_eq!(backends(lb), &alive_addrs(&alive)[..]);
+                assert!(
+                    std::ptr::eq(backends(lb), backends(lb_ids[0])),
+                    "every instance reads one shared table"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Consistency checks of an [`ExperimentSpec`] and its axes.
 
-use crate::dispatch::MAX_CANDIDATES;
+use crate::dispatch::{DispatcherConfig, MAX_BACKENDS, MAX_CANDIDATES};
 use crate::lb_node::MAX_RECOVERY_CANDIDATES;
 use crate::CoreError;
 
@@ -8,6 +8,45 @@ use super::{
     ClusterSpec, ExperimentSpec, FaultNode, FaultPlan, FlowTableSpec, PolicyKind, ScenarioEvent,
     WorkloadSpec,
 };
+
+impl DispatcherConfig {
+    /// Checks the parameters against every backend set the dispatcher can
+    /// be built over (up to `max_servers` backends), so no build during a
+    /// run can panic.
+    fn validate(&self, max_servers: usize) -> Result<(), CoreError> {
+        let bad = |msg: String| Err(CoreError::InvalidConfig(msg));
+        if max_servers > MAX_BACKENDS {
+            return bad(format!(
+                "max_servers {max_servers} exceeds the {MAX_BACKENDS} backends a dispatcher indexes"
+            ));
+        }
+        let (vnodes, widths) = match *self {
+            DispatcherConfig::Random { k } | DispatcherConfig::Maglev { k, .. } => (None, [k, k]),
+            DispatcherConfig::ConsistentHash { vnodes, k } => (Some(vnodes), [k, k]),
+            DispatcherConfig::LoadAware { vnodes, pool, k } => (Some(vnodes), [pool, k]),
+        };
+        if vnodes == Some(0) {
+            return bad("a hash ring needs at least one virtual node per server".into());
+        }
+        if widths.contains(&0) {
+            return bad("dispatcher fan-out and pool must be at least 1".into());
+        }
+        if let Some(width) = widths.into_iter().find(|&w| w > MAX_CANDIDATES) {
+            return bad(format!(
+                "{width} candidates exceed the {MAX_CANDIDATES}-candidate SRH budget"
+            ));
+        }
+        if let DispatcherConfig::Maglev { table_size, .. } = *self {
+            let min = max_servers.max(2);
+            if table_size < min {
+                return bad(format!(
+                    "maglev table size {table_size} is below {min} (max_servers, and at least 2)"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
 
 impl FlowTableSpec {
     /// Checks the table parameters.
@@ -235,20 +274,11 @@ impl ExperimentSpec {
         }
         c.flow_table.validate()?;
         self.topology.validate().map_err(CoreError::InvalidConfig)?;
-        if let PolicyKind::LoadAware { pool, threshold } = self.policy {
-            if pool == 0 || threshold == 0 {
-                return bad("load-aware pool and threshold must be at least 1".into());
-            }
-            if pool > MAX_CANDIDATES {
-                return bad(format!(
-                    "load-aware pool {pool} exceeds the {MAX_CANDIDATES}-candidate SRH budget"
-                ));
-            }
+        if let PolicyKind::LoadAware { threshold: 0, .. } = self.policy {
+            return bad("load-aware threshold must be at least 1".into());
         }
         let dispatcher = self.policy.dispatcher();
-        if dispatcher.fanout() == 0 {
-            return bad("dispatcher fan-out must be at least 1".into());
-        }
+        dispatcher.validate(c.max_servers)?;
         if dispatcher.fanout() > c.initial_servers {
             return bad(format!(
                 "dispatcher fan-out {} exceeds the initial server count {}",
@@ -406,6 +436,71 @@ mod tests {
             cores: 1,
         });
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn dispatcher_validation_rejects_parameters_a_run_would_panic_on() {
+        use crate::dispatch::{MAX_BACKENDS, MAX_CANDIDATES};
+        // 12 servers (initial and max) unless a case says otherwise.
+        let with = |dispatcher| {
+            ExperimentSpec::poisson_paper(
+                0.5,
+                PolicyKind::Explicit {
+                    dispatcher,
+                    acceptance: PolicyConfig::Static { threshold: 2 },
+                },
+            )
+        };
+        // vnodes below 1, on either ring.
+        assert!(with(DispatcherConfig::ConsistentHash { vnodes: 0, k: 2 })
+            .validate()
+            .is_err());
+        assert!(with(DispatcherConfig::LoadAware {
+            vnodes: 0,
+            pool: 3,
+            k: 2
+        })
+        .validate()
+        .is_err());
+        // k (or the load-aware pool) above MAX_CANDIDATES, though not above
+        // the server count; a zero pool.
+        assert!(with(DispatcherConfig::Random {
+            k: MAX_CANDIDATES + 1
+        })
+        .validate()
+        .is_err());
+        for pool in [0, MAX_CANDIDATES + 1] {
+            assert!(with(DispatcherConfig::LoadAware {
+                vnodes: 16,
+                pool,
+                k: 2
+            })
+            .validate()
+            .is_err());
+        }
+        // A Maglev table below max(2, max_servers): one slot (the skip
+        // draw divides by table_size - 1), or too small for a later
+        // AddServer to fit.
+        let mut one_slot = with(DispatcherConfig::Maglev {
+            table_size: 1,
+            k: 1,
+        });
+        one_slot.cluster.initial_servers = 1;
+        one_slot.cluster.max_servers = 1;
+        assert!(one_slot.validate().is_err());
+        let maglev = |table_size| {
+            let mut spec = with(DispatcherConfig::Maglev { table_size, k: 2 });
+            spec.cluster.max_servers = 24;
+            spec
+        };
+        assert!(maglev(13).validate().is_err());
+        maglev(29).validate().unwrap();
+        // More backends than the u16 table indices address.
+        let mut huge = with(DispatcherConfig::Random { k: 2 });
+        huge.cluster.max_servers = MAX_BACKENDS + 1;
+        assert!(huge.validate().is_err());
+        huge.cluster.max_servers = MAX_BACKENDS;
+        huge.validate().unwrap();
     }
 
     #[test]
