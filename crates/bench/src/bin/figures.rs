@@ -32,6 +32,8 @@
 //! A report or CSV that cannot be written is an error (exit status 1): CI
 //! byte-diffs these files, and a stale one must not pass for a fresh one.
 
+#![warn(unreachable_pub)]
+
 use srlb_bench::output::fmt;
 use srlb_bench::{
     default_jobs, fig2_mean_response, fig3_cdf_high_load, fig4_load_fairness, fig5_cdf_low_load,

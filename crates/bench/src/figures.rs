@@ -32,7 +32,7 @@ pub enum Scale {
 
 impl Scale {
     /// Number of queries per Poisson experiment.
-    pub fn poisson_queries(self) -> usize {
+    pub(crate) fn poisson_queries(self) -> usize {
         match self {
             Scale::Paper => 20_000,
             Scale::Quick => 2_000,
@@ -41,7 +41,7 @@ impl Scale {
     }
 
     /// The ρ values swept in Figure 2.
-    pub fn rho_values(self) -> Vec<f64> {
+    pub(crate) fn rho_values(self) -> Vec<f64> {
         match self {
             // 24 values in (0, 1), as in the paper.
             Scale::Paper => (1..=24).map(|i| i as f64 / 25.0).collect(),
@@ -51,7 +51,7 @@ impl Scale {
     }
 
     /// Duration of the Wikipedia replay in hours.
-    pub fn wiki_hours(self) -> f64 {
+    pub(crate) fn wiki_hours(self) -> f64 {
         match self {
             Scale::Paper => 24.0,
             Scale::Quick => 0.25,
@@ -62,7 +62,7 @@ impl Scale {
     /// Width of the Wikipedia time bins in seconds (the paper uses 10-minute
     /// bins over 24 h; the reduced scales use shorter bins over their shorter
     /// slices so there are still plenty of points).
-    pub fn wiki_bin_seconds(self) -> f64 {
+    pub(crate) fn wiki_bin_seconds(self) -> f64 {
         match self {
             Scale::Paper => 600.0,
             Scale::Quick => 60.0,
@@ -113,7 +113,7 @@ impl Sweep {
 }
 
 /// The policies compared in the Poisson figures, in the paper's order.
-pub fn poisson_policies() -> Vec<PolicyKind> {
+pub(crate) fn poisson_policies() -> Vec<PolicyKind> {
     vec![
         PolicyKind::RoundRobin,
         PolicyKind::Static { threshold: 4 },
@@ -136,6 +136,7 @@ fn poisson_outcome(sweep: Sweep, rho: f64, policy: PolicyKind, record_load: bool
 
 /// One policy's mean-response-time curve for Figure 2.
 #[derive(Debug, Clone, PartialEq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::fig2_mean_response
 pub struct Fig2Series {
     /// Policy label (`"RR"`, `"SR4"`, …).
     pub label: String,
@@ -214,6 +215,7 @@ pub fn fig5_cdf_low_load(sweep: Sweep) -> Vec<CdfSeries> {
 
 /// One policy's instantaneous-load trajectory for Figure 4.
 #[derive(Debug, Clone, PartialEq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::fig4_load_fairness
 pub struct Fig4Series {
     /// Policy label (`"RR"` or `"SR4"`).
     pub label: String,
@@ -269,6 +271,7 @@ fn load_grid(series: &[Vec<(f64, usize)>], duration_s: f64, step_s: f64) -> Vec<
 
 /// One time-binned series of the Wikipedia replay (Figure 6).
 #[derive(Debug, Clone, PartialEq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::fig6_wiki_median
 pub struct WikiBinSeries {
     /// Policy label.
     pub label: String,
@@ -332,6 +335,7 @@ pub fn fig6_wiki_median(sweep: Sweep) -> Vec<WikiBinSeries> {
 
 /// The whole-day CDF comparison of Figure 8.
 #[derive(Debug, Clone, PartialEq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::fig8_wiki_cdf
 pub struct WikiCdf {
     /// CDF of wiki-page load times per policy.
     pub series: Vec<CdfSeries>,
@@ -353,12 +357,13 @@ pub fn fig8_wiki_cdf(sweep: Sweep) -> WikiCdf {
 }
 
 /// LB tier sizes swept by Figure 9.
-pub const FIG9_LB_COUNTS: [usize; 3] = [1, 2, 4];
+pub(crate) const FIG9_LB_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// One cell of the Figure 9 sweep: Service Hunting cost under rack
 /// placement × LB tier spread, measured fault-free and under 1 % injected
 /// loss with retransmission.
 #[derive(Debug, Clone, PartialEq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::fig9_rackzone_hunting
 pub struct Fig9Cell {
     /// Topology label (`"uniform"` or `"rackzone"`).
     pub topology: String,

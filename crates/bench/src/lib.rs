@@ -16,32 +16,31 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod figures;
-pub mod macrobench;
+mod figures;
+mod macrobench;
 pub mod micro;
 pub mod output;
 pub mod parallel;
 pub mod scenarios;
-pub mod spec_run;
+mod spec_run;
 
 pub use figures::{
     fig2_mean_response, fig3_cdf_high_load, fig4_load_fairness, fig5_cdf_low_load,
     fig6_wiki_median, fig8_wiki_cdf, fig9_rackzone_hunting, CdfSeries, Fig2Series, Fig4Series,
-    Fig9Cell, Scale, Sweep, WikiBinSeries, WikiCdf, FIG9_LB_COUNTS,
+    Fig9Cell, Scale, Sweep, WikiBinSeries, WikiCdf,
 };
 pub use macrobench::{
     run_macro_bench, write_bench_macro, AblationCell, FlowScaleReport, MacroBenchReport,
-    BENCH_MACRO_FILE,
 };
-pub use micro::{engine_events_per_sec, write_bench_micro, BenchReport, BENCH_MICRO_FILE};
+pub use micro::write_bench_micro;
 pub use output::{write_csv, FIGURES_DIR};
-pub use parallel::{default_jobs, parallel_map};
+pub use parallel::default_jobs;
 pub use scenarios::{
-    run_scenarios, write_bench_scenarios, EcmpReshuffleReport, ScenarioReport, ScenariosDoc,
-    BENCH_SCENARIOS_FILE, ECMP_RESHUFFLE_LB_COUNTS,
+    run_scenarios, write_bench_scenarios, EcmpReshuffleReport, RemapReport, ScenarioReport,
+    ScenariosDoc,
 };
 pub use spec_run::{
-    example_specs, load_spec, run_spec_file, scale_spec, write_example_specs, write_spec_report,
-    SpecRunReport,
+    example_specs, load_spec, run_spec_file, write_example_specs, write_spec_report, SpecRunReport,
 };

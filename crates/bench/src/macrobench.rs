@@ -38,7 +38,7 @@ use crate::figures::{Scale, Sweep};
 
 /// Default output file name, written to the workspace root at full scale
 /// (see [`crate::micro::workspace_root`]).
-pub const BENCH_MACRO_FILE: &str = "BENCH_macro.json";
+pub(crate) const BENCH_MACRO_FILE: &str = "BENCH_macro.json";
 
 /// Number of bounded [`FlowState`] instances the flow-scale section
 /// spreads flows across (a four-instance LB tier).
@@ -49,6 +49,7 @@ const ABLATION_RHOS: [f64; 3] = [0.7, 0.89, 0.95];
 
 /// Flow-scale section of the report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_macro_bench
 pub struct FlowScaleReport {
     /// Distinct flows learned (primary pass + the two churn passes).
     pub distinct_flows: u64,
@@ -88,6 +89,7 @@ pub struct FlowScaleReport {
 
 /// One cell of the policy ablation grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_macro_bench
 pub struct AblationCell {
     /// Policy label (`RR`, `SR4`, `SRla-p4c4`).
     pub policy: String,
@@ -105,8 +107,9 @@ pub struct AblationCell {
     pub p99_response_ms: f64,
 }
 
-/// JSON document written to [`BENCH_MACRO_FILE`].
+/// JSON document written to `BENCH_MACRO_FILE`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_macro_bench
 pub struct MacroBenchReport {
     /// Schema version of this report.
     pub schema: u32,
@@ -127,7 +130,7 @@ fn flow_key(i: u64, vip: Ipv6Addr) -> FlowKey {
 /// bounded tables with total capacity `flows / 2`, plus two
 /// churn passes that exercise the active- and idle-eviction causes.
 /// `timed` gates the wall-clock throughput fields.
-pub fn flow_scale(flows: usize, timed: bool) -> FlowScaleReport {
+pub(crate) fn flow_scale(flows: usize, timed: bool) -> FlowScaleReport {
     let plan = AddressPlan::default();
     let vip = plan.vip(0);
     let servers: Vec<Ipv6Addr> = plan.server_addrs(12).collect();
@@ -239,7 +242,7 @@ fn ablation_policies() -> Vec<PolicyKind> {
 
 /// Runs the policy ablation grid at the sweep's query count, one cell at a
 /// time (`sweep.jobs` is not used).
-pub fn ablation(sweep: Sweep) -> Vec<AblationCell> {
+pub(crate) fn ablation(sweep: Sweep) -> Vec<AblationCell> {
     let mut cells = Vec::new();
     for &rho in &ABLATION_RHOS {
         for policy in ablation_policies() {
@@ -267,7 +270,7 @@ pub fn ablation(sweep: Sweep) -> Vec<AblationCell> {
 }
 
 /// Number of distinct flows the flow-scale section drives at each scale.
-pub fn macro_flows(scale: Scale) -> usize {
+pub(crate) fn macro_flows(scale: Scale) -> usize {
     match scale {
         Scale::Paper => 1 << 20,
         Scale::Quick => 1 << 16,

@@ -38,7 +38,7 @@ use srlb_sim::{
 
 /// Default output file name, written to the workspace root (see
 /// [`workspace_root`]).
-pub const BENCH_MICRO_FILE: &str = "BENCH_micro.json";
+pub(crate) const BENCH_MICRO_FILE: &str = "BENCH_micro.json";
 
 /// The workspace root directory, resolved from this crate's manifest
 /// location (`crates/bench` → two levels up) so the report lands next to
@@ -475,7 +475,7 @@ fn engine_loop_rate<M: Bounce>(batched: bool) -> f64 {
 /// multi-shard plan collapses to the single-core batched engine (windows
 /// cannot beat serial without real parallelism), so the recorded number
 /// reflects what that machine would actually get.
-pub fn engine_events_per_sec() -> BTreeMap<String, f64> {
+pub(crate) fn engine_events_per_sec() -> BTreeMap<String, f64> {
     let modes: [(&str, ExecMode); 6] = [
         ("engine_serial_step", ExecMode::SerialStep),
         ("engine_batched", ExecMode::Batched),
@@ -534,7 +534,7 @@ pub fn engine_events_per_sec() -> BTreeMap<String, f64> {
 
 /// CI perf guard: drives a small fixed spec through the serial reference
 /// loop and 2-way sharding (interleaved best-of rounds, like
-/// [`engine_events_per_sec`]) and fails if sharding falls below
+/// `engine_events_per_sec`) and fails if sharding falls below
 /// `tolerance × serial` throughput.  Under the default pool policy the
 /// sharded run collapses to the batched single-core engine on a one-core
 /// host, where the guard passes, and uses real worker threads wherever two
@@ -585,7 +585,7 @@ pub fn check_sharded_throughput() -> Result<String, String> {
 
 /// JSON document written to [`BENCH_MICRO_FILE`].
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
-pub struct BenchReport {
+pub(crate) struct BenchReport {
     /// Schema version of this report.
     pub schema: u32,
     /// `bench name → median ns/iter`.

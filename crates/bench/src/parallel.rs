@@ -35,7 +35,7 @@ pub fn default_jobs() -> usize {
 /// # Panics
 ///
 /// Propagates a panic from `f` once all workers have finished.
-pub fn parallel_map<I, O, F>(inputs: &[I], jobs: usize, f: F) -> Vec<O>
+pub(crate) fn parallel_map<I, O, F>(inputs: &[I], jobs: usize, f: F) -> Vec<O>
 where
     I: Sync,
     O: Send,

@@ -17,7 +17,7 @@
 //! them.
 //!
 //! Every `(preset, dispatcher)` cell is an independent seeded simulation
-//! run through [`parallel_map`], so the output is byte-identical whatever
+//! run through `parallel_map`, so the output is byte-identical whatever
 //! the `--jobs` worker count.
 
 use std::io::Write;
@@ -39,7 +39,7 @@ use crate::spec_run::is_zero_u64;
 
 /// Default output file name, written to the workspace root (see
 /// [`crate::micro::workspace_root`]).
-pub const BENCH_SCENARIOS_FILE: &str = "BENCH_scenarios.json";
+pub(crate) const BENCH_SCENARIOS_FILE: &str = "BENCH_scenarios.json";
 
 /// Queries per scenario run at each scale.
 fn scenario_queries(scale: Scale) -> usize {
@@ -71,6 +71,7 @@ fn dispatchers() -> Vec<(&'static str, DispatcherConfig)> {
 /// One dispatcher's owner-remapping behaviour under single-server churn,
 /// measured over a deterministic probe-flow population (no simulation).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_scenarios
 pub struct RemapReport {
     /// Dispatcher label.
     pub dispatcher: String,
@@ -185,6 +186,7 @@ fn remap_probe(label: &str, config: DispatcherConfig) -> Vec<RemapReport> {
 /// Machine-readable summary of a scenario run (one entry of
 /// `BENCH_scenarios.json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_scenarios
 pub struct ScenarioReport {
     /// Scenario name.
     pub name: String,
@@ -241,7 +243,7 @@ pub struct ScenarioReport {
 
 impl ScenarioReport {
     /// Condenses a [`RunOutcome`] into the report.
-    pub fn from_outcome(outcome: &RunOutcome) -> Self {
+    pub(crate) fn from_outcome(outcome: &RunOutcome) -> Self {
         ScenarioReport {
             name: outcome.name.clone(),
             dispatcher: outcome.dispatcher_name.clone(),
@@ -281,6 +283,7 @@ impl ScenarioReport {
 /// with the last instance withdrawn mid-run (`lb_count = 1` is the
 /// event-free degenerate control).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_scenarios
 pub struct EcmpReshuffleReport {
     /// Dispatcher label.
     pub dispatcher: String,
@@ -291,8 +294,9 @@ pub struct EcmpReshuffleReport {
     pub report: ScenarioReport,
 }
 
-/// The JSON document written to [`BENCH_SCENARIOS_FILE`].
+/// The JSON document written to `BENCH_SCENARIOS_FILE`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_scenarios
 pub struct ScenariosDoc {
     /// Schema version of this report.
     pub schema: u32,
@@ -317,7 +321,7 @@ pub struct ScenariosDoc {
 
 /// The LB tier sizes the ECMP-reshuffle sweep crosses each dispatcher
 /// with.
-pub const ECMP_RESHUFFLE_LB_COUNTS: [usize; 3] = [1, 2, 4];
+pub(crate) const ECMP_RESHUFFLE_LB_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Runs the scenario sweep across `sweep.jobs` workers.
 pub fn run_scenarios(sweep: Sweep) -> ScenariosDoc {

@@ -157,7 +157,7 @@ pub fn load_spec(path: &Path) -> std::io::Result<ExperimentSpec> {
 /// shrink Poisson query counts and the Wikipedia slice the same way the
 /// figure harness does, leaving every other axis (cluster, topology,
 /// scenario, policy, seed) untouched.  [`Scale::Paper`] is the identity.
-pub fn scale_spec(mut spec: ExperimentSpec, scale: Scale) -> ExperimentSpec {
+pub(crate) fn scale_spec(mut spec: ExperimentSpec, scale: Scale) -> ExperimentSpec {
     if scale == Scale::Paper {
         return spec;
     }
@@ -176,6 +176,7 @@ pub fn scale_spec(mut spec: ExperimentSpec, scale: Scale) -> ExperimentSpec {
 /// Machine-readable summary of one `figures -- run` execution (written
 /// next to the figure CSVs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_bench::run_spec_file
 pub struct SpecRunReport {
     /// Schema version of this report.
     pub schema: u32,
@@ -272,7 +273,7 @@ fn always<T>(_: &T) -> bool {
 impl SpecRunReport {
     /// Condenses a [`RunOutcome`] into the report, stamping the seed it ran
     /// with.
-    pub fn from_outcome(outcome: &RunOutcome, seed: u64) -> Self {
+    pub(crate) fn from_outcome(outcome: &RunOutcome, seed: u64) -> Self {
         let summary = outcome.collector.summary(None);
         SpecRunReport {
             schema: 1,

@@ -55,25 +55,11 @@ pub struct CalibrationConfig {
     pub seed: u64,
 }
 
-impl CalibrationConfig {
-    /// The paper's cluster with probe runs small enough for tests.
-    pub fn paper_scaled(probe_queries: usize) -> Self {
-        CalibrationConfig {
-            servers: 12,
-            workers: 32,
-            cores: 2,
-            backlog: 128,
-            mean_service_ms: 100.0,
-            probe_queries,
-            iterations: 7,
-            reset_tolerance: 0.0,
-            seed: 1,
-        }
-    }
-}
+impl CalibrationConfig {}
 
 /// Result of the empirical λ₀ search.
 #[derive(Debug, Clone, PartialEq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_core::calibration::calibrate_lambda0
 pub struct CalibrationResult {
     /// The estimated maximum sustainable rate, in queries per second.
     pub lambda0: f64,

@@ -41,11 +41,11 @@ const RETX_TIMER_BIT: u64 = 1 << 62;
 
 /// Number of source ports used per client address before moving to the next
 /// address (keeps ports in the dynamic range 1024–61023).
-pub const PORTS_PER_ADDR: u64 = 60_000;
+pub(crate) const PORTS_PER_ADDR: u64 = 60_000;
 /// First source port used.
-pub const BASE_PORT: u16 = 1024;
+pub(crate) const BASE_PORT: u16 = 1024;
 /// Destination (service) port of the VIP.
-pub const VIP_PORT: u16 = 80;
+pub(crate) const VIP_PORT: u16 = 80;
 
 /// Derives the `(client address, source port)` pair for request `id`.
 pub fn request_endpoint(plan: &AddressPlan, id: u64) -> (Ipv6Addr, u16) {
@@ -212,7 +212,7 @@ impl ClientNode {
     }
 
     /// The VIP request `id` is (deterministically) sent to.
-    pub fn vip_of(&self, id: u64) -> Ipv6Addr {
+    pub(crate) fn vip_of(&self, id: u64) -> Ipv6Addr {
         self.vips[(id % self.vips.len() as u64) as usize]
     }
 
@@ -257,11 +257,6 @@ impl ClientNode {
     /// Total retransmissions performed across all requests.
     pub fn retransmits(&self) -> u64 {
         self.retransmits
-    }
-
-    /// Number of requests still awaiting a response.
-    pub fn outstanding(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// Consumes the client and returns its measurement collector, marking

@@ -13,7 +13,7 @@
 //!   candidates are the first `k` distinct servers clockwise from the flow's
 //!   hash (Maglev/Ananta-style flow affinity without per-flow state),
 //! * [`MaglevDispatcher`] — Maglev's permutation-filled lookup table,
-//! * [`LoadAwareDispatcher`] — a consistent-hash candidate pool re-ranked by
+//! * `LoadAwareDispatcher` — a consistent-hash candidate pool re-ranked by
 //!   per-server load hints (EWMA-smoothed acceptance/backlog signals fed
 //!   back through [`Dispatcher::observe_load`]), after Charon-style
 //!   load-aware selection.
@@ -27,7 +27,7 @@
 //! dispatcher per tier membership and hands each instance a
 //! [`Dispatcher::boxed_clone`]: the clones share the immutable tables behind
 //! an `Arc` and start with fresh per-instance state (the load estimates of
-//! [`LoadAwareDispatcher`], the permutation scratch of [`RandomDispatcher`]),
+//! `LoadAwareDispatcher`, the permutation scratch of [`RandomDispatcher`]),
 //! exactly as a newly built dispatcher would.  Tables store backends as
 //! `u16` indices into the shared address list, which caps a table-based
 //! dispatcher at 65 536 backends.
@@ -239,7 +239,7 @@ pub trait Dispatcher: std::fmt::Debug + Send {
 
     /// Feeds a per-server load observation (e.g. the hint a server attached
     /// to its acceptance SYN-ACK), timestamped in seconds.  Load-oblivious
-    /// dispatchers ignore it; [`LoadAwareDispatcher`] folds it into its
+    /// dispatchers ignore it; `LoadAwareDispatcher` folds it into its
     /// per-server EWMA.  Performs no heap allocation.
     fn observe_load(&mut self, _server: Ipv6Addr, _load: f64, _now_s: f64) {}
 }
@@ -569,7 +569,8 @@ impl MaglevDispatcher {
 
     /// Fraction of table slots owned by each distinct server, for uniformity
     /// checks.
-    pub fn ownership(&self) -> std::collections::HashMap<Ipv6Addr, usize> {
+    #[cfg(test)]
+    fn ownership(&self) -> std::collections::HashMap<Ipv6Addr, usize> {
         let mut map = std::collections::HashMap::new();
         for &s in self.table.iter() {
             *map.entry(self.servers[usize::from(s)]).or_insert(0) += 1;
@@ -623,7 +624,7 @@ impl Dispatcher for MaglevDispatcher {
 /// pool's natural ring order; ties keep ring order too, so selection is
 /// fully deterministic.
 #[derive(Debug, Clone)]
-pub struct LoadAwareDispatcher {
+pub(crate) struct LoadAwareDispatcher {
     inner: ConsistentHashDispatcher,
     k: usize,
     /// Per-server EWMA of observed load, in `inner` backend order.
@@ -641,7 +642,7 @@ impl LoadAwareDispatcher {
     ///
     /// Panics if `servers` is empty, `vnodes`/`pool`/`k` is zero, or `pool`
     /// (after capping at the server count) exceeds [`MAX_CANDIDATES`].
-    pub fn new(servers: Vec<Ipv6Addr>, vnodes: usize, pool: usize, k: usize) -> Self {
+    pub(crate) fn new(servers: Vec<Ipv6Addr>, vnodes: usize, pool: usize, k: usize) -> Self {
         assert!(k > 0, "k must be at least 1");
         Self::over(ConsistentHashDispatcher::new(servers, vnodes, pool), k)
     }
@@ -663,13 +664,14 @@ impl LoadAwareDispatcher {
 
     /// The pool width (number of consistent-hash candidates re-ranked per
     /// flow).
-    pub fn pool(&self) -> usize {
+    #[cfg(test)]
+    fn pool(&self) -> usize {
         self.inner.fanout()
     }
 
     /// The current smoothed load estimate for `server` (0 if never
     /// observed).
-    pub fn load_of(&self, server: &Ipv6Addr) -> f64 {
+    pub(crate) fn load_of(&self, server: &Ipv6Addr) -> f64 {
         self.loads
             .iter()
             .find(|(addr, _)| addr == server)

@@ -36,12 +36,12 @@ const NIL: u32 = u32::MAX;
 
 /// Default idle timeout in seconds (a typical TCP session timeout for
 /// data-centre load balancers).
-pub const DEFAULT_IDLE_TIMEOUT_SECS: u64 = 300;
+pub(crate) const DEFAULT_IDLE_TIMEOUT_SECS: u64 = 300;
 
 /// Configuration for a [`FlowState`] table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowStateConfig {
-    idle_timeout: SimDuration,
+    pub(crate) idle_timeout: SimDuration,
     capacity: Option<usize>,
 }
 
@@ -71,11 +71,6 @@ impl FlowStateConfig {
         self
     }
 
-    /// The configured idle timeout.
-    pub fn idle_timeout(&self) -> SimDuration {
-        self.idle_timeout
-    }
-
     /// The configured capacity bound, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
@@ -90,9 +85,10 @@ impl Default for FlowStateConfig {
 
 /// Lifetime counters of a [`FlowState`] table.
 ///
-/// All counters accumulate across [`FlowState::wipe`] (a fail-over wipe loses
+/// All counters accumulate across `FlowState::wipe` (a fail-over wipe loses
 /// the entries, not the history).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_core::FlowState::stats
 pub struct FlowStateStats {
     /// Total [`FlowState::learn`] calls (including refreshes of known flows).
     pub inserted: u64,
@@ -170,11 +166,6 @@ impl FlowState {
         self.config
     }
 
-    /// The configured idle timeout.
-    pub fn idle_timeout(&self) -> SimDuration {
-        self.config.idle_timeout
-    }
-
     /// The configured capacity bound, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.config.capacity
@@ -188,16 +179,6 @@ impl FlowState {
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Total number of insertions performed.
-    pub fn inserted_total(&self) -> u64 {
-        self.inserted
-    }
-
-    /// Total number of entries removed by [`FlowState::expire_idle`].
-    pub fn expired_total(&self) -> u64 {
-        self.expired
     }
 
     /// Lifetime counters (insertions, expiries, per-cause evictions, peak).
@@ -366,7 +347,7 @@ impl FlowState {
 
     /// Drops all entries (a fail-over wipe) while keeping the configuration
     /// and accumulated statistics; returns how many entries were lost.
-    pub fn wipe(&mut self) -> usize {
+    pub(crate) fn wipe(&mut self) -> usize {
         let lost = self.len();
         self.map.clear();
         self.slots.clear();
@@ -468,7 +449,7 @@ mod tests {
         assert_eq!(table.remove(&flow(1)), Some(server(3)));
         assert_eq!(table.remove(&flow(1)), None);
         assert_eq!(table.len(), 1);
-        assert_eq!(table.inserted_total(), 2);
+        assert_eq!(table.stats().inserted, 2);
     }
 
     #[test]
@@ -493,7 +474,7 @@ mod tests {
         assert_eq!(table.expire_idle(at(15)), 1);
         assert_eq!(table.peek(&flow(1)), None);
         assert_eq!(table.peek(&flow(2)), Some(server(2)));
-        assert_eq!(table.expired_total(), 1);
+        assert_eq!(table.stats().expired, 1);
     }
 
     #[test]
@@ -509,7 +490,7 @@ mod tests {
         let table = FlowState::default();
         assert_eq!(table.len(), 0);
         assert_eq!(table, FlowState::with_default_timeout());
-        assert_eq!(table.idle_timeout(), SimDuration::from_secs(300));
+        assert_eq!(table.config().idle_timeout, SimDuration::from_secs(300));
     }
 
     #[test]
@@ -588,7 +569,7 @@ mod tests {
         assert_eq!(table.expire_idle(at(15)), 1);
         assert_eq!(table.peek(&flow(1)), None);
         assert_eq!(table.peek(&flow(2)), Some(server(2)));
-        assert_eq!(table.expired_total(), 1);
+        assert_eq!(table.stats().expired, 1);
 
         // Survival at exactly the timeout, as with the old `retain`.
         assert_eq!(table.expire_idle(at(18)), 0);

@@ -122,7 +122,7 @@ const EXPIRY_TIMER: TimerToken = TimerToken(u64::MAX);
 /// Maximum dispatcher fan-out compatible with in-band flow recovery: a
 /// re-hunt route must fit the load-balancer marker segment and the VIP
 /// alongside the candidates.
-pub const MAX_RECOVERY_CANDIDATES: usize = srlb_net::MAX_SEGMENTS - 2;
+pub(crate) const MAX_RECOVERY_CANDIDATES: usize = srlb_net::MAX_SEGMENTS - 2;
 
 /// The SRLB load balancer node.
 #[derive(Debug)]
@@ -214,7 +214,7 @@ impl LoadBalancerNode {
     /// # Panics
     ///
     /// Panics if the dispatcher's fan-out exceeds
-    /// [`MAX_RECOVERY_CANDIDATES`] (the re-hunt route also carries the
+    /// `MAX_RECOVERY_CANDIDATES` (the re-hunt route also carries the
     /// load-balancer marker and the VIP).
     pub fn with_flow_recovery(mut self) -> Self {
         assert!(
@@ -273,7 +273,7 @@ impl LoadBalancerNode {
     /// Panics if flow recovery is enabled and the new dispatcher's fan-out
     /// (which growth can raise back to its configured value) exceeds
     /// [`MAX_RECOVERY_CANDIDATES`].
-    pub fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
+    pub(crate) fn set_dispatcher(&mut self, dispatcher: Box<dyn Dispatcher>) {
         assert!(
             !self.recover_flows || dispatcher.fanout() <= MAX_RECOVERY_CANDIDATES,
             "flow recovery supports at most {MAX_RECOVERY_CANDIDATES} candidates per flow"
@@ -298,7 +298,7 @@ impl LoadBalancerNode {
     /// Seconds between the last fail-over and the most recent re-hunt — an
     /// upper bound on how long the flow table kept being reconstructed.
     /// `None` until a fail-over has happened and a re-hunt has followed it.
-    pub fn reconstruction_latency_seconds(&self) -> Option<f64> {
+    pub(crate) fn reconstruction_latency_seconds(&self) -> Option<f64> {
         let failed = self.failed_over_at?;
         let last = self.last_rehunt_at?;
         Some(last.duration_since(failed).as_secs_f64())

@@ -43,12 +43,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod calibration;
 pub mod client;
 pub mod dispatch;
 pub mod flow_state;
-pub mod id_window;
+mod id_window;
 pub mod lb_node;
 pub mod runner;
 pub mod spec;
@@ -59,7 +60,7 @@ pub use dispatch::{CandidateList, Dispatcher, DispatcherConfig, MAX_CANDIDATES};
 pub use flow_state::{FlowState, FlowStateConfig, FlowStateStats};
 pub use id_window::IdWindow;
 pub use lb_node::{LbStats, LoadBalancerNode};
-pub use runner::{RunOutcome, Runner, ShardPlanning};
+pub use runner::{NodeRole, RunOutcome, Runner, ShardPlanning};
 pub use spec::{
     CapacityOverride, ClusterSpec, ExperimentSpec, FlowTableSpec, PolicyKind, ScenarioEvent,
     TimedEvent, WorkloadSpec,
@@ -69,6 +70,7 @@ pub use trace::{FlowTrace, Hop};
 /// Errors produced by experiment configuration and execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
+// srlb-lint: allow(unused-pub) -- reached through srlb_core::Runner::new
 pub enum CoreError {
     /// An experiment configuration was invalid.
     InvalidConfig(String),

@@ -219,6 +219,39 @@ fn rebuild_tier(
     }
 }
 
+/// A node's place in a run's network.  The runner lays its nodes out as the
+/// client, then the LB tier in order, then every backend slot, so with
+/// `lb_count = 1` the layout is the pre-tier one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeRole {
+    /// The measurement client.
+    Client,
+    /// LB tier instance `j` (an index into [`RunOutcome::per_lb_stats`]).
+    Lb(usize),
+    /// Backend slot `i` (an index into [`RunOutcome::server_stats`]).
+    Server(usize),
+}
+
+impl NodeRole {
+    /// The role of `node` in a run whose LB tier has `lb_count` instances.
+    fn of(node: NodeId, lb_count: usize) -> NodeRole {
+        match node.index() {
+            0 => NodeRole::Client,
+            n if n <= lb_count => NodeRole::Lb(n - 1),
+            n => NodeRole::Server(n - 1 - lb_count),
+        }
+    }
+
+    /// The node playing this role; the inverse of [`NodeRole::of`].
+    fn node(self, lb_count: usize) -> NodeId {
+        match self {
+            NodeRole::Client => NodeId(0),
+            NodeRole::Lb(j) => NodeId(1 + j),
+            NodeRole::Server(i) => NodeId(1 + lb_count + i),
+        }
+    }
+}
+
 /// Executes [`ExperimentSpec`]s.
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -282,6 +315,11 @@ impl Runner {
         &self.spec
     }
 
+    /// The role `node` plays in this runner's runs.
+    pub fn role_of(&self, node: NodeId) -> NodeRole {
+        NodeRole::of(node, self.spec.cluster.lb_count)
+    }
+
     /// The shard layout for this spec, per the configured
     /// [`ShardPlanning`].  Every LB instance lives whole on one shard
     /// either way (keeping its flow table and its ECMP-steered flows
@@ -335,14 +373,13 @@ impl Runner {
         let source = spec.workload.stream(spec.seed, cluster);
         let total_requests = source.remaining();
 
-        // Fixed id ↔ address layout over the whole potential cluster: the
-        // client, then the LB tier, then every backend slot.  With
-        // `lb_count = 1` this is exactly the pre-tier layout.
+        // Fixed id ↔ address layout over the whole potential cluster (see
+        // `NodeRole`).
         let lb_count = cluster.lb_count;
-        let client_id = NodeId(0);
-        let lb_node_id = |j: usize| NodeId(1 + j);
+        let client_id = NodeRole::Client.node(lb_count);
+        let lb_node_id = |j: usize| NodeRole::Lb(j).node(lb_count);
         let lb_ids: Vec<NodeId> = (0..lb_count).map(lb_node_id).collect();
-        let server_node_id = |i: usize| NodeId(1 + lb_count + i);
+        let server_node_id = |i: usize| NodeRole::Server(i).node(lb_count);
         let server_ids: Vec<NodeId> = (0..cluster.max_servers).map(server_node_id).collect();
 
         // The whole tier advertises one anycast LB address and the VIPs;
@@ -407,7 +444,7 @@ impl Runner {
             client = client.with_retransmit(spec.faults.effective_recovery());
         }
         let added_client = network.add_node(client);
-        debug_assert_eq!(added_client, client_id);
+        debug_assert_eq!(self.role_of(added_client), NodeRole::Client);
 
         let mut alive: Vec<bool> = (0..cluster.max_servers)
             .map(|i| i < cluster.initial_servers)
@@ -443,7 +480,7 @@ impl Runner {
                 lb = lb.with_flow_recovery();
             }
             let added_lb = network.add_node(lb);
-            debug_assert_eq!(added_lb, lb_node_id(j));
+            debug_assert_eq!(self.role_of(added_lb), NodeRole::Lb(j));
         }
 
         let acceptance = spec.policy.acceptance_policy();
@@ -463,10 +500,10 @@ impl Runner {
         for (i, up) in alive.iter().enumerate() {
             if *up {
                 let added = network.add_node(ServerNode::new(server_config(i), directory.clone()));
-                debug_assert_eq!(added, server_node_id(i));
+                debug_assert_eq!(self.role_of(added), NodeRole::Server(i));
             } else {
                 let reserved = network.reserve_node();
-                debug_assert_eq!(reserved, server_node_id(i));
+                debug_assert_eq!(self.role_of(reserved), NodeRole::Server(i));
             }
         }
 
@@ -477,7 +514,7 @@ impl Runner {
         let mut harvest = |node: ServerNode, i: usize| {
             merged_stats[i].absorb(node.stats());
             load_series[i].extend_from_slice(node.load_samples());
-            acceptance_ratios[i] = node.agent().acceptance_ratio();
+            acceptance_ratios[i] = node.acceptance_ratio();
         };
 
         // Re-advertises `tier` in the runner's own directory (which later
@@ -1207,6 +1244,22 @@ mod tests {
             ..ClusterSpec::paper()
         };
         spec
+    }
+
+    #[test]
+    fn node_roles_and_ids_are_inverse() {
+        for lb_count in [1, 3] {
+            for role in [
+                NodeRole::Client,
+                NodeRole::Lb(0),
+                NodeRole::Lb(lb_count - 1),
+                NodeRole::Server(0),
+                NodeRole::Server(11),
+            ] {
+                assert_eq!(NodeRole::of(role.node(lb_count), lb_count), role);
+            }
+        }
+        assert_eq!(NodeRole::Server(0).node(3), NodeId(4));
     }
 
     fn sum_over_servers(outcome: &RunOutcome, field: impl Fn(&ServerStats) -> u64) -> u64 {

@@ -32,7 +32,7 @@ impl FlowTableSpec {
 impl WorkloadSpec {
     /// The λ₀ a `Poisson` workload resolves against `cluster` (explicit
     /// value or the analytic cluster capacity); `None` for other variants.
-    pub fn effective_lambda0(&self, cluster: &ClusterSpec) -> Option<f64> {
+    pub(crate) fn effective_lambda0(&self, cluster: &ClusterSpec) -> Option<f64> {
         match self {
             WorkloadSpec::Poisson {
                 lambda0,
@@ -103,7 +103,7 @@ impl WorkloadSpec {
 
 impl FaultNode {
     /// The simulator node id of this endpoint under the runner's layout.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         client: srlb_sim::NodeId,
         lbs: &[srlb_sim::NodeId],
@@ -201,7 +201,7 @@ mod tests {
         };
         let state = table.build();
         assert_eq!(
-            state.idle_timeout(),
+            state.config().idle_timeout,
             srlb_sim::SimDuration::from_secs_f64(30.0)
         );
         assert_eq!(state.capacity(), Some(256));

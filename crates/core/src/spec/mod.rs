@@ -187,6 +187,7 @@ impl ScenarioEvent {
 
 /// A [`ScenarioEvent`] scheduled at an absolute simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_core::spec::ExperimentSpec::scenario
 pub struct TimedEvent {
     /// When the event fires, in seconds since the start of the run.  All
     /// packet events at or before this instant are delivered first.
@@ -436,7 +437,7 @@ impl FaultLink {
     /// `true` for the double-wildcard pattern (the `Default`), which is
     /// omitted from serialised specs so defaulted and explicit
     /// match-anything links produce identical bytes.
-    pub fn is_any(&self) -> bool {
+    pub(crate) fn is_any(&self) -> bool {
         self.from.is_none() && self.to.is_none()
     }
 }

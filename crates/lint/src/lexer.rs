@@ -40,6 +40,7 @@ pub enum TokenKind {
 
 /// One lexed token with its position in the source file.
 #[derive(Debug, Clone)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_lint::lexer::lex
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,

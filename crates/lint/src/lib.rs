@@ -16,9 +16,11 @@
 //! "Static analysis" section for the rule catalogue and the allow
 //! directive grammar.
 
+#![warn(unreachable_pub)]
+
 pub mod lexer;
 pub mod rules;
 pub mod scan;
 
-pub use rules::{lint_source, Finding, LintConfig, Rule};
-pub use scan::{lint_paths, lint_workspace};
+pub use rules::{lint_source, Finding, LintConfig, PubUsers, Rule};
+pub use scan::{lint_paths, lint_workspace, scan_pub_users};

@@ -10,10 +10,12 @@
 //! instead when given.  Exit code 0 means no findings, 1 means findings,
 //! 2 means a usage or I/O error.
 
+#![warn(unreachable_pub)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use srlb_lint::{lint_paths, lint_workspace, Finding, LintConfig};
+use srlb_lint::{lint_paths, lint_workspace, scan_pub_users, Finding, LintConfig};
 
 /// Report serialized by `--format json`.
 #[derive(serde::Serialize)]
@@ -76,7 +78,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let config = LintConfig::workspace();
+    let mut config = LintConfig::workspace();
+    match scan_pub_users(&root) {
+        Ok(users) => config.pub_users = Some(users),
+        Err(e) => {
+            eprintln!("srlb-lint: {e}");
+            return ExitCode::from(2);
+        }
+    }
     let result = if paths.is_empty() {
         lint_workspace(&root, &config)
     } else {

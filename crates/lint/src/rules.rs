@@ -14,6 +14,10 @@
 //!   the moment the axis is introduced.
 //! * **Panic hygiene** (`panic-hygiene`): `unwrap`/`expect`/`panic!` in
 //!   the hot-path crates (`core`, `sim`, `net`) must each be justified.
+//! * **Public surface** (`unused-pub`): a `pub` item whose name no other
+//!   crate, no `tests/` or `examples/` directory and no `benchmark/src`
+//!   file mentions is `pub` for nobody; it becomes `pub(crate)`, goes, or
+//!   names the public path that reaches it.
 //!
 //! A finding is suppressed only by an inline directive on the same line or
 //! the line directly above it (line comments only):
@@ -26,7 +30,7 @@
 //! finding is itself an error (`unused-allow`), so stale suppressions
 //! cannot accumulate.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Serialize;
 
@@ -48,6 +52,8 @@ pub enum Rule {
     SerdeNoSkip,
     /// `unwrap`/`expect`/`panic!` in a hot-path crate.
     PanicHygiene,
+    /// A `pub` item named by no other crate, test, example or benchmark.
+    UnusedPub,
     /// An allow directive that suppressed nothing.
     UnusedAllow,
     /// A malformed allow directive (bad grammar, unknown rule, or missing
@@ -72,6 +78,7 @@ impl Rule {
             Rule::ThreadSpawn => "thread-spawn",
             Rule::SerdeNoSkip => "serde-no-skip",
             Rule::PanicHygiene => "panic-hygiene",
+            Rule::UnusedPub => "unused-pub",
             Rule::UnusedAllow => "unused-allow",
             Rule::BadDirective => "bad-directive",
         }
@@ -87,6 +94,7 @@ impl Rule {
             Rule::ThreadSpawn,
             Rule::SerdeNoSkip,
             Rule::PanicHygiene,
+            Rule::UnusedPub,
         ]
     }
 
@@ -118,6 +126,8 @@ pub struct LintConfig {
     /// Exact relative paths where `thread-spawn` is sanctioned (the
     /// sharded event core and the experiment sweep pool).
     pub sanctioned_threads: Vec<String>,
+    /// Who names what, for `unused-pub`; the rule is off without it.
+    pub pub_users: Option<PubUsers>,
 }
 
 impl LintConfig {
@@ -135,14 +145,18 @@ impl LintConfig {
                 "crates/sim/src/pool.rs".to_string(),
                 "crates/bench/src/parallel.rs".to_string(),
             ],
+            pub_users: None,
         }
     }
 
     /// Every rule applies to every path — used by the fixture self-tests.
+    /// Nothing outside the linted file names anything, so every `pub` item
+    /// is reported.
     pub fn strict() -> Self {
         LintConfig {
             panic_scope: vec![String::new()],
             sanctioned_threads: Vec::new(),
+            pub_users: Some(PubUsers::default()),
         }
     }
 
@@ -157,6 +171,62 @@ impl LintConfig {
             .iter()
             .any(|p| file.ends_with(p.as_str()))
     }
+}
+
+/// The identifiers each compilation unit's code names, for `unused-pub`.
+///
+/// A unit is a library crate's `src/` tree, one package binary
+/// (`src/main.rs` or `src/bin/<name>`), one `tests/` or `examples/`
+/// directory, or `benchmark/src`.  Comments and string literals name
+/// nothing; `#[cfg(test)]` code does.
+#[derive(Debug, Clone, Default)]
+pub struct PubUsers {
+    /// Identifier → the units whose code names it.
+    units: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl PubUsers {
+    /// Records every identifier in `source`, read from the
+    /// workspace-relative path `file`.
+    pub fn add_source(&mut self, file: &str, source: &str) {
+        let unit = unit_of(file);
+        for t in lex(source) {
+            if t.kind == TokenKind::Ident {
+                self.units.entry(t.text).or_default().insert(unit.clone());
+            }
+        }
+    }
+
+    /// True when some unit other than `unit` names `name`.
+    fn named_outside(&self, name: &str, unit: &str) -> bool {
+        self.units
+            .get(name)
+            .is_some_and(|units| units.iter().any(|u| u != unit))
+    }
+}
+
+/// The compilation unit a workspace-relative path belongs to (see
+/// [`PubUsers`]): everything up to its `tests`/`examples` directory, its
+/// binary, or its `src` directory.
+fn unit_of(file: &str) -> String {
+    let parts: Vec<&str> = file.split('/').collect();
+    for (k, part) in parts.iter().enumerate() {
+        let upto = |n: usize| parts[..n].join("/");
+        match *part {
+            "tests" | "examples" => return upto(k + 1),
+            "src" => {
+                return match parts.get(k + 1) {
+                    Some(&"main.rs") => upto(k + 2),
+                    Some(&"bin") if k + 2 < parts.len() => {
+                        format!("{}/{}", upto(k + 2), parts[k + 2].trim_end_matches(".rs"))
+                    }
+                    _ => upto(k + 1),
+                }
+            }
+            _ => {}
+        }
+    }
+    file.to_string()
 }
 
 /// A parsed `srlb-lint: allow(...)` directive.
@@ -189,6 +259,9 @@ pub fn lint_source(file: &str, source: &str, config: &LintConfig) -> Vec<Finding
     serde_no_skip(file, &code, &mut raw);
     if config.panics_in_scope(file) {
         panic_hygiene(file, &code, &mut raw);
+    }
+    if let Some(users) = &config.pub_users {
+        unused_pub(file, &code, users, &mut raw);
     }
 
     for finding in raw {
@@ -281,6 +354,10 @@ fn parse_directives(
             bad(format!(
                 "allow({rule_id}) has an empty justification after `--`"
             ));
+            continue;
+        }
+        if rule == Rule::UnusedPub && !justification.trim().starts_with("reached through ") {
+            bad("allow(unused-pub) must say `-- reached through <pub path>`".to_string());
             continue;
         }
         // Trailing directive (code earlier on the same line) covers its own
@@ -727,5 +804,52 @@ fn panic_hygiene(file: &str, code: &[Token], out: &mut Vec<Finding>) {
                 ),
             });
         }
+    }
+}
+
+/// Keywords that declare a named item after `pub` (or `pub const`).
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "static", "type", "mod"];
+
+/// The name token of the item a bare `pub` at `code[at]` declares, or
+/// `None` for `pub(…)`, `pub use`, a field and the like.
+fn pub_item_name(code: &[Token], at: usize) -> Option<&Token> {
+    let mut j = at + 1;
+    if code.get(j)?.is_ident("const") {
+        j += 1;
+        if !code.get(j)?.is_ident("fn") {
+            return code.get(j); // `pub const NAME: …`
+        }
+    }
+    let keyword = code.get(j)?;
+    if keyword.kind == TokenKind::Ident && ITEM_KEYWORDS.contains(&keyword.text.as_str()) {
+        code.get(j + 1)
+    } else {
+        None
+    }
+}
+
+fn unused_pub(file: &str, code: &[Token], users: &PubUsers, out: &mut Vec<Finding>) {
+    let unit = unit_of(file);
+    for i in 0..code.len() {
+        if !code[i].is_ident("pub") {
+            continue;
+        }
+        let Some(name) = pub_item_name(code, i) else {
+            continue;
+        };
+        if name.kind != TokenKind::Ident || users.named_outside(&name.text, &unit) {
+            continue;
+        }
+        out.push(Finding {
+            file: file.to_string(),
+            rule: Rule::UnusedPub,
+            line: name.line,
+            col: name.col,
+            message: format!(
+                "`pub {}` is named by no other crate, test, example or benchmark/src; \
+                 make it pub(crate), delete it, or name the pub path that reaches it",
+                name.text
+            ),
+        });
     }
 }

@@ -12,7 +12,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::rules::{lint_source, Finding, LintConfig};
+use crate::rules::{lint_source, Finding, LintConfig, PubUsers};
 
 /// Finds the workspace root by walking up from `start` until a directory
 /// holding a `Cargo.toml` with a `[workspace]` table is found.
@@ -75,23 +75,50 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf], config: &LintConfig) -> io::Re
     Ok(findings)
 }
 
-/// Lints the default scan set of the workspace rooted at `root`: `src/`
-/// plus every `crates/*/src/` tree.
-pub fn lint_workspace(root: &Path, config: &LintConfig) -> io::Result<Vec<Finding>> {
-    let mut roots = vec![root.join("src")];
+/// The workspace's package directories: `root` itself and every
+/// `crates/*` member.
+fn packages(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut out = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         let mut members: Vec<PathBuf> = fs::read_dir(&crates_dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .collect();
         members.sort();
-        for member in members {
-            let src = member.join("src");
-            if src.is_dir() {
-                roots.push(src);
+        out.extend(members);
+    }
+    Ok(out)
+}
+
+/// Lints the default scan set of the workspace rooted at `root`: `src/`
+/// plus every `crates/*/src/` tree.
+pub fn lint_workspace(root: &Path, config: &LintConfig) -> io::Result<Vec<Finding>> {
+    let existing: Vec<PathBuf> = packages(root)?
+        .into_iter()
+        .map(|p| p.join("src"))
+        .filter(|p| p.is_dir())
+        .collect();
+    lint_paths(root, &existing, config)
+}
+
+/// Reads who names what across the workspace for `unused-pub`: every
+/// package's `src/`, `tests/` and `examples/` trees, and those of the
+/// frozen `benchmark/` package, whose imports must stay `pub`.
+pub fn scan_pub_users(root: &Path) -> io::Result<PubUsers> {
+    let mut files = Vec::new();
+    let mut all = packages(root)?;
+    all.push(root.join("benchmark"));
+    for package in all {
+        for dir in ["src", "tests", "examples"] {
+            let dir = package.join(dir);
+            if dir.is_dir() {
+                collect_rs_files(&dir, &mut files)?;
             }
         }
     }
-    let existing: Vec<PathBuf> = roots.into_iter().filter(|p| p.is_dir()).collect();
-    lint_paths(root, &existing, config)
+    let mut users = PubUsers::default();
+    for file in &files {
+        users.add_source(&relative_label(root, file), &fs::read_to_string(file)?);
+    }
+    Ok(users)
 }

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use srlb_lint::{lint_source, LintConfig, Rule};
+use srlb_lint::{lint_source, LintConfig, PubUsers, Rule};
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -17,8 +17,8 @@ fn fixtures_dir() -> PathBuf {
         .join("fixtures")
 }
 
-/// All rules the analyzer can report: the six allowable rules plus the
-/// two directive meta-rules.
+/// All rules the analyzer can report: the allowable rules plus the two
+/// directive meta-rules.
 fn all_rules() -> Vec<Rule> {
     let mut rules = Rule::allowable().to_vec();
     rules.push(Rule::UnusedAllow);
@@ -111,7 +111,7 @@ fn fixtures_stay_silent_under_test_gating() {
 
 #[test]
 fn trailing_allow_suppresses_same_line() {
-    let src = "pub fn f() -> std::time::Instant {\n    \
+    let src = "fn f() -> std::time::Instant {\n    \
                std::time::Instant::now() // srlb-lint: allow(ambient-time) -- fixture\n}\n";
     let findings = lint_source("x.rs", src, &LintConfig::strict());
     assert!(findings.is_empty(), "{findings:#?}");
@@ -119,7 +119,7 @@ fn trailing_allow_suppresses_same_line() {
 
 #[test]
 fn standalone_allow_suppresses_next_code_line() {
-    let src = "pub fn f() -> std::time::Instant {\n    \
+    let src = "fn f() -> std::time::Instant {\n    \
                // srlb-lint: allow(ambient-time) -- fixture\n    \
                std::time::Instant::now()\n}\n";
     let findings = lint_source("x.rs", src, &LintConfig::strict());
@@ -128,7 +128,7 @@ fn standalone_allow_suppresses_next_code_line() {
 
 #[test]
 fn allow_of_wrong_rule_does_not_suppress() {
-    let src = "pub fn f() -> std::time::Instant {\n    \
+    let src = "fn f() -> std::time::Instant {\n    \
                std::time::Instant::now() // srlb-lint: allow(ambient-rand) -- wrong rule\n}\n";
     let findings = lint_source("x.rs", src, &LintConfig::strict());
     // The real finding survives AND the mismatched allow is unused.
@@ -141,7 +141,7 @@ fn allow_of_wrong_rule_does_not_suppress() {
 fn directive_text_inside_a_string_is_inert() {
     // A directive-shaped string literal must neither suppress nor trip
     // bad-directive: directives live in line comments only.
-    let src = "pub fn f() -> (&'static str, std::time::Instant) {\n    \
+    let src = "fn f() -> (&'static str, std::time::Instant) {\n    \
                (\"// srlb-lint: allow(ambient-time) -- in a string\", std::time::Instant::now())\n}\n";
     let findings = lint_source("x.rs", src, &LintConfig::strict());
     let ids: Vec<&str> = findings.iter().map(|f| f.rule.id()).collect();
@@ -182,5 +182,89 @@ fn workspace_config_scopes_rules_by_path() {
     assert_eq!(
         lint_source("crates/sim/src/core.rs", spawn_src, &config).len(),
         1
+    );
+}
+
+/// A config whose `unused-pub` corpus holds the given `(path, source)`
+/// files.
+fn with_users(files: &[(&str, &str)]) -> LintConfig {
+    let mut users = PubUsers::default();
+    for (path, source) in files {
+        users.add_source(path, source);
+    }
+    let mut config = LintConfig::workspace();
+    config.pub_users = Some(users);
+    config
+}
+
+const DECLARED: &str = "pub struct Ring;\n";
+
+fn unused_pub_findings(config: &LintConfig) -> Vec<String> {
+    lint_source("crates/core/src/ring.rs", DECLARED, config)
+        .into_iter()
+        .map(|f| f.rule.id().to_string())
+        .collect::<Vec<_>>()
+}
+
+#[test]
+fn a_name_only_the_frozen_benchmark_uses_stays_pub() {
+    let config = with_users(&[("benchmark/src/lowering.rs", "use srlb_core::Ring;")]);
+    assert!(unused_pub_findings(&config).is_empty());
+}
+
+#[test]
+fn a_name_only_its_own_crate_uses_is_reported() {
+    let config = with_users(&[
+        ("crates/core/src/runner.rs", "fn f(_: crate::ring::Ring) {}"),
+        ("crates/core/src/ring.rs", DECLARED),
+    ]);
+    assert_eq!(unused_pub_findings(&config), vec!["unused-pub"]);
+}
+
+#[test]
+fn tests_examples_and_package_binaries_count_as_users() {
+    for user in [
+        "crates/core/tests/ring.rs",
+        "examples/ring.rs",
+        "tests/ring.rs",
+        "crates/core/src/bin/ring.rs",
+        "crates/core/src/main.rs",
+        "crates/bench/src/figures.rs",
+    ] {
+        let config = with_users(&[(user, "Ring")]);
+        assert!(unused_pub_findings(&config).is_empty(), "{user} names Ring");
+    }
+    // Comments and strings name nothing.
+    let config = with_users(&[("tests/ring.rs", "// Ring\nconst S: &str = \"Ring\";")]);
+    assert_eq!(unused_pub_findings(&config), vec!["unused-pub"]);
+}
+
+#[test]
+fn an_unused_pub_allow_must_name_the_path_that_reaches_it() {
+    let config = with_users(&[]);
+    let reached = "// srlb-lint: allow(unused-pub) -- reached through srlb_core::Runner::ring\n\
+                   pub struct Ring;\n";
+    assert!(lint_source("crates/core/src/ring.rs", reached, &config).is_empty());
+    let vague = "// srlb-lint: allow(unused-pub) -- someone might want it\npub struct Ring;\n";
+    let mut ids: Vec<&str> = lint_source("crates/core/src/ring.rs", vague, &config)
+        .iter()
+        .map(|f| f.rule.id())
+        .collect();
+    ids.sort_unstable();
+    assert_eq!(ids, vec!["bad-directive", "unused-pub"]);
+}
+
+#[test]
+fn every_pub_item_form_is_read_by_its_name() {
+    let src = "pub const N: u32 = 1;\npub const fn f() {}\npub static S: u32 = 0;\n\
+               pub type T = u32;\npub trait Tr {}\npub enum E {}\npub mod m {}\n\
+               pub(crate) fn hidden() {}\npub use std::fmt;\nstruct F { pub field: u32 }\n";
+    let names: Vec<String> = lint_source("crates/core/src/x.rs", src, &LintConfig::strict())
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+        .collect();
+    assert_eq!(
+        names,
+        ["pub N", "pub f", "pub S", "pub T", "pub Tr", "pub E", "pub m"]
     );
 }

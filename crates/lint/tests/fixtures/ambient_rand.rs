@@ -1,6 +1,6 @@
 //! Fixture: must trip exactly one `ambient-rand` finding.
 
-pub fn roll() -> u64 {
+fn roll() -> u64 {
     let mut rng = rand::thread_rng();
     rand::Rng::next_u64(&mut rng)
 }

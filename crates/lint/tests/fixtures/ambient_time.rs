@@ -1,6 +1,6 @@
 //! Fixture: must trip exactly one `ambient-time` finding.
 
-pub fn elapsed_hint() -> std::time::Duration {
+fn elapsed_hint() -> std::time::Duration {
     let start = std::time::Instant::now();
     start.elapsed()
 }

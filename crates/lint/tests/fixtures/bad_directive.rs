@@ -1,6 +1,6 @@
 //! Fixture: must trip exactly one `bad-directive` finding.
 
 // srlb-lint: allow(unordered-iter)
-pub fn quiet() -> u32 {
+fn quiet() -> u32 {
     42
 }

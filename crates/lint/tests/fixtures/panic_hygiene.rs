@@ -1,5 +1,5 @@
 //! Fixture: must trip exactly one `panic-hygiene` finding.
 
-pub fn first(values: &[u32]) -> u32 {
+fn first(values: &[u32]) -> u32 {
     values.first().copied().unwrap()
 }

@@ -1,7 +1,7 @@
 //! Fixture: must trip exactly one `serde-no-skip` finding.
 
 #[derive(serde::Serialize, serde::Deserialize)]
-pub struct RetrySpec {
+struct RetrySpec {
     /// Proper pairing: default AND skip — must NOT be flagged.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub budget: Option<u32>,

@@ -1,6 +1,6 @@
 //! Fixture: must trip exactly one `thread-spawn` finding.
 
-pub fn run_in_background() {
+fn run_in_background() {
     let handle = std::thread::spawn(|| 42);
     let _ = handle.join();
 }

@@ -1,6 +1,6 @@
 //! Fixture: must trip exactly one `unused-allow` finding.
 
 // srlb-lint: allow(ambient-time) -- nothing on the next line reads the clock
-pub fn quiet() -> u32 {
+fn quiet() -> u32 {
     41
 }

@@ -92,12 +92,12 @@ impl DisruptionCollector {
     }
 
     /// Number of phases.
-    pub fn phase_count(&self) -> usize {
+    pub(crate) fn phase_count(&self) -> usize {
         self.boundaries.len()
     }
 
     /// Index of the phase a request sent at `t` seconds belongs to.
-    pub fn phase_of(&self, t: f64) -> usize {
+    pub(crate) fn phase_of(&self, t: f64) -> usize {
         self.boundaries
             .partition_point(|(_, start)| *start <= t)
             .saturating_sub(1)

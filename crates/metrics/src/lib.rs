@@ -26,15 +26,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod cdf;
 pub mod collector;
-pub mod disruption;
+mod disruption;
 pub mod ewma;
 pub mod fairness;
 pub mod occupancy;
 pub mod summary;
-pub mod timebin;
+mod timebin;
 
 pub use cdf::Cdf;
 pub use collector::{RequestClass, RequestOutcome, RequestRecord, ResponseTimeCollector};

@@ -10,6 +10,7 @@ use crate::summary::Summary;
 
 /// Aggregated statistics of one time bin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_metrics::TimeBinner::stats
 pub struct BinStats {
     /// Start of the bin, in seconds since the start of the measurement.
     pub start_seconds: f64,
@@ -74,11 +75,6 @@ impl TimeBinner {
     /// Number of bins (including empty ones up to the latest sample).
     pub fn bin_count(&self) -> usize {
         self.bins.len()
-    }
-
-    /// Bin width in seconds.
-    pub fn width_seconds(&self) -> f64 {
-        self.width_seconds
     }
 
     /// Aggregated statistics per bin, in time order.
@@ -175,8 +171,7 @@ mod tests {
 
     #[test]
     fn ten_minute_constructor() {
-        let b = TimeBinner::ten_minutes();
-        assert_eq!(b.width_seconds(), 600.0);
+        assert_eq!(TimeBinner::ten_minutes(), TimeBinner::new(600.0));
     }
 
     #[test]

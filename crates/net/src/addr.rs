@@ -40,29 +40,6 @@ impl From<ServerId> for u32 {
     }
 }
 
-/// A virtual IP address identifying a replicated application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Vip(pub Ipv6Addr);
-
-impl Vip {
-    /// Returns the underlying IPv6 address.
-    pub fn addr(self) -> Ipv6Addr {
-        self.0
-    }
-}
-
-impl fmt::Display for Vip {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "vip:{}", self.0)
-    }
-}
-
-impl From<Vip> for Ipv6Addr {
-    fn from(value: Vip) -> Self {
-        value.0
-    }
-}
-
 /// Deterministic addressing plan for clients, servers, VIPs and the load
 /// balancer.
 ///
@@ -141,11 +118,6 @@ impl AddressPlan {
         Ipv6Addr::new(a, b, c, d, 0, 0, (app >> 16) as u16, (app & 0xffff) as u16)
     }
 
-    /// Virtual IP address of application `app`, wrapped in the [`Vip`] newtype.
-    pub fn vip_typed(&self, app: u32) -> Vip {
-        Vip(self.vip(app))
-    }
-
     /// Reverse lookup: which server owns `addr`, if any.
     pub fn server_of(&self, addr: Ipv6Addr) -> Option<ServerId> {
         let seg = addr.segments();
@@ -172,21 +144,6 @@ impl AddressPlan {
         seg[0..4] == self.vip_prefix
     }
 
-    /// Reverse lookup: which application a VIP identifies, if any.
-    pub fn app_of(&self, addr: Ipv6Addr) -> Option<u32> {
-        let seg = addr.segments();
-        if seg[0..4] == self.vip_prefix && seg[4] == 0 && seg[5] == 0 {
-            Some(((seg[6] as u32) << 16) | seg[7] as u32)
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` if `addr` belongs to the server prefix.
-    pub fn is_server(&self, addr: Ipv6Addr) -> bool {
-        self.server_of(addr).is_some()
-    }
-
     /// Iterator over the physical addresses of the first `n` servers.
     pub fn server_addrs(&self, n: u32) -> impl Iterator<Item = Ipv6Addr> + '_ {
         (0..n).map(move |i| self.server_addr(ServerId(i)))
@@ -205,7 +162,6 @@ mod tests {
             let addr = plan.server_addr(ServerId(i));
             assert!(seen.insert(addr), "duplicate address for server {i}");
             assert_eq!(plan.server_of(addr), Some(ServerId(i)));
-            assert!(plan.is_server(addr));
             assert!(!plan.is_vip(addr));
             assert!(plan.client_of(addr).is_none());
         }
@@ -226,7 +182,6 @@ mod tests {
         let plan = AddressPlan::default();
         let vip = plan.vip(3);
         assert!(plan.is_vip(vip));
-        assert_eq!(plan.app_of(vip), Some(3));
         assert!(!plan.is_vip(plan.server_addr(ServerId(3))));
         assert!(!plan.is_vip(plan.lb_addr()));
     }
@@ -255,14 +210,5 @@ mod tests {
         assert_eq!(u32::from(id), 7);
         assert_eq!(ServerId::from(7u32), id);
         assert_eq!(id.index(), 7);
-    }
-
-    #[test]
-    fn vip_newtype_roundtrip() {
-        let plan = AddressPlan::default();
-        let vip = plan.vip_typed(1);
-        assert_eq!(vip.addr(), plan.vip(1));
-        assert_eq!(Ipv6Addr::from(vip), plan.vip(1));
-        assert!(vip.to_string().starts_with("vip:"));
     }
 }

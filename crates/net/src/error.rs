@@ -6,6 +6,7 @@ use std::fmt;
 /// Errors produced when parsing or constructing packets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
+// srlb-lint: allow(unused-pub) -- reached through srlb_net::Packet::decode
 pub enum NetError {
     /// The byte buffer ended before the structure was complete.
     Truncated {

@@ -239,6 +239,7 @@ impl Hash for FlowKey {
 /// SipHash's cost.  There is no per-process random seed: use it only for
 /// keys the program itself generates, never for keys an adversary picks.
 #[derive(Debug, Clone, Copy, Default)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_net::PassthroughHashBuilder, whose BuildHasher::Hasher it is
 pub struct PassthroughHasher {
     hash: u64,
     written: bool,

@@ -8,7 +8,7 @@ use crate::error::NetError;
 use crate::Result;
 
 /// Length in bytes of the fixed IPv6 header.
-pub const IPV6_HEADER_LEN: usize = 40;
+pub(crate) const IPV6_HEADER_LEN: usize = 40;
 
 /// Value of the IPv6 `Next Header` field (also used by extension headers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,7 +92,7 @@ impl Ipv6Header {
         }
     }
 
-    /// Encodes the header into `out` (appends exactly [`IPV6_HEADER_LEN`] bytes).
+    /// Encodes the header into `out` (appends exactly `IPV6_HEADER_LEN` bytes).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let flow = self.flow_label & 0x000f_ffff;
         let first = (6u32 << 28) | ((self.traffic_class as u32) << 20) | flow;

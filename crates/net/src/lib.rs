@@ -49,23 +49,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod addr;
 pub mod error;
 pub mod flow;
-pub mod ipv6;
+mod ipv6;
 pub mod packet;
 pub mod payload;
 pub mod srh;
 pub mod tcp;
 
-pub use addr::{AddressPlan, ServerId, Vip};
+pub use addr::{AddressPlan, ServerId};
 pub use error::NetError;
-pub use flow::{mix64, FlowKey, PassthroughHashBuilder, PassthroughHasher, Protocol};
-pub use ipv6::{Ipv6Header, NextHeader, IPV6_HEADER_LEN};
+pub use flow::{mix64, FlowKey, PassthroughHashBuilder, Protocol};
+pub use ipv6::{Ipv6Header, NextHeader};
 pub use packet::{Packet, PacketBuilder};
 pub use payload::{Payload, INLINE_PAYLOAD_CAP};
-pub use srh::{SegmentRoutingHeader, MAX_SEGMENTS, SRH_FIXED_LEN};
+pub use srh::{SegmentRoutingHeader, MAX_SEGMENTS};
 pub use tcp::{RetransmitPolicy, TcpFlags, TcpHeader, TCP_HEADER_LEN};
 
 /// Convenience result alias used throughout the crate.

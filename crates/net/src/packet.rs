@@ -58,11 +58,16 @@ mod payload_serde {
 
     use crate::payload::Payload;
 
-    pub fn serialize<S: Serializer>(payload: &Payload, serializer: S) -> Result<S::Ok, S::Error> {
+    pub(super) fn serialize<S: Serializer>(
+        payload: &Payload,
+        serializer: S,
+    ) -> Result<S::Ok, S::Error> {
         serializer.serialize_bytes(payload)
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(deserializer: D) -> Result<Payload, D::Error> {
+    pub(super) fn deserialize<'de, D: Deserializer<'de>>(
+        deserializer: D,
+    ) -> Result<Payload, D::Error> {
         let v = Vec::<u8>::deserialize(deserializer)?;
         Ok(Payload::from(v))
     }
@@ -268,7 +273,7 @@ impl Packet {
     /// SRH `next_header`) so that the structured form matches what
     /// [`Packet::encode`] will emit.  Called automatically by
     /// [`PacketBuilder::build`] and the SRH mutators.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         self.ipv6.payload_length = (self.encoded_len() - IPV6_HEADER_LEN) as u16;
         self.ipv6.next_header = if self.srh.is_some() {
             NextHeader::Routing
@@ -281,7 +286,7 @@ impl Packet {
     }
 
     /// Total length of the encoded packet in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         IPV6_HEADER_LEN
             + self.srh.as_ref().map_or(0, |s| s.encoded_len())
             + crate::tcp::TCP_HEADER_LEN

@@ -44,7 +44,7 @@ use crate::ipv6::NextHeader;
 use crate::Result;
 
 /// Length in bytes of the fixed (non segment-list) part of the SRH.
-pub const SRH_FIXED_LEN: usize = 8;
+pub(crate) const SRH_FIXED_LEN: usize = 8;
 
 /// Maximum number of segments an SRH can carry in this workspace.
 ///
@@ -226,27 +226,6 @@ impl SegmentRoutingHeader {
         Ok(())
     }
 
-    /// Builds an SRH directly from a wire-order segment list and an explicit
-    /// `Segments Left` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::EmptySegmentList`], [`NetError::SegmentListTooLong`]
-    /// or [`NetError::SegmentsLeftOutOfRange`] on invalid input.
-    pub fn from_wire_order(segment_list: &[Ipv6Addr], segments_left: u8) -> Result<Self> {
-        SegmentList::check_len(segment_list.len())?;
-        if segments_left as usize >= segment_list.len() {
-            return Err(NetError::SegmentsLeftOutOfRange {
-                segments_left,
-                segments: segment_list.len(),
-            });
-        }
-        let mut srh = Self::BLANK;
-        srh.segment_list.fill(segment_list, false);
-        srh.segments_left = segments_left;
-        Ok(srh)
-    }
-
     /// Number of segments in the list.
     pub fn num_segments(&self) -> usize {
         self.segment_list.len()
@@ -286,17 +265,11 @@ impl SegmentRoutingHeader {
     /// The route in traversal order (first segment first).
     ///
     /// Allocates; intended for reporting and tests.  Fast-path code should
-    /// use [`SegmentRoutingHeader::segment_list`] (wire order) or the
-    /// positional accessors instead.
+    /// use the positional accessors instead.
     pub fn route(&self) -> Vec<Ipv6Addr> {
         let mut r = self.segment_list.as_slice().to_vec();
         r.reverse();
         r
-    }
-
-    /// Wire-order segment list (`[0]` is the final segment).
-    pub fn segment_list(&self) -> &[Ipv6Addr] {
-        self.segment_list.as_slice()
     }
 
     /// Advances to the next segment: decrements `Segments Left` and returns
@@ -336,17 +309,17 @@ impl SegmentRoutingHeader {
     }
 
     /// Length of the encoded header in bytes.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         SRH_FIXED_LEN + 16 * self.segment_list.len()
     }
 
     /// The `Hdr Ext Len` field: header length in 8-octet units, not counting
     /// the first 8 octets.
-    pub fn hdr_ext_len(&self) -> u8 {
+    pub(crate) fn hdr_ext_len(&self) -> u8 {
         (2 * self.segment_list.len()) as u8
     }
 
-    /// Encodes the SRH into `out` (appends [`Self::encoded_len`] bytes).
+    /// Encodes the SRH into `out` (appends `Self::encoded_len` bytes).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.next_header.number());
         out.push(self.hdr_ext_len());
@@ -615,16 +588,6 @@ mod tests {
             SegmentRoutingHeader::decode(&bytes).unwrap_err(),
             NetError::SegmentListTooLong(16)
         );
-    }
-
-    #[test]
-    fn from_wire_order_validates() {
-        let list = addrs(3);
-        let srh = SegmentRoutingHeader::from_wire_order(&list, 1).unwrap();
-        assert_eq!(srh.segments_left(), 1);
-        assert_eq!(srh.active_segment(), list[1]);
-        assert!(SegmentRoutingHeader::from_wire_order(&[], 0).is_err());
-        assert!(SegmentRoutingHeader::from_wire_order(&list, 3).is_err());
     }
 
     #[test]

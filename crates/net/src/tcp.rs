@@ -22,9 +22,9 @@ pub struct TcpFlags(u8);
 
 impl TcpFlags {
     /// No flags set.
-    pub const EMPTY: TcpFlags = TcpFlags(0);
+    pub(crate) const EMPTY: TcpFlags = TcpFlags(0);
     /// FIN: sender has finished sending.
-    pub const FIN: TcpFlags = TcpFlags(0x01);
+    pub(crate) const FIN: TcpFlags = TcpFlags(0x01);
     /// SYN: synchronise sequence numbers (connection request).
     pub const SYN: TcpFlags = TcpFlags(0x02);
     /// RST: reset the connection.

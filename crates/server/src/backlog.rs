@@ -49,7 +49,7 @@ impl<T> Backlog<T> {
     }
 
     /// Returns `true` if the backlog is full.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.queue.len() >= self.capacity
     }
 

@@ -54,15 +54,10 @@ impl ProcessorSharingCpu {
     /// # Panics
     ///
     /// Panics if `cores` is zero.
-    pub fn set_cores(&mut self, cores: usize, now: SimTime) {
+    pub(crate) fn set_cores(&mut self, cores: usize, now: SimTime) {
         assert!(cores > 0, "at least one core is required");
         self.progress_to(now);
         self.cores = cores as f64;
-    }
-
-    /// Number of jobs currently running.
-    pub fn job_count(&self) -> usize {
-        self.remaining.len()
     }
 
     /// Returns `true` if no job is running.
@@ -82,7 +77,7 @@ impl ProcessorSharingCpu {
     }
 
     /// Advances every running job's remaining work to `now`.
-    pub fn progress_to(&mut self, now: SimTime) {
+    pub(crate) fn progress_to(&mut self, now: SimTime) {
         let elapsed = now.duration_since(self.last_update).as_secs_f64();
         if elapsed > 0.0 && !self.remaining.is_empty() {
             let rate = self.rate();
@@ -160,7 +155,6 @@ mod tests {
         let mut cpu = ProcessorSharingCpu::new(2);
         assert!(cpu.is_idle());
         cpu.add_job(1, SimDuration::from_millis(100), t(0));
-        assert_eq!(cpu.job_count(), 1);
         assert_eq!(cpu.rate(), 1.0);
         assert_eq!(cpu.next_completion(t(0)), Some(t(100)));
         assert!(cpu.take_completed(t(99)).is_empty());

@@ -18,33 +18,29 @@
 //! * [`AcceptPolicy`] — the connection acceptance policies of Section III:
 //!   the static [`policy::StaticThreshold`] (SRc) and the dynamic
 //!   [`policy::DynamicThreshold`] (SRdyn), plus always/never baselines,
-//! * [`VirtualRouter`] — the SR endpoint behaviour of Algorithm 1: decide
-//!   locally whether to deliver a hunted connection to the application or to
-//!   forward it to the next candidate,
-//! * [`ServerNode`] — the [`srlb_sim::Node`] tying it all together: TCP
-//!   handshakes, request service with per-request CPU demand, backlog
-//!   queueing, RST on overflow, and response generation,
+//! * [`ServerNode`] — the [`srlb_sim::Node`] tying it all together: the SR
+//!   endpoint behaviour of Algorithm 1 (deliver a hunted connection to the
+//!   application or forward it to the next candidate, as the policy
+//!   decides), TCP handshakes, request service with per-request CPU demand,
+//!   backlog queueing, RST on overflow, and response generation,
 //! * [`Directory`] — the mapping between data-plane IPv6 addresses and
 //!   simulation node ids.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod agent;
 pub mod backlog;
 pub mod cpu;
 pub mod directory;
 pub mod policy;
 pub mod server_node;
-pub mod vrouter;
 pub mod worker;
 
-pub use agent::ApplicationAgent;
 pub use backlog::Backlog;
 pub use cpu::ProcessorSharingCpu;
 pub use directory::{tier_members, Directory};
 pub use policy::{AcceptDecision, AcceptPolicy, PolicyConfig};
 pub use server_node::{ServerConfig, ServerNode, ServerStats};
-pub use vrouter::{RouterAction, VirtualRouter};
 pub use worker::{Scoreboard, WorkerId, WorkerPool};

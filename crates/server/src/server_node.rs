@@ -1,12 +1,12 @@
 //! The backend server as a simulation node.
 //!
-//! A [`ServerNode`] combines the virtual router, the application agent, the
-//! worker pool, the processor-sharing CPU and the accept backlog into one
-//! [`srlb_sim::Node`], and speaks the simple TCP-over-SRv6 protocol of the
-//! experiments:
+//! A [`ServerNode`] combines the virtual router's Algorithm 1, the
+//! acceptance policy, the worker pool, the processor-sharing CPU and the
+//! accept backlog into one [`srlb_sim::Node`], and speaks the simple
+//! TCP-over-SRv6 protocol of the experiments:
 //!
-//! 1. a hunted **SYN** arrives with the Service Hunting SRH; the virtual
-//!    router decides locally (accept / pass on) from the scoreboard,
+//! 1. a hunted **SYN** arrives with the Service Hunting SRH; the server
+//!    decides locally (accept / pass on) from the scoreboard,
 //! 2. on acceptance the server answers with a **SYN-ACK** carrying the
 //!    acceptance SRH `[server, load-balancer, client]` so the load balancer
 //!    learns the owner of the flow,
@@ -30,12 +30,10 @@ use serde::{Deserialize, Serialize};
 use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, Payload, TcpFlags};
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
-use crate::agent::ApplicationAgent;
 use crate::backlog::Backlog;
 use crate::cpu::ProcessorSharingCpu;
 use crate::directory::Directory;
-use crate::policy::PolicyConfig;
-use crate::vrouter::{RouterAction, VirtualRouter};
+use crate::policy::{AcceptPolicy, PolicyConfig};
 use crate::worker::{WorkerId, WorkerPool};
 
 /// Static configuration of one backend server.
@@ -267,8 +265,7 @@ pub fn decode_load_hint(payload: &[u8]) -> Option<(u32, u32, u32)> {
 pub struct ServerNode {
     config: ServerConfig,
     directory: Directory,
-    router: VirtualRouter,
-    agent: ApplicationAgent,
+    policy: Box<dyn AcceptPolicy>,
     pool: WorkerPool,
     cpu: ProcessorSharingCpu,
     backlog: Backlog<PendingJob>,
@@ -288,16 +285,14 @@ pub struct ServerNode {
 impl ServerNode {
     /// Creates a server node.
     pub fn new(config: ServerConfig, directory: Directory) -> Self {
-        let router = VirtualRouter::new(config.addr, config.lb_addr);
-        let agent = ApplicationAgent::new(config.policy.build());
+        let policy = config.policy.build();
         let pool = WorkerPool::new(config.workers);
         let cpu = ProcessorSharingCpu::new(config.cores);
         let backlog = Backlog::new(config.backlog);
         ServerNode {
             config,
             directory,
-            router,
-            agent,
+            policy,
             pool,
             cpu,
             backlog,
@@ -325,25 +320,21 @@ impl ServerNode {
         self.stats
     }
 
-    /// Number of busy worker threads right now.
-    pub fn busy_workers(&self) -> usize {
-        self.pool.busy_count()
-    }
-
-    /// The application agent (for acceptance-ratio and threshold inspection).
-    pub fn agent(&self) -> &ApplicationAgent {
-        &self.agent
+    /// The share of policy consultations that accepted the connection (0.0
+    /// if the policy was never consulted).
+    pub fn acceptance_ratio(&self) -> f64 {
+        let consulted = self.stats.accepted_by_policy + self.stats.passed_on;
+        if consulted == 0 {
+            0.0
+        } else {
+            self.stats.accepted_by_policy as f64 / consulted as f64
+        }
     }
 
     /// Per-change `(time_seconds, busy_workers)` samples (empty unless
     /// `record_load` was enabled in the configuration).
     pub fn load_samples(&self) -> &[(f64, usize)] {
         &self.load_samples
-    }
-
-    /// Number of requests currently waiting in the backlog.
-    pub fn backlog_depth(&self) -> usize {
-        self.backlog.len()
     }
 
     /// The server's routing table, for re-advertising an ECMP tier between
@@ -386,6 +377,14 @@ impl ServerNode {
     fn lb_of(&self, flow: &FlowKey) -> Option<NodeId> {
         self.directory
             .lookup_flow(self.config.lb_addr, flow.stable_hash())
+    }
+
+    /// The route a connection-acceptance packet (SYN-ACK or ownership
+    /// advert) carries: `[server, load-balancer, client]`, installed with
+    /// the first segment consumed, so the load balancer is the active
+    /// segment and learns the owner from the consumed one.
+    fn acceptance_route(&self, client: Ipv6Addr) -> [Ipv6Addr; 3] {
+        [self.config.addr, self.config.lb_addr, client]
     }
 
     /// The load hint describing this server's instantaneous state, attached
@@ -432,7 +431,7 @@ impl ServerNode {
             .payload(self.load_hint())
             .build();
         syn_ack
-            .set_route(&self.router.acceptance_route(client), 1)
+            .set_route(&self.acceptance_route(client), 1)
             .expect("a 3-segment acceptance route is valid");
         ctx.send(lb, syn_ack);
     }
@@ -651,7 +650,7 @@ impl ServerNode {
             .payload(self.load_hint())
             .build();
         advert
-            .set_route(&self.router.acceptance_route(flow.client()), 1)
+            .set_route(&self.acceptance_route(flow.client()), 1)
             .expect("a 3-segment acceptance route is valid");
         ctx.send(lb, advert);
     }
@@ -669,42 +668,51 @@ impl ServerNode {
             })
     }
 
-    /// Runs the virtual router on an inbound packet and acts on its verdict:
-    /// a locally delivered packet is consumed here (connection accepted, or
+    /// Algorithm 1, the virtual router's local decision, and its outcome:
+    ///
+    /// * no SRH, or `SegmentsLeft == 0` — steered traffic addressed to this
+    ///   server: deliver locally,
+    /// * `SegmentsLeft == 1` — the last candidate before the VIP must
+    ///   accept: deliver locally with `SegmentsLeft ← 0`,
+    /// * `SegmentsLeft >= 2` — the policy decides from the scoreboard:
+    ///   deliver locally with `SegmentsLeft ← 0`, or pass the packet on to
+    ///   the next candidate.
+    ///
+    /// A locally delivered packet is consumed here (connection accepted, or
     /// request served); for one passed on, the next candidate is returned.
+    /// A malformed SRH drops the packet.
     fn route_hunted(
         &mut self,
         packet: &mut Packet,
         ctx: &mut Context<'_, Packet>,
     ) -> Option<Ipv6Addr> {
-        let scoreboard = self.pool.scoreboard();
-        let accepted_before = self.agent.accepted();
-        // A malformed SRH drops the packet.
-        match self
-            .router
-            .process(packet, &mut self.agent, scoreboard)
-            .ok()?
-        {
-            RouterAction::Forward { next_hop } => {
-                self.stats.passed_on += 1;
-                Some(next_hop)
+        let by_policy = match packet.srh.as_ref().map_or(0, |srh| srh.segments_left()) {
+            0 => false,
+            1 => {
+                packet.set_segments_left(0).ok()?;
+                false
             }
-            RouterAction::DeliverLocal => {
-                if packet.is_syn() {
-                    // A SYN accepted without consulting the agent was a
-                    // forced acceptance (this server was the last candidate).
-                    if self.agent.accepted() > accepted_before {
-                        self.stats.accepted_by_policy += 1;
-                    } else {
-                        self.stats.forced_accepts += 1;
-                    }
-                    self.accept_connection(packet, ctx);
-                } else {
-                    self.deliver_established(packet, ctx);
+            _ => {
+                if !self.policy.decide(self.pool.scoreboard()).is_accept() {
+                    let next_hop = packet.advance_segment().ok()?;
+                    self.stats.passed_on += 1;
+                    return Some(next_hop);
                 }
-                None
+                packet.set_segments_left(0).ok()?;
+                true
             }
+        };
+        if packet.is_syn() {
+            if by_policy {
+                self.stats.accepted_by_policy += 1;
+            } else {
+                self.stats.forced_accepts += 1;
+            }
+            self.accept_connection(packet, ctx);
+        } else {
+            self.deliver_established(packet, ctx);
         }
+        None
     }
 
     /// Handles a locally delivered non-SYN packet of an established flow.
@@ -752,6 +760,185 @@ impl Node<Packet> for ServerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srlb_net::SegmentRoutingHeader;
+    use srlb_sim::{Network, RunUntil, Topology};
+
+    fn addr(n: u16) -> Ipv6Addr {
+        Ipv6Addr::new(0xfd00, 0, 0, 0, 0, 0, 0, n)
+    }
+
+    const LB: u16 = 99;
+    const CLIENT: u16 = 100;
+    const VIP: u16 = 200;
+
+    /// Sends one packet to the first server and records every packet that
+    /// leaves the servers: it stands in for the client, the load balancer
+    /// and the VIP.
+    #[derive(Debug)]
+    struct Probe {
+        packet: Option<Packet>,
+        seen: Vec<Packet>,
+    }
+
+    impl Node<Packet> for Probe {
+        fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
+            if let Some(packet) = self.packet.take() {
+                ctx.send(NodeId(1), packet);
+            }
+        }
+
+        fn on_message(&mut self, packet: Packet, _from: NodeId, _ctx: &mut Context<'_, Packet>) {
+            self.seen.push(packet);
+        }
+    }
+
+    /// Runs `packet` into servers at `addr(1)`, `addr(2)`, … with the given
+    /// policies; returns the servers and what reached the probe.
+    fn run(policies: &[PolicyConfig], packet: Packet) -> (Vec<ServerNode>, Vec<Packet>) {
+        let probe = NodeId(0);
+        let mut directory = Directory::new();
+        for a in [LB, CLIENT, VIP] {
+            directory.register(addr(a), probe);
+        }
+        for i in 0..policies.len() {
+            directory.register(addr(i as u16 + 1), NodeId(i + 1));
+        }
+        let mut net = Network::new(1, Topology::datacenter());
+        net.add_node(Probe {
+            packet: Some(packet),
+            seen: Vec::new(),
+        });
+        for (i, &policy) in policies.iter().enumerate() {
+            let config = ServerConfig::paper(i as u32, addr(i as u16 + 1), addr(LB), policy);
+            net.add_node(ServerNode::new(config, directory.clone()));
+        }
+        net.run_until(RunUntil::Drained);
+        let servers = (1..=policies.len())
+            .map(|i| net.take_node(NodeId(i)).unwrap())
+            .collect();
+        let probe: Probe = net.take_node(probe).unwrap();
+        (servers, probe.seen)
+    }
+
+    /// A client SYN towards the VIP, hunting `candidates` in order.
+    fn hunted_syn(candidates: &[u16]) -> Packet {
+        let mut route: Vec<Ipv6Addr> = candidates.iter().map(|&c| addr(c)).collect();
+        route.push(addr(VIP));
+        PacketBuilder::tcp(addr(CLIENT), addr(VIP))
+            .ports(40_000, 80)
+            .flags(TcpFlags::SYN)
+            .segment_routing(SegmentRoutingHeader::from_route(&route).unwrap())
+            .build()
+    }
+
+    /// A request for 1 ms of CPU from the client, addressed to `dst`.
+    fn request(dst: Ipv6Addr) -> Packet {
+        PacketBuilder::tcp(addr(CLIENT), dst)
+            .ports(40_000, 80)
+            .flags(TcpFlags::ACK | TcpFlags::PSH)
+            .payload(encode_request_payload(7, SimDuration::from_millis(1)))
+            .build()
+    }
+
+    const NEVER: PolicyConfig = PolicyConfig::NeverAccept;
+
+    /// The one SYN-ACK that reached the probe.
+    fn syn_ack(seen: &[Packet]) -> &Packet {
+        match seen {
+            [p] if p.is_syn_ack() => p,
+            _ => panic!("one SYN-ACK expected, got {seen:?}"),
+        }
+    }
+
+    #[test]
+    fn first_candidate_accepts_when_below_threshold() {
+        let policy = PolicyConfig::Static { threshold: 4 };
+        let (servers, seen) = run(&[policy, policy], hunted_syn(&[1, 2]));
+        let stats = servers[0].stats();
+        assert_eq!(
+            (
+                stats.accepted_by_policy,
+                stats.passed_on,
+                stats.forced_accepts
+            ),
+            (1, 0, 0)
+        );
+        assert_eq!(servers[0].acceptance_ratio(), 1.0);
+        assert_eq!(servers[1].stats(), ServerStats::default());
+        assert_eq!(decode_load_hint(&syn_ack(&seen).payload), Some((0, 32, 0)));
+    }
+
+    #[test]
+    fn acceptance_route_names_server_lb_and_client() {
+        let (_, seen) = run(&[PolicyConfig::AlwaysAccept], hunted_syn(&[1, 2]));
+        let srh = syn_ack(&seen).srh.as_ref().unwrap();
+        assert_eq!(srh.route(), vec![addr(1), addr(LB), addr(CLIENT)]);
+        assert_eq!(srh.segments_left(), 1);
+        assert_eq!(srh.active_segment(), addr(LB), "LB is the active segment");
+    }
+
+    #[test]
+    fn first_candidate_forwards_when_busy() {
+        let (servers, seen) = run(&[NEVER, NEVER], hunted_syn(&[1, 2]));
+        assert_eq!(servers[0].stats().passed_on, 1);
+        assert_eq!(servers[0].stats().accepted_by_policy, 0);
+        assert_eq!(servers[0].acceptance_ratio(), 0.0);
+        assert_eq!(
+            syn_ack(&seen).srh.as_ref().unwrap().first_segment(),
+            addr(2)
+        );
+    }
+
+    #[test]
+    fn last_candidate_must_accept_without_consulting_its_policy() {
+        let mut syn = hunted_syn(&[5, 1]);
+        syn.advance_segment().unwrap(); // candidate 5 passed it on
+        let (servers, seen) = run(&[NEVER], syn);
+        let stats = servers[0].stats();
+        assert_eq!(
+            (
+                stats.forced_accepts,
+                stats.passed_on,
+                stats.accepted_by_policy
+            ),
+            (1, 0, 0)
+        );
+        syn_ack(&seen);
+    }
+
+    #[test]
+    fn three_candidate_hunt_walks_the_chain() {
+        let (servers, seen) = run(&[NEVER, NEVER, NEVER], hunted_syn(&[1, 2, 3]));
+        let passed: Vec<u64> = servers.iter().map(|s| s.stats().passed_on).collect();
+        assert_eq!(passed, vec![1, 1, 0]);
+        assert_eq!(
+            servers[2].stats().forced_accepts,
+            1,
+            "final candidate is forced"
+        );
+        assert_eq!(
+            syn_ack(&seen).srh.as_ref().unwrap().first_segment(),
+            addr(3)
+        );
+    }
+
+    #[test]
+    fn steered_request_without_srh_is_served() {
+        let (servers, seen) = run(&[NEVER], request(addr(1)));
+        assert_eq!(servers[0].stats().completed, 1);
+        assert_eq!(servers[0].stats().passed_on, 0);
+        assert_eq!(decode_response_payload(&seen[0].payload), Some((7, 0)));
+    }
+
+    #[test]
+    fn exhausted_srh_is_delivered() {
+        let mut syn = hunted_syn(&[5, 1]);
+        syn.set_segments_left(0).unwrap();
+        let (servers, seen) = run(&[NEVER], syn);
+        assert_eq!(servers[0].stats().forced_accepts, 1);
+        assert_eq!(servers[0].stats().passed_on, 0);
+        syn_ack(&seen);
+    }
 
     #[test]
     fn payload_roundtrip() {
@@ -818,8 +1005,6 @@ mod tests {
         assert_eq!(cfg.backlog, 128);
         assert!(!cfg.record_load);
         let node = ServerNode::new(cfg, Directory::new());
-        assert_eq!(node.busy_workers(), 0);
-        assert_eq!(node.backlog_depth(), 0);
         assert_eq!(node.server_index(), 3);
         assert_eq!(node.addr(), "fd00::3".parse::<Ipv6Addr>().unwrap());
         assert_eq!(node.stats(), ServerStats::default());

@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// Identifier of a worker thread within one server's pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_server::WorkerPool::claim
 pub struct WorkerId(pub usize);
 
 /// A snapshot of the pool state, equivalent to what the paper's agent reads
@@ -26,21 +27,12 @@ impl Scoreboard {
     pub fn idle(&self) -> usize {
         self.total - self.busy
     }
-
-    /// Utilisation in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.busy as f64 / self.total as f64
-        }
-    }
 }
 
 /// A pool of worker threads.
 ///
 /// The pool size is normally fixed (Apache's `mpm_prefork` model), but it
-/// can be [resized](WorkerPool::resize) at runtime to model heterogeneous
+/// can be resized at runtime to model heterogeneous
 /// or re-provisioned servers in dynamic-cluster scenarios.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerPool {
@@ -78,7 +70,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics if `target` is zero.
-    pub fn resize(&mut self, target: usize) {
+    pub(crate) fn resize(&mut self, target: usize) {
         assert!(target > 0, "a worker pool needs at least one worker");
         self.pending_shrink = 0;
         if target >= self.busy.len() {
@@ -92,7 +84,8 @@ impl WorkerPool {
     }
 
     /// Number of live slots still awaiting retirement by a deferred shrink.
-    pub fn pending_shrink(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_shrink(&self) -> usize {
         self.pending_shrink
     }
 
@@ -202,13 +195,6 @@ mod tests {
         assert_eq!(sb.busy, 10);
         assert_eq!(sb.total, 32);
         assert_eq!(sb.idle(), 22);
-        assert!((sb.utilization() - 10.0 / 32.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_scoreboard_utilization_is_zero() {
-        let sb = Scoreboard { busy: 0, total: 0 };
-        assert_eq!(sb.utilization(), 0.0);
     }
 
     #[test]

@@ -224,7 +224,6 @@ impl<M> SimCore<M> {
         let mut ctx = Context {
             now: self.now,
             self_id: id,
-            from: None,
             queue: &mut self.queue,
             send_seq: &mut meta.send_seq,
             router: self.router.as_mut(),
@@ -440,7 +439,6 @@ impl<M> SimCore<M> {
                 let mut ctx = Context {
                     now: self.now,
                     self_id: target,
-                    from: Some(from),
                     queue: &mut self.queue,
                     send_seq: &mut meta.send_seq,
                     router: self.router.as_mut(),
@@ -462,7 +460,6 @@ impl<M> SimCore<M> {
                 let mut ctx = Context {
                     now: self.now,
                     self_id: target,
-                    from: None,
                     queue: &mut self.queue,
                     send_seq: &mut meta.send_seq,
                     router: self.router.as_mut(),
@@ -561,16 +558,6 @@ impl<M> SimCore<M> {
         processed
     }
 
-    /// Immutable access to a node as a `dyn Node<M>`.
-    ///
-    /// Returns `None` if the id is out of range.
-    pub(crate) fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&dyn Node<M>) -> R) -> Option<R> {
-        self.nodes
-            .get(id.index())
-            .and_then(|slot| slot.as_ref())
-            .map(|node| f(node.as_node()))
-    }
-
     /// Immutable, downcast access to a node of concrete type `T`.
     ///
     /// Returns `None` if the id is out of range or the node has a different
@@ -619,7 +606,6 @@ impl<M> SimCore<M> {
         let mut ctx = Context {
             now: self.now,
             self_id: id,
-            from: None,
             queue: &mut self.queue,
             send_seq: &mut meta.send_seq,
             router: self.router.as_mut(),
@@ -660,16 +646,12 @@ impl<M> SimCore<M> {
 /// extract collected measurements) and node tables can move across worker
 /// threads.
 pub(crate) trait AnyNode<M>: Node<M> + Send {
-    fn as_node(&self) -> &dyn Node<M>;
     fn as_any(&self) -> &dyn std::any::Any;
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
 impl<M, T: Node<M> + Send + 'static> AnyNode<M> for T {
-    fn as_node(&self) -> &dyn Node<M> {
-        self
-    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }

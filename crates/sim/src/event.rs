@@ -20,7 +20,7 @@
 //!   event (`target` plus `Message { from }` or `Timer { token }`); a lane
 //!   entry carries `target` and `from` inline and never touches its record;
 //! * a **body** slab holds, per slot, the message — written once, straight
-//!   from the sender's value into the slot [`EventQueue::claim_message`] /
+//!   from the sender's value into the slot `EventQueue::claim_message` /
 //!   [`EventQueue::claim_message_after`] hands out, and moved out once by
 //!   [`EventQueue::take_body`] right at the node callback.
 //!
@@ -189,6 +189,7 @@ enum Earliest {
 /// `Copy` nor `Clone`, so it cannot be redeemed twice.  Dropping it without
 /// redeeming leaks the slot until the queue is dropped.
 #[derive(Debug)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_sim::EventQueue::take_body
 pub struct BodySlot(u32);
 
 /// What a popped event delivers, without the message body.
@@ -210,6 +211,7 @@ pub enum HeadKind {
 
 /// A popped event's small parts, as [`EventQueue::pop_head`] returns them.
 #[derive(Debug)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_sim::EventQueue::pop_head
 pub struct EventHead {
     /// Ordering key.
     pub key: EventKey,
@@ -304,18 +306,6 @@ impl<M> EventQueue<M> {
             .unwrap_or(0)
     }
 
-    /// Reserves room for at least `additional` more pending events, wherever
-    /// they land.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        for lane in &mut self.lanes {
-            lane.reserve(additional);
-        }
-        self.records.reserve(additional);
-        self.bodies.reserve(additional);
-        self.free.reserve(additional);
-    }
-
     /// A free slot — reused if one exists, freshly grown otherwise — whose
     /// body is `None`.
     #[inline]
@@ -368,7 +358,12 @@ impl<M> EventQueue<M> {
     /// `*queue.claim_message(..) = Some(msg)`, with no by-value hop between.
     /// The slot must be filled before the event is popped.
     #[inline]
-    pub fn claim_message(&mut self, key: EventKey, target: NodeId, from: NodeId) -> &mut Option<M> {
+    pub(crate) fn claim_message(
+        &mut self,
+        key: EventKey,
+        target: NodeId,
+        from: NodeId,
+    ) -> &mut Option<M> {
         self.admitted += 1;
         let record = SlotRecord {
             target,
@@ -378,7 +373,7 @@ impl<M> EventQueue<M> {
         &mut self.bodies[slot as usize]
     }
 
-    /// [`EventQueue::claim_message`] for a sender that knows the message is
+    /// `EventQueue::claim_message` for a sender that knows the message is
     /// scheduled `latency` after its current time (`key.time = now +
     /// latency`): the message rides the FIFO lane of that latency when its
     /// key is greater than the lane's back key, and takes the heap otherwise
@@ -851,10 +846,6 @@ mod tests {
         );
         assert_eq!(drain(&mut q), vec![2, 1]);
         assert!(q.is_empty());
-
-        // Reserving makes room wherever the events land.
-        q.reserve(100);
-        assert!(q.capacity() >= 100);
     }
 
     #[test]

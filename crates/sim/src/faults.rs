@@ -178,7 +178,7 @@ impl FaultConfig {
 
 /// Why the fault layer consumed a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropCause {
+pub(crate) enum DropCause {
     /// An injected drop: a probabilistic loss rule fired or a one-shot drop
     /// named this delivery.
     Injected,

@@ -72,6 +72,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod core;
 pub mod event;
@@ -82,13 +83,13 @@ pub mod node;
 pub mod observe;
 pub mod pool;
 pub mod rng;
-pub mod shard;
-pub mod steering;
+mod shard;
+mod steering;
 pub mod time;
 
 pub use crate::core::SimStats;
 pub use event::{EventKey, EventQueue};
-pub use faults::{DownWindow, DropCause, FaultConfig, LinkMatch, LossRule, OneShotDrop, QueueRule};
+pub use faults::{DownWindow, FaultConfig, LinkMatch, LossRule, OneShotDrop, QueueRule};
 pub use link::{Topology, TopologyModel};
 pub use network::{Network, RunUntil};
 pub use node::{Context, Node, NodeId, TimerToken};

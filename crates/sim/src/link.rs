@@ -48,7 +48,7 @@ impl Topology {
 
     /// Sets the latency of the directed link `a → b` (and `b → a` if the
     /// topology is symmetric, the default).
-    pub fn set_link(&mut self, a: NodeId, b: NodeId, latency: SimDuration) -> &mut Self {
+    pub(crate) fn set_link(&mut self, a: NodeId, b: NodeId, latency: SimDuration) -> &mut Self {
         self.set_directed(a, b, latency);
         if self.symmetric {
             self.set_directed(b, a, latency);
@@ -79,7 +79,8 @@ impl Topology {
     }
 
     /// Makes subsequent [`Topology::set_link`] calls directional.
-    pub fn asymmetric(&mut self) -> &mut Self {
+    #[cfg(test)]
+    pub(crate) fn asymmetric(&mut self) -> &mut Self {
         self.symmetric = false;
         self
     }
@@ -94,7 +95,8 @@ impl Topology {
     }
 
     /// The default latency applied to links without an override.
-    pub fn default_latency(&self) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn default_latency(&self) -> SimDuration {
         self.default_latency
     }
 
@@ -206,7 +208,7 @@ impl TopologyModel {
 
     /// The rack that server index `i` lives in under this model (`0` for
     /// the uniform model).
-    pub fn rack_of(&self, server_index: usize) -> usize {
+    pub(crate) fn rack_of(&self, server_index: usize) -> usize {
         match *self {
             TopologyModel::Uniform { .. } => 0,
             TopologyModel::RackZone { racks, .. } => server_index % racks.max(1),

@@ -6,7 +6,7 @@
 //! plan collapses to when windows cannot pay off — is driven on the calling
 //! thread, batched by default and per-event via
 //! [`Network::run_until_stepwise`]; several shards advance in conservative
-//! time windows on a lazily spawned worker pool (see [`crate::shard`] for
+//! time windows on a lazily spawned worker pool (see `crate::shard` for
 //! the model and [`crate::pool`] for the protocol).  The core itself (clock,
 //! event queue, node registry, dispatch) is private to the crate; a run is
 //! watched through [`Network::set_observer`], which gives every shard its
@@ -55,7 +55,7 @@ pub enum RunUntil {
 
 impl RunUntil {
     /// The `(time bound, event budget)` pair this policy imposes.
-    pub fn bounds(self) -> (Option<SimTime>, Option<u64>) {
+    pub(crate) fn bounds(self) -> (Option<SimTime>, Option<u64>) {
         match self {
             RunUntil::Drained | RunUntil::Stopped => (None, None),
             RunUntil::Time(t) => (Some(t), None),
@@ -295,13 +295,6 @@ impl<M> Network<M> {
     /// The topology used for link latencies.
     pub fn topology(&self) -> &Topology {
         self.cores[0].topology()
-    }
-
-    /// Immutable access to a node as a `dyn Node<M>`.
-    ///
-    /// Returns `None` if the id is out of range or the slot is empty.
-    pub fn with_node<R>(&self, id: NodeId, f: impl FnOnce(&dyn Node<M>) -> R) -> Option<R> {
-        self.cores[self.owner_of(id)].with_node(id, f)
     }
 
     /// Immutable, downcast access to a node of concrete type `T`.
@@ -636,7 +629,7 @@ mod tests {
                 fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
                     if let Some(peer) = self.peer {
                         for _ in 0..20 {
-                            let v = ctx.random_index(1000) as u32;
+                            let v = (rand::RngCore::next_u64(ctx.rng()) % 1000) as u32;
                             ctx.send(peer, v);
                         }
                     }
@@ -660,19 +653,6 @@ mod tests {
         }
         assert_eq!(run_once(5), run_once(5));
         assert_ne!(run_once(5), run_once(6));
-    }
-
-    #[test]
-    fn with_node_gives_read_access() {
-        let mut net = Network::new(1, Topology::datacenter());
-        let a = net.add_node(Echo {
-            peer: None,
-            cap: 0,
-            seen: vec![],
-        });
-        let name = net.with_node(a, |n| n.name()).unwrap();
-        assert_eq!(name, "");
-        assert!(net.with_node(NodeId(42), |_| ()).is_none());
     }
 
     #[test]

@@ -129,7 +129,6 @@ impl<M> ShardRouter<M> {
 pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
-    pub(crate) from: Option<NodeId>,
     pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) send_seq: &'a mut u64,
     pub(crate) router: Option<&'a mut ShardRouter<M>>,
@@ -145,14 +144,9 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The id of the node being called back.
-    pub fn self_id(&self) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn self_id(&self) -> NodeId {
         self.self_id
-    }
-
-    /// The sender of the message currently being handled, if any
-    /// (`None` inside `on_start` and `on_timer`).
-    pub fn sender(&self) -> Option<NodeId> {
-        self.from
     }
 
     /// Sends `msg` to node `to`; it will be delivered after the link latency
@@ -227,17 +221,6 @@ impl<'a, M> Context<'a, M> {
     /// regardless of how the engine interleaves callbacks.
     pub fn rng(&mut self) -> &mut impl RngCore {
         &mut *self.rng
-    }
-
-    /// Draws a uniformly random index in `0..n` (convenience wrapper used by
-    /// random candidate selection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn random_index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "random_index requires a non-empty range");
-        (self.rng.next_u64() % n as u64) as usize
     }
 }
 

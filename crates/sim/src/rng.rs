@@ -1,7 +1,7 @@
 //! Seeded, fork-able randomness.
 //!
 //! Every experiment takes a single `u64` seed; components that need
-//! independent random streams obtain them by [`SimRng::fork`]ing with a
+//! independent random streams obtain them by `SimRng::fork`ing with a
 //! distinct label, so that adding randomness to one component does not
 //! perturb the stream seen by another (a common source of irreproducibility
 //! in simulation studies).
@@ -34,7 +34,7 @@ impl SimRng {
     ///
     /// Forking is a pure function of `(seed, label)`: the returned generator
     /// does not share state with `self` and does not consume numbers from it.
-    pub fn fork(&self, label: u64) -> SimRng {
+    pub(crate) fn fork(&self, label: u64) -> SimRng {
         // SplitMix64-style mixing of the seed and the label.
         let mut z = self
             .seed

@@ -141,7 +141,7 @@ impl ShardPlan {
     /// # Panics
     ///
     /// Panics if `shards` is zero or any assignment is out of range.
-    pub fn from_assignments(shard_of: Vec<u32>, shards: u32) -> Self {
+    pub(crate) fn from_assignments(shard_of: Vec<u32>, shards: u32) -> Self {
         assert!(shards > 0, "a shard plan needs at least one shard");
         assert!(
             shard_of.iter().all(|&s| s < shards),
@@ -300,7 +300,7 @@ mod tests {
         }
         fn on_timer(&mut self, _token: TimerToken, ctx: &mut Context<'_, u32>) {
             for &peer in &self.peers {
-                let v = ctx.random_index(1_000) as u32;
+                let v = (rand::RngCore::next_u64(ctx.rng()) % 1_000) as u32;
                 ctx.send(peer, v);
             }
             self.rounds -= 1;

@@ -139,16 +139,20 @@ impl SimDuration {
     }
 }
 
+/// Saturates at `u64::MAX` nanoseconds rather than wrapping.  Saturating,
+/// not checked: a hostile spec (an absurd horizon, delay or rate) must not
+/// panic a run, and an instant pinned at the end of time is never reached.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturating, like `SimTime + SimDuration`.
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -159,16 +163,19 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+/// Saturates at `u64::MAX` nanoseconds rather than wrapping, for the same
+/// reason as `SimTime + SimDuration`: a hostile spec must not panic a run.
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturating, like `SimDuration + SimDuration`.
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -179,10 +186,11 @@ impl Sub for SimDuration {
     }
 }
 
+/// Saturating, like `SimDuration + SimDuration`.
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        SimDuration(self.0.saturating_mul(rhs))
     }
 }
 
@@ -226,6 +234,25 @@ mod tests {
         assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
         assert_eq!(SimTime::from_secs_f64(2.0).as_nanos(), 2_000_000_000);
         assert!((SimTime::from_nanos(1_500_000).as_millis_f64() - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sums_and_products_saturate_at_u64_max() {
+        let end = SimTime::from_nanos(u64::MAX);
+        let max = SimDuration::from_nanos(u64::MAX);
+        let one = SimDuration::from_nanos(1);
+        assert_eq!(end + one, end);
+        assert_eq!(SimTime::from_nanos(u64::MAX - 1) + max, end);
+        let mut t = end;
+        t += max;
+        assert_eq!(t, end);
+        assert_eq!(max + one, max);
+        let mut d = max;
+        d += one;
+        assert_eq!(d, max);
+        assert_eq!(max * 2, max);
+        assert_eq!(SimDuration::from_secs(1) * u64::MAX, max);
+        assert_eq!(SimDuration::from_nanos(3) * 5, SimDuration::from_nanos(15));
     }
 
     #[test]

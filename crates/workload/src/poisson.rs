@@ -154,7 +154,8 @@ mod tests {
     fn service_times_follow_configured_distribution() {
         let w = PoissonWorkload::paper(0.5, 100.0).with_queries(20_000);
         let trace = w.generate(5);
-        let mean_ms: f64 = trace.iter().map(|r| r.service_ms()).sum::<f64>() / trace.len() as f64;
+        let mean_ms: f64 =
+            trace.iter().map(|r| r.service.as_millis_f64()).sum::<f64>() / trace.len() as f64;
         assert!((mean_ms - 100.0).abs() < 5.0, "mean service {mean_ms}");
     }
 
@@ -172,7 +173,9 @@ mod tests {
             .with_service(ServiceTime::Constant { ms: 2.0 });
         let trace = w.generate(1);
         assert_eq!(trace.len(), 10);
-        assert!(trace.iter().all(|r| (r.service_ms() - 2.0).abs() < 1e-9));
+        assert!(trace
+            .iter()
+            .all(|r| (r.service.as_millis_f64() - 2.0).abs() < 1e-9));
     }
 
     #[test]

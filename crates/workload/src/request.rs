@@ -29,13 +29,8 @@ impl Request {
     }
 
     /// Arrival time in seconds since the start of the trace.
-    pub fn arrival_seconds(&self) -> f64 {
+    pub(crate) fn arrival_seconds(&self) -> f64 {
         self.arrival.as_secs_f64()
-    }
-
-    /// Service demand in milliseconds.
-    pub fn service_ms(&self) -> f64 {
-        self.service.as_millis_f64()
     }
 }
 
@@ -64,7 +59,7 @@ mod tests {
     fn accessors_convert_units() {
         let r = req(1, 1500);
         assert!((r.arrival_seconds() - 1.5).abs() < 1e-12);
-        assert!((r.service_ms() - 100.0).abs() < 1e-12);
+        assert!((r.service.as_millis_f64() - 100.0).abs() < 1e-12);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum ServiceTime {
 impl ServiceTime {
     /// The paper's Poisson-workload service time: exponential with a 100 ms
     /// mean.
-    pub fn paper_poisson() -> Self {
+    pub(crate) fn paper_poisson() -> Self {
         ServiceTime::Exponential { mean_ms: 100.0 }
     }
 

@@ -18,8 +18,7 @@
 //!
 //! * [`PoissonStream`] — [`PoissonWorkload::stream`](crate::PoissonWorkload::stream),
 //! * [`WikipediaStream`] — [`WikipediaWorkload::stream`](crate::WikipediaWorkload::stream),
-//! * [`TraceStream`] — [`Trace::into_stream`](crate::Trace::into_stream) /
-//!   [`requests_into_stream`].
+//! * [`TraceStream`] — [`requests_into_stream`].
 
 use std::fmt;
 
@@ -80,6 +79,7 @@ pub fn requests_into_stream(requests: Vec<Request>) -> TraceStream {
 /// Streaming state of a [`PoissonWorkload`]: O(1) memory, one arrival and
 /// one service draw per pulled request.
 #[derive(Debug)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_workload::PoissonWorkload::stream
 pub struct PoissonStream {
     arrival_rng: SimRng,
     service_rng: SimRng,
@@ -143,6 +143,7 @@ impl Workload for PoissonStream {
 /// interval `i + 1`, and the per-interval stable sort preserves the same
 /// tie order the global stable sort does.
 #[derive(Debug)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_workload::WikipediaWorkload::stream
 pub struct WikipediaStream {
     config: WikipediaWorkload,
     count_rng: SimRng,
@@ -269,16 +270,12 @@ impl Workload for WikipediaStream {
 
 /// Streaming adapter over a materialised request list.
 #[derive(Debug)]
+// srlb-lint: allow(unused-pub) -- reached through srlb_workload::requests_into_stream
 pub struct TraceStream {
     requests: std::vec::IntoIter<Request>,
 }
 
-impl Trace {
-    /// Consumes the trace into a stream over its requests.
-    pub fn into_stream(self) -> TraceStream {
-        requests_into_stream(self.requests)
-    }
-}
+impl Trace {}
 
 impl Workload for TraceStream {
     fn next_request(&mut self) -> Option<Request> {
@@ -340,8 +337,7 @@ mod tests {
     fn trace_stream_replays_requests() {
         let requests =
             PoissonWorkload::new(50.0, 20, ServiceTime::Constant { ms: 2.0 }).generate(4);
-        let trace = Trace::new("t", 4, requests.clone());
-        let mut stream = trace.into_stream();
+        let mut stream = requests_into_stream(requests.clone());
         assert_eq!(stream.remaining(), 20);
         assert_eq!(collect(&mut stream), requests);
     }

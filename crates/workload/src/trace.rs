@@ -6,8 +6,6 @@
 //! can be replayed against different load-balancing policies (as the paper
 //! does when comparing RR and SR4 on the same 24-hour trace).
 
-use std::io::{Read, Write};
-
 use serde::{Deserialize, Serialize};
 
 use crate::request::{is_well_formed, Request};
@@ -60,24 +58,6 @@ impl Trace {
             .map(|r| r.arrival_seconds())
             .unwrap_or(0.0)
     }
-
-    /// Serialises the trace as JSON to `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialisation error from `serde_json`.
-    pub fn write_json<W: Write>(&self, writer: W) -> Result<(), serde_json::Error> {
-        serde_json::to_writer(writer, self)
-    }
-
-    /// Reads a trace serialised with [`Trace::write_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialisation error from `serde_json`.
-    pub fn read_json<R: Read>(reader: R) -> Result<Self, serde_json::Error> {
-        serde_json::from_reader(reader)
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +65,6 @@ mod tests {
     use super::*;
     use crate::poisson::PoissonWorkload;
     use crate::service::ServiceTime;
-    use crate::wikipedia::WikipediaWorkload;
     use srlb_metrics::RequestClass;
 
     #[test]
@@ -96,18 +75,6 @@ mod tests {
         assert_eq!(trace.len(), 200);
         assert!(!trace.is_empty());
         assert!(trace.duration_seconds() > 0.0);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_trace() {
-        let requests = WikipediaWorkload::paper()
-            .with_duration_hours(0.05)
-            .generate(3);
-        let trace = Trace::new("wiki slice", 3, requests);
-        let mut buf = Vec::new();
-        trace.write_json(&mut buf).unwrap();
-        let back = Trace::read_json(buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]

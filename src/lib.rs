@@ -45,20 +45,11 @@
 //! println!("mean response time: {:.3} s", outcome.mean_response_seconds());
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub use srlb_core as core;
 pub use srlb_metrics as metrics;
 pub use srlb_net as net;
 pub use srlb_server as server;
 pub use srlb_sim as sim;
 pub use srlb_workload as workload;
-
-/// The crate version of the facade, useful for experiment provenance records.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn version_is_nonempty() {
-        assert!(!super::VERSION.is_empty());
-    }
-}

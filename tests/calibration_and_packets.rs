@@ -5,9 +5,10 @@
 use srlb::core::calibration::{analytic_lambda0, calibrate_lambda0, CalibrationConfig};
 use srlb::core::dispatch::{CandidateList, Dispatcher, RandomDispatcher};
 use srlb::net::{
-    AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, TcpFlags,
+    AddressPlan, FlowKey, Packet, PacketBuilder, Protocol, SegmentRoutingHeader, ServerId, TcpFlags,
 };
-use srlb::sim::SimRng;
+use srlb::server::{Directory, PolicyConfig, ServerConfig, ServerNode};
+use srlb::sim::{Context, Network, Node, NodeId, RunUntil, SimRng, Topology};
 
 #[test]
 fn calibrated_lambda0_is_close_to_but_below_the_analytic_capacity() {
@@ -64,24 +65,53 @@ fn a_hunted_syn_survives_a_wire_roundtrip() {
     assert_eq!(srh.final_segment(), plan.vip(0));
 }
 
+/// Hands one hunted SYN to the server and keeps the SYN-ACK it answers.
+#[derive(Debug)]
+struct SynAckProbe {
+    syn: Option<Packet>,
+    syn_ack: Option<Packet>,
+}
+
+impl Node<Packet> for SynAckProbe {
+    fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
+        if let Some(syn) = self.syn.take() {
+            ctx.send(NodeId(1), syn);
+        }
+    }
+
+    fn on_message(&mut self, packet: Packet, _from: NodeId, _ctx: &mut Context<'_, Packet>) {
+        self.syn_ack = Some(packet);
+    }
+}
+
 #[test]
 fn acceptance_syn_ack_wire_roundtrip_names_the_server() {
-    use srlb::server::VirtualRouter;
     let plan = AddressPlan::default();
-    let router = VirtualRouter::new(plan.server_addr(srlb::net::ServerId(5)), plan.lb_addr());
-    let mut syn_ack = PacketBuilder::tcp(plan.vip(0), plan.client_addr(3))
-        .ports(80, 51_000)
-        .flags(TcpFlags::SYN_ACK)
+    let server = plan.server_addr(ServerId(5));
+    let mut directory = Directory::new();
+    directory.register(plan.lb_addr(), NodeId(0));
+    let syn = PacketBuilder::tcp(plan.client_addr(3), plan.vip(0))
+        .ports(51_000, 80)
+        .flags(TcpFlags::SYN)
+        .segment_routing(SegmentRoutingHeader::from_route(&[server, plan.vip(0)]).unwrap())
         .build();
-    syn_ack
-        .set_route(&router.acceptance_route(plan.client_addr(3)), 1)
-        .unwrap();
+    let mut net: Network<Packet> = Network::new(1, Topology::datacenter());
+    net.add_node(SynAckProbe {
+        syn: Some(syn),
+        syn_ack: None,
+    });
+    let config = ServerConfig::paper(5, server, plan.lb_addr(), PolicyConfig::NeverAccept);
+    net.add_node(ServerNode::new(config, directory));
+    net.run_until(RunUntil::Drained);
+    let probe: SynAckProbe = net.take_node(NodeId(0)).unwrap();
+    let syn_ack = probe
+        .syn_ack
+        .expect("the server answers through the load balancer");
+    assert!(syn_ack.is_syn_ack());
+
     let decoded = Packet::decode(&syn_ack.encode()).unwrap();
     let srh = decoded.srh.expect("SRH present");
-    assert_eq!(
-        srh.first_segment(),
-        plan.server_addr(srlb::net::ServerId(5))
-    );
+    assert_eq!(srh.first_segment(), server);
     assert_eq!(srh.active_segment(), plan.lb_addr());
     assert_eq!(srh.final_segment(), plan.client_addr(3));
 }

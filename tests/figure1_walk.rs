@@ -16,7 +16,7 @@ use std::net::Ipv6Addr;
 
 use srlb::core::client::{request_endpoint, request_id_of};
 use srlb::core::spec::ExperimentSpec;
-use srlb::core::{FlowTrace, Hop, RunOutcome, Runner};
+use srlb::core::{FlowTrace, Hop, NodeRole, RunOutcome, Runner};
 use srlb::net::{AddressPlan, Packet, TcpFlags};
 use srlb::sim::{EventKey, ExecMode, NodeId, Observer, PoolPolicy, Seen};
 
@@ -61,15 +61,21 @@ fn is_syn(hop: &Hop) -> bool {
 /// on counted a pass-on, the last one accepted and answers through a load
 /// balancer that learned the flow, and the request is steered to the
 /// acceptor.
-fn check_walk(hops: &[Hop], outcome: &RunOutcome) {
-    let lb_count = outcome.per_lb_stats.len();
-    let server_of = |node: NodeId| node.index() - 1 - lb_count;
+fn check_walk(runner: &Runner, hops: &[Hop], outcome: &RunOutcome) {
+    let server_of = |node: NodeId| match runner.role_of(node) {
+        NodeRole::Server(i) => i,
+        role => panic!("{node:?} is {role:?}, not a server"),
+    };
     let client = NodeId(0);
+    assert_eq!(runner.role_of(client), NodeRole::Client);
 
     assert!(is_syn(&hops[0]) && hops[0].from() == client, "client opens");
     assert_eq!(hops[0].segments_left, None, "the client sends no SRH");
     let lb = hops[0].to;
-    let lb_stats = &outcome.per_lb_stats[lb.index() - 1];
+    let NodeRole::Lb(j) = runner.role_of(lb) else {
+        panic!("the client sends to a load balancer, not {lb:?}");
+    };
+    let lb_stats = &outcome.per_lb_stats[j];
     assert!(lb_stats.new_flows > 0 && lb_stats.flows_learned > 0);
     let hunt: Vec<&Hop> = hops[1..].iter().take_while(|h| is_syn(h)).collect();
     assert!(hunt.len() >= 2, "the first candidate passed the SYN on");
@@ -131,7 +137,7 @@ fn the_figure_1_walk_prints_from_a_committed_spec() {
 
     let (trace, outcome) = walk(&runner, id);
     println!("{}, request {id}:\n{trace}", spec.name);
-    check_walk(trace.hops(), &outcome);
+    check_walk(&runner, trace.hops(), &outcome);
 
     for exec in [
         ExecMode::SerialStep,
