@@ -55,8 +55,6 @@ pub struct CalibrationConfig {
     pub seed: u64,
 }
 
-impl CalibrationConfig {}
-
 /// Result of the empirical λ₀ search.
 #[derive(Debug, Clone, PartialEq)]
 // srlb-lint: allow(unused-pub) -- reached through srlb_core::calibration::calibrate_lambda0

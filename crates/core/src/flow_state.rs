@@ -5,6 +5,14 @@
 //! the "millions of concurrent flows" regime the paper targets: one index
 //! map, one intrusive recency list and one free list over one slot vector.
 //!
+//! * **Each key stored once** — the 48 B [`FlowKey`] lives only in its
+//!   slot.  The index maps the key's carried [`FlowKey::stable_hash`] to the
+//!   first slot of a chain, 16 B per bucket plus a control byte; distinct
+//!   keys that share a 64-bit hash are chained through the slots and told
+//!   apart by key equality.  A flow costs one 88 B slot plus 17 B per index
+//!   bucket, of which the map keeps between 8/7 and 16/7 per entry: 107–127
+//!   B/flow (122 B in the macro-bench), where a key-indexed map (57 B
+//!   buckets, 80 B slots) cost 145–210 B.
 //! * **Bounded capacity** — an optional hard bound on the number of entries.
 //!   When full, learning a new flow evicts the least-recently touched entry,
 //!   the head of the recency list: O(1).  Every eviction is classified
@@ -24,6 +32,7 @@
 //! stale head shields newer-stamped entries behind it) but never early: the
 //! head is only popped when it has itself exceeded the idle timeout.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
@@ -105,7 +114,8 @@ pub struct FlowStateStats {
 /// One stored flow entry plus its intrusive-list links.
 ///
 /// `prev`/`next` thread the recency list while occupied and the free list
-/// (via `next`) while vacant, so slot recycling never allocates.
+/// (via `next`) while vacant, so slot recycling never allocates.  `chain`
+/// links an occupied slot to the next one whose key has the same index hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     key: FlowKey,
@@ -113,13 +123,38 @@ struct Slot {
     last_active: SimTime,
     prev: u32,
     next: u32,
+    chain: u32,
+}
+
+/// The index key of `flow`: its carried hash.  The crate's own tests fold it
+/// to two bits, so that distinct keys share index entries and every table
+/// operation walks a hash chain.
+fn index_hash(flow: &FlowKey) -> u64 {
+    if cfg!(test) {
+        flow.stable_hash() & 0b11
+    } else {
+        flow.stable_hash()
+    }
+}
+
+/// Buckets behind a std `HashMap` whose `capacity()` is `capacity`: the map
+/// fills 7/8 of its power-of-two bucket count (all but one below eight
+/// buckets), and deletion tombstones only lower `capacity()`, so rounding the
+/// inverse up to a power of two recovers the allocation.
+fn index_buckets(capacity: usize) -> usize {
+    match capacity {
+        0 => 0,
+        1..=7 => (capacity + 1).next_power_of_two().max(4),
+        _ => (capacity * 8 / 7).next_power_of_two(),
+    }
 }
 
 /// The optionally bounded flow → server stickiness table.
 #[derive(Debug, Clone)]
 pub struct FlowState {
     config: FlowStateConfig,
-    map: HashMap<FlowKey, u32, PassthroughHashBuilder>,
+    /// Index hash → the first slot of its chain.
+    map: HashMap<u64, u32, PassthroughHashBuilder>,
     slots: Vec<Slot>,
     /// Head of the vacant-slot free list (linked through `Slot::next`).
     free_head: u32,
@@ -173,12 +208,12 @@ impl FlowState {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.occupancy.current() as usize
     }
 
     /// Returns `true` if the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Lifetime counters (insertions, expiries, per-cause evictions, peak).
@@ -250,10 +285,44 @@ impl FlowState {
         }
     }
 
-    /// Removes the occupied slot `idx` from map, recency list and storage.
+    /// The occupied slot holding `flow`: the head of its index hash's chain,
+    /// or a slot further down it.
+    fn find(&self, flow: &FlowKey) -> Option<u32> {
+        let mut idx = *self.map.get(&index_hash(flow))?;
+        while self.slots[idx as usize].key != *flow {
+            idx = self.slots[idx as usize].chain;
+            if idx == NIL {
+                return None;
+            }
+        }
+        Some(idx)
+    }
+
+    /// Removes the occupied slot `idx` from its hash chain (and the index
+    /// entry with it when it was the chain's only slot).
+    fn unchain(&mut self, idx: u32) {
+        let slot = &self.slots[idx as usize];
+        let chain = slot.chain;
+        if let Entry::Occupied(mut head) = self.map.entry(index_hash(&slot.key)) {
+            if *head.get() == idx {
+                if chain == NIL {
+                    head.remove();
+                } else {
+                    head.insert(chain);
+                }
+            } else {
+                let mut prev = *head.get();
+                while self.slots[prev as usize].chain != idx {
+                    prev = self.slots[prev as usize].chain;
+                }
+                self.slots[prev as usize].chain = chain;
+            }
+        }
+    }
+
+    /// Removes the occupied slot `idx` from index, recency list and storage.
     fn discard(&mut self, idx: u32) {
-        let key = self.slots[idx as usize].key;
-        self.map.remove(&key);
+        self.unchain(idx);
         self.unlink(idx);
         self.slots[idx as usize].next = self.free_head;
         self.free_head = idx;
@@ -267,7 +336,7 @@ impl FlowState {
     /// classified and counted).
     pub fn learn(&mut self, flow: FlowKey, server: Ipv6Addr, now: SimTime) {
         self.inserted += 1;
-        if let Some(&idx) = self.map.get(&flow) {
+        if let Some(idx) = self.find(&flow) {
             self.slots[idx as usize].server = server;
             self.touch(idx, now);
             return;
@@ -281,8 +350,11 @@ impl FlowState {
             last_active: now,
             prev: NIL,
             next: NIL,
+            chain: NIL,
         });
-        self.map.insert(flow, idx);
+        if let Some(head) = self.map.insert(index_hash(&flow), idx) {
+            self.slots[idx as usize].chain = head;
+        }
         self.push_tail(idx);
         self.occupancy.add(1);
     }
@@ -306,20 +378,20 @@ impl FlowState {
 
     /// Looks up the owner of `flow`, refreshing its activity timestamp.
     pub fn lookup(&mut self, flow: &FlowKey, now: SimTime) -> Option<Ipv6Addr> {
-        let &idx = self.map.get(flow)?;
+        let idx = self.find(flow)?;
         self.touch(idx, now);
         Some(self.slots[idx as usize].server)
     }
 
     /// Looks up the owner of `flow` without refreshing it.
     pub fn peek(&self, flow: &FlowKey) -> Option<Ipv6Addr> {
-        let &idx = self.map.get(flow)?;
+        let idx = self.find(flow)?;
         Some(self.slots[idx as usize].server)
     }
 
     /// Removes the entry for `flow` (connection closed), returning the owner.
     pub fn remove(&mut self, flow: &FlowKey) -> Option<Ipv6Addr> {
-        let &idx = self.map.get(flow)?;
+        let idx = self.find(flow)?;
         let server = self.slots[idx as usize].server;
         self.discard(idx);
         Some(server)
@@ -358,16 +430,16 @@ impl FlowState {
         lost
     }
 
-    /// Analytic resident-memory estimate in bytes: slot storage plus an
-    /// approximation of the index map's bucket array.  Deterministic for a
-    /// given operation sequence (container growth is deterministic), which is
-    /// what the macro-bench's committed numbers rely on.
+    /// Analytic resident-memory estimate in bytes: slot storage plus the
+    /// index map's bucket array.  Deterministic for a given operation
+    /// sequence (container growth is deterministic), which is what the
+    /// macro-bench's committed numbers rely on.
     pub fn resident_bytes(&self) -> u64 {
-        // Per bucket, the map stores the key/value pair plus one control byte.
-        let bucket = std::mem::size_of::<(FlowKey, u32)>() + 1;
+        // Per bucket, the map stores the hash/slot pair plus one control byte.
+        let bucket = std::mem::size_of::<(u64, u32)>() + 1;
         (std::mem::size_of::<Self>()
             + self.slots.capacity() * std::mem::size_of::<Slot>()
-            + self.map.capacity() * bucket) as u64
+            + index_buckets(self.map.capacity()) * bucket) as u64
     }
 }
 
@@ -390,22 +462,32 @@ impl PartialEq for FlowState {
         {
             return false;
         }
-        // srlb-lint: allow(unordered-iter) -- `.all()` over every entry is order-independent; no order-sensitive value escapes
-        self.map.iter().all(|(key, &idx)| {
+        let mut idx = self.head;
+        while idx != NIL {
             let slot = &self.slots[idx as usize];
-            other.map.get(key).is_some_and(|&oidx| {
+            let same = other.find(&slot.key).is_some_and(|oidx| {
                 let oslot = &other.slots[oidx as usize];
                 oslot.server == slot.server && oslot.last_active == slot.last_active
-            })
-        })
+            });
+            if !same {
+                return false;
+            }
+            idx = slot.next;
+        }
+        true
     }
 }
 
 impl Eq for FlowState {}
 
 #[cfg(test)]
+#[path = "../tests/support/flow_state_model.rs"]
+mod model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use srlb_net::Protocol;
 
     fn flow(port: u16) -> FlowKey {
@@ -656,6 +738,88 @@ mod tests {
         assert_ne!(a, b, "a refreshed timestamp is a structural difference");
         assert!(b.lookup(&flow(1), at(5)).is_some());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn slot_and_index_entry_stay_small() {
+        assert!(std::mem::size_of::<Slot>() <= 88);
+        assert_eq!(std::mem::size_of::<(u64, u32)>(), 16);
+    }
+
+    /// Every occupied slot sits on exactly one chain — the chain of its own
+    /// index hash — and every index entry heads a non-empty chain.
+    fn assert_chains_partition_the_slots(table: &FlowState) {
+        let mut chained = 0;
+        for (&hash, &head) in &table.map {
+            let mut idx = head;
+            while idx != NIL {
+                let slot = &table.slots[idx as usize];
+                assert_eq!(index_hash(&slot.key), hash, "slot {idx} on a foreign chain");
+                chained += 1;
+                assert!(
+                    chained <= table.len(),
+                    "a chain loops or holds a freed slot"
+                );
+                idx = slot.chain;
+            }
+        }
+        assert_eq!(chained, table.len());
+    }
+
+    proptest! {
+        /// With the index folded to two bits (`index_hash` under
+        /// `cfg(test)`), up to 96 distinct keys share four index entries, so
+        /// learn, lookup, peek, remove, capacity eviction, expiry and wipe
+        /// all find, push and unlink slots in the middle of hash chains.
+        /// The table must still match the flat reference model entry for
+        /// entry and counter for counter.
+        #[test]
+        fn colliding_index_matches_the_model(
+            ops in prop::collection::vec(
+                // (op selector, client, port, server, time advance in µs)
+                (0u8..12, 0u16..8, 1u16..13, 0u16..12, 0u64..2_000_000),
+                1..250,
+            ),
+            capacity in 2usize..40,
+            timeout_s in 1u64..4,
+        ) {
+            let timeout = SimDuration::from_secs(timeout_s);
+            let mut model = model::Model::new(capacity, timeout);
+            let mut table = bounded(capacity, timeout_s);
+            let mut now = SimTime::ZERO;
+            for &(op, client, port, srv, dt) in &ops {
+                now += SimDuration::from_micros(dt);
+                let f = FlowKey::new(
+                    Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, client + 1),
+                    "2001:db8:1::".parse().unwrap(),
+                    port,
+                    80,
+                    Protocol::Tcp,
+                );
+                match op {
+                    0..=4 => {
+                        model.learn(f, server(srv), now);
+                        table.learn(f, server(srv), now);
+                    }
+                    5 | 6 => prop_assert_eq!(table.lookup(&f, now), model.lookup(&f, now)),
+                    7 => prop_assert_eq!(table.peek(&f), model.peek(&f)),
+                    8 | 9 => prop_assert_eq!(table.remove(&f), model.remove(&f)),
+                    10 => prop_assert_eq!(table.expire_idle(now), model.expire_idle(now)),
+                    _ => prop_assert_eq!(table.wipe(), model.wipe()),
+                }
+                prop_assert_eq!(table.len(), model.entries.len());
+                prop_assert!(table.map.len() <= 4);
+                assert_chains_partition_the_slots(&table);
+            }
+            for &(f, addr, _, _) in &model.entries {
+                prop_assert_eq!(table.peek(&f), Some(addr));
+            }
+            let stats = table.stats();
+            prop_assert_eq!(stats.inserted, model.inserted);
+            prop_assert_eq!(stats.expired, model.expired);
+            prop_assert_eq!(stats.evictions, model.evictions);
+            prop_assert_eq!(stats.peak_occupancy, model.peak);
+        }
     }
 
     #[test]

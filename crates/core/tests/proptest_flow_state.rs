@@ -1,7 +1,8 @@
 //! Property-based equivalence between the bounded [`FlowState`] and a
 //! reference model.
 //!
-//! The model is deliberately naive — a flat `Vec` with linear scans and a
+//! The model (`support/flow_state_model.rs`, shared with the table's unit
+//! tests) is deliberately naive — a flat `Vec` with linear scans and a
 //! min-sequence victim search — so its semantics are obvious by inspection:
 //! LRU eviction picks the globally least-recently-touched entry, expiry
 //! drops everything idle beyond the timeout, and every departure is counted
@@ -9,13 +10,14 @@
 //! counter for counter, and a bounded spec must replay byte-identically
 //! across every execution mode.
 
-use std::net::Ipv6Addr;
+#[path = "support/flow_state_model.rs"]
+mod flow_state_model;
 
+use flow_state_model::Model;
 use proptest::prelude::*;
 use srlb_core::flow_state::{FlowState, FlowStateConfig};
 use srlb_core::spec::{ExperimentSpec, FlowTableSpec, PolicyKind};
 use srlb_core::Runner;
-use srlb_metrics::{EvictionBreakdown, EvictionCause};
 use srlb_net::{AddressPlan, FlowKey, Protocol, ServerId};
 use srlb_sim::{ExecMode, PoolPolicy, SimDuration, SimTime};
 
@@ -28,103 +30,6 @@ fn flow(client: u32, port: u16) -> FlowKey {
         80,
         Protocol::Tcp,
     )
-}
-
-/// Reference: the exact published semantics of [`FlowState`],
-/// written as linear scans over a flat entry list.
-struct Model {
-    capacity: Option<usize>,
-    timeout: SimDuration,
-    /// `(flow, server, last_active, touch_seq)` — `touch_seq` is unique.
-    entries: Vec<(FlowKey, Ipv6Addr, SimTime, u64)>,
-    seq: u64,
-    inserted: u64,
-    expired: u64,
-    evictions: EvictionBreakdown,
-    peak: u64,
-}
-
-impl Model {
-    fn new(capacity: usize, timeout: SimDuration) -> Self {
-        Model {
-            capacity: Some(capacity),
-            timeout,
-            entries: Vec::new(),
-            seq: 0,
-            inserted: 0,
-            expired: 0,
-            evictions: EvictionBreakdown::default(),
-            peak: 0,
-        }
-    }
-
-    fn learn(&mut self, flow: FlowKey, server: Ipv6Addr, now: SimTime) {
-        self.inserted += 1;
-        self.seq += 1;
-        let seq = self.seq;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == flow) {
-            e.1 = server;
-            e.2 = now;
-            e.3 = seq;
-            return;
-        }
-        if let Some(cap) = self.capacity {
-            if self.entries.len() >= cap {
-                self.evict_lru(now);
-            }
-        }
-        self.entries.push((flow, server, now, seq));
-        self.peak = self.peak.max(self.entries.len() as u64);
-    }
-
-    fn evict_lru(&mut self, now: SimTime) {
-        // Touch sequences are unique, so the minimum is unambiguous.
-        let Some(pos) = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.3)
-            .map(|(i, _)| i)
-        else {
-            return;
-        };
-        let idle = now.duration_since(self.entries[pos].2);
-        let cause = if idle > self.timeout {
-            EvictionCause::Expired
-        } else if idle * 2 >= self.timeout {
-            EvictionCause::Idle
-        } else {
-            EvictionCause::Active
-        };
-        self.evictions.record(cause);
-        self.entries.remove(pos);
-    }
-
-    fn lookup(&mut self, flow: &FlowKey, now: SimTime) -> Option<Ipv6Addr> {
-        let e = self.entries.iter_mut().find(|e| e.0 == *flow)?;
-        self.seq += 1;
-        e.2 = now;
-        e.3 = self.seq;
-        Some(e.1)
-    }
-
-    fn peek(&self, flow: &FlowKey) -> Option<Ipv6Addr> {
-        self.entries.iter().find(|e| e.0 == *flow).map(|e| e.1)
-    }
-
-    fn remove(&mut self, flow: &FlowKey) -> Option<Ipv6Addr> {
-        let pos = self.entries.iter().position(|e| e.0 == *flow)?;
-        Some(self.entries.remove(pos).1)
-    }
-
-    fn expire_idle(&mut self, now: SimTime) -> usize {
-        let before = self.entries.len();
-        let timeout = self.timeout;
-        self.entries.retain(|e| now.duration_since(e.2) <= timeout);
-        let removed = before - self.entries.len();
-        self.expired += removed as u64;
-        removed
-    }
 }
 
 proptest! {
