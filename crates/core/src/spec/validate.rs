@@ -1,5 +1,7 @@
 //! Consistency checks of an [`ExperimentSpec`] and its axes.
 
+use srlb_server::PolicyConfig;
+
 use crate::dispatch::{DispatcherConfig, MAX_BACKENDS, MAX_CANDIDATES};
 use crate::lb_node::MAX_RECOVERY_CANDIDATES;
 use crate::CoreError;
@@ -277,6 +279,24 @@ impl ExperimentSpec {
         if let PolicyKind::LoadAware { threshold: 0, .. } = self.policy {
             return bad("load-aware threshold must be at least 1".into());
         }
+        if let PolicyConfig::Dynamic {
+            window_size,
+            low_ratio,
+            high_ratio,
+            ..
+        } = self.policy.acceptance_policy()
+        {
+            if window_size == 0 {
+                return bad("SRdyn window size must be at least 1".into());
+            }
+            let unit = 0.0..=1.0;
+            if !(unit.contains(&low_ratio) && unit.contains(&high_ratio) && low_ratio <= high_ratio)
+            {
+                return bad(format!(
+                    "SRdyn ratios {low_ratio} and {high_ratio} must satisfy 0 <= low <= high <= 1"
+                ));
+            }
+        }
         let dispatcher = self.policy.dispatcher();
         dispatcher.validate(c.max_servers)?;
         if dispatcher.fanout() > c.initial_servers {
@@ -374,6 +394,8 @@ impl ExperimentSpec {
 #[cfg(test)]
 mod tests {
     use srlb_server::PolicyConfig;
+
+    use crate::CoreError;
 
     use crate::spec::*;
 
@@ -501,6 +523,56 @@ mod tests {
         assert!(huge.validate().is_err());
         huge.cluster.max_servers = MAX_BACKENDS;
         huge.validate().unwrap();
+    }
+
+    #[test]
+    fn dynamic_policy_validation_rejects_bad_windows_and_ratios() {
+        let with = |window_size, low_ratio, high_ratio| {
+            ExperimentSpec::poisson_paper(
+                0.5,
+                PolicyKind::Explicit {
+                    dispatcher: DispatcherConfig::Random { k: 2 },
+                    acceptance: PolicyConfig::Dynamic {
+                        initial_threshold: 1,
+                        window_size,
+                        low_ratio,
+                        high_ratio,
+                    },
+                },
+            )
+            .validate()
+        };
+        with(50, 0.4, 0.6).unwrap();
+        with(1, 0.0, 1.0).unwrap();
+        with(50, 0.5, 0.5).unwrap();
+        // An empty window.
+        assert!(matches!(
+            with(0, 0.4, 0.6),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        // A ratio that is not a number.
+        assert!(matches!(
+            with(50, f64::NAN, 0.6),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            with(50, 0.4, f64::NAN),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        // Ratios outside [0, 1].
+        assert!(matches!(
+            with(50, -0.1, 0.6),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            with(50, 0.4, 1.5),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        // An inverted band.
+        assert!(matches!(
+            with(50, 0.7, 0.3),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]

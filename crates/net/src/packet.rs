@@ -121,11 +121,6 @@ impl Packet {
         self.tcp.is_rst()
     }
 
-    /// Returns `true` if the FIN flag is set.
-    pub fn is_fin(&self) -> bool {
-        self.tcp.is_fin()
-    }
-
     /// Extracts the flow key in the client → VIP direction, assuming this
     /// packet travels client → VIP (i.e. as seen by the load balancer on the
     /// way in).

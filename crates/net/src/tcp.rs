@@ -156,11 +156,6 @@ impl TcpHeader {
         self.flags.contains(TcpFlags::RST)
     }
 
-    /// Returns `true` if the FIN flag is set.
-    pub fn is_fin(&self) -> bool {
-        self.flags.contains(TcpFlags::FIN)
-    }
-
     /// Encodes the header into `out` (appends exactly [`TCP_HEADER_LEN`] bytes).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.source_port.to_be_bytes());
@@ -400,7 +395,7 @@ mod tests {
         let rst = TcpHeader::new(80, 1000, TcpFlags::RST);
         assert!(rst.is_rst());
         let fin = TcpHeader::new(80, 1000, TcpFlags::FIN | TcpFlags::ACK);
-        assert!(fin.is_fin());
+        assert!(!fin.is_rst() && !fin.is_syn());
     }
 
     #[test]

@@ -7,22 +7,21 @@
 //! SRLB *server agent* plugin.  Here each server is a single simulation node
 //! composed of:
 //!
-//! * [`WorkerPool`] — the fixed pool of worker threads; its [`Scoreboard`]
-//!   (busy/idle counts) is the application state the paper's agent reads
-//!   from Apache's scoreboard shared memory,
+//! * [`WorkerPool`] — the fixed pool of worker threads; its busy count is
+//!   the application state the paper's agent reads from Apache's
+//!   scoreboard shared memory,
 //! * [`ProcessorSharingCpu`] — the 2-core CPU every busy worker thread
 //!   contends for; this contention is what makes a loaded server slow and is
 //!   the signal the acceptance policies exploit,
-//! * [`Backlog`] — the TCP accept queue; when it overflows the connection is
-//!   reset, mirroring `tcp_abort_on_overflow`,
-//! * [`AcceptPolicy`] — the connection acceptance policies of Section III:
-//!   the static [`policy::StaticThreshold`] (SRc) and the dynamic
-//!   [`policy::DynamicThreshold`] (SRdyn), plus always/never baselines,
+//! * [`PolicyConfig`] — the connection acceptance policies of Section III:
+//!   the static threshold `SRc` (Algorithm 1) and the dynamic `SRdyn`
+//!   (Algorithm 2), plus always/never baselines,
 //! * [`ServerNode`] — the [`srlb_sim::Node`] tying it all together: the SR
 //!   endpoint behaviour of Algorithm 1 (deliver a hunted connection to the
 //!   application or forward it to the next candidate, as the policy
-//!   decides), TCP handshakes, request service with per-request CPU demand,
-//!   backlog queueing, RST on overflow, and response generation,
+//!   decides), TCP handshakes, one connection record per flow, request
+//!   service with per-request CPU demand, the TCP accept backlog and its
+//!   RST on overflow (`tcp_abort_on_overflow`), and response generation,
 //! * [`Directory`] — the mapping between data-plane IPv6 addresses and
 //!   simulation node ids.
 
@@ -31,16 +30,14 @@
 #![warn(missing_debug_implementations)]
 #![warn(unreachable_pub)]
 
-pub mod backlog;
 pub mod cpu;
 pub mod directory;
 pub mod policy;
 pub mod server_node;
 pub mod worker;
 
-pub use backlog::Backlog;
 pub use cpu::ProcessorSharingCpu;
 pub use directory::{tier_members, Directory};
-pub use policy::{AcceptDecision, AcceptPolicy, PolicyConfig};
+pub use policy::PolicyConfig;
 pub use server_node::{ServerConfig, ServerNode, ServerStats};
-pub use worker::{Scoreboard, WorkerId, WorkerPool};
+pub use worker::{WorkerId, WorkerPool};

@@ -1,207 +1,19 @@
-//! Connection acceptance policies (paper Section III).
+//! Connection acceptance (paper Section III).
 //!
-//! A policy decides, for a hunted connection reaching a *non-final*
-//! candidate server, whether the local application instance accepts the
-//! connection or passes it on to the next candidate in the SR list.  The
-//! final candidate always accepts (satisfiability guarantee), so policies
-//! are never consulted for it.
+//! A server consults its acceptance state for a hunted connection reaching
+//! it as a *non-final* candidate: accept locally, or pass the connection on
+//! to the next candidate in the SR list.  The final candidate always
+//! accepts (satisfiability guarantee), so it never consults it.
 //!
-//! * [`StaticThreshold`] — the paper's `SRc` (Algorithm 1): accept iff fewer
-//!   than `c` worker threads are busy.
-//! * [`DynamicThreshold`] — the paper's `SRdyn` (Algorithm 2): adapt `c` to
-//!   keep the acceptance ratio near 1/2 over a sliding window.
-//! * [`AlwaysAccept`] / [`NeverAccept`] — the degenerate policies `c = n+1`
-//!   and `c = 0`, both equivalent to random load balancing.
+//! * `SRc` (Algorithm 1): accept iff fewer than `c` worker threads are busy.
+//! * `SRdyn` (Algorithm 2): adapt `c` to keep the acceptance ratio near 1/2
+//!   over windows of decisions.
+//! * always / never accept: the degenerate thresholds `c = n + 1` and
+//!   `c = 0`, both equivalent to random load balancing.
 
 use serde::{Deserialize, Serialize};
 
-use crate::worker::Scoreboard;
-
-/// The outcome of a policy decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-// srlb-lint: allow(unused-pub) -- reached through srlb_server::AcceptPolicy::decide
-pub enum AcceptDecision {
-    /// Deliver the connection to the local application instance
-    /// (`SegmentsLeft ← 0`).
-    Accept,
-    /// Forward the connection to the next candidate in the SR list
-    /// (`SegmentsLeft ← SegmentsLeft − 1`).
-    PassOn,
-}
-
-impl AcceptDecision {
-    /// Returns `true` for [`AcceptDecision::Accept`].
-    pub fn is_accept(self) -> bool {
-        self == AcceptDecision::Accept
-    }
-}
-
-/// A connection acceptance policy, consulted once per hunted connection that
-/// reaches this server as a non-final candidate.
-pub trait AcceptPolicy: std::fmt::Debug + Send {
-    /// Decides whether to accept given the current application state.
-    fn decide(&mut self, scoreboard: Scoreboard) -> AcceptDecision;
-
-    /// The current acceptance threshold, if the policy has one (used by the
-    /// dynamic-policy ablation benches and tests).
-    fn current_threshold(&self) -> Option<usize> {
-        None
-    }
-
-    /// A short name for reports (e.g. `"SR4"`, `"SRdyn"`).
-    fn name(&self) -> String;
-}
-
-/// Always accept: equivalent to `SRc` with `c = n + 1`; every connection is
-/// served by the first candidate, reducing to random load balancing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AlwaysAccept;
-
-impl AcceptPolicy for AlwaysAccept {
-    fn decide(&mut self, _scoreboard: Scoreboard) -> AcceptDecision {
-        AcceptDecision::Accept
-    }
-    fn name(&self) -> String {
-        "always-accept".to_string()
-    }
-}
-
-/// Never accept: equivalent to `SRc` with `c = 0`; every connection is served
-/// by the final candidate, also reducing to random load balancing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NeverAccept;
-
-impl AcceptPolicy for NeverAccept {
-    fn decide(&mut self, _scoreboard: Scoreboard) -> AcceptDecision {
-        AcceptDecision::PassOn
-    }
-    fn name(&self) -> String {
-        "never-accept".to_string()
-    }
-}
-
-/// The paper's static policy `SRc` (Algorithm 1): accept iff fewer than `c`
-/// worker threads are busy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StaticThreshold {
-    /// The busy-thread threshold `c`.
-    pub threshold: usize,
-}
-
-impl StaticThreshold {
-    /// Creates the policy `SRc` with threshold `c`.
-    pub fn new(threshold: usize) -> Self {
-        StaticThreshold { threshold }
-    }
-}
-
-impl AcceptPolicy for StaticThreshold {
-    fn decide(&mut self, scoreboard: Scoreboard) -> AcceptDecision {
-        if scoreboard.busy < self.threshold {
-            AcceptDecision::Accept
-        } else {
-            AcceptDecision::PassOn
-        }
-    }
-
-    fn current_threshold(&self) -> Option<usize> {
-        Some(self.threshold)
-    }
-
-    fn name(&self) -> String {
-        format!("SR{}", self.threshold)
-    }
-}
-
-/// The paper's dynamic policy `SRdyn` (Algorithm 2).
-///
-/// Decisions are counted over a window of `window_size` consultations; at
-/// the end of each window, if the acceptance ratio fell below `low_ratio`
-/// the threshold `c` is incremented (up to the number of workers), and if it
-/// rose above `high_ratio` the threshold is decremented (down to 0).  The
-/// paper uses a window of 50 with thresholds 0.4 and 0.6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DynamicThreshold {
-    threshold: usize,
-    window_size: u32,
-    low_ratio: f64,
-    high_ratio: f64,
-    attempts: u32,
-    accepted: u32,
-}
-
-impl DynamicThreshold {
-    /// Creates the paper's `SRdyn`: initial threshold 1, window 50,
-    /// adaptation band `[0.4, 0.6]`.
-    pub fn paper_default() -> Self {
-        Self::new(1, 50, 0.4, 0.6)
-    }
-
-    /// Creates a dynamic policy with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_size` is zero or the ratios do not satisfy
-    /// `0 <= low <= high <= 1`.
-    pub fn new(
-        initial_threshold: usize,
-        window_size: u32,
-        low_ratio: f64,
-        high_ratio: f64,
-    ) -> Self {
-        assert!(window_size > 0, "window size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&low_ratio)
-                && (0.0..=1.0).contains(&high_ratio)
-                && low_ratio <= high_ratio,
-            "adaptation ratios must satisfy 0 <= low <= high <= 1"
-        );
-        DynamicThreshold {
-            threshold: initial_threshold,
-            window_size,
-            low_ratio,
-            high_ratio,
-            attempts: 0,
-            accepted: 0,
-        }
-    }
-}
-
-impl AcceptPolicy for DynamicThreshold {
-    fn decide(&mut self, scoreboard: Scoreboard) -> AcceptDecision {
-        // End-of-window adaptation (Algorithm 2 adapts when the counter
-        // reaches the window size, before making the current decision).
-        self.attempts += 1;
-        if self.attempts == self.window_size {
-            let ratio = self.accepted as f64 / self.window_size as f64;
-            if ratio < self.low_ratio && self.threshold < scoreboard.total {
-                self.threshold += 1;
-            } else if ratio > self.high_ratio && self.threshold > 0 {
-                self.threshold -= 1;
-            }
-            self.attempts = 0;
-            self.accepted = 0;
-        }
-
-        if scoreboard.busy < self.threshold {
-            self.accepted += 1;
-            AcceptDecision::Accept
-        } else {
-            AcceptDecision::PassOn
-        }
-    }
-
-    fn current_threshold(&self) -> Option<usize> {
-        Some(self.threshold)
-    }
-
-    fn name(&self) -> String {
-        "SRdyn".to_string()
-    }
-}
-
-/// Serialisable policy configuration, turned into a boxed [`AcceptPolicy`]
-/// per server by the experiment driver.
+/// Serialisable acceptance policy of one server.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum PolicyConfig {
     /// Always accept at the first candidate.
@@ -213,7 +25,11 @@ pub enum PolicyConfig {
         /// Busy-thread threshold `c`.
         threshold: usize,
     },
-    /// The dynamic `SRdyn` policy.
+    /// The dynamic `SRdyn` policy: decisions are counted over windows of
+    /// `window_size` consultations; at the end of each window the threshold
+    /// rises by one (up to the number of workers) if the acceptance ratio
+    /// fell below `low_ratio`, and falls by one (down to 0) if it rose above
+    /// `high_ratio`.
     Dynamic {
         /// Initial threshold.
         initial_threshold: usize,
@@ -227,7 +43,8 @@ pub enum PolicyConfig {
 }
 
 impl PolicyConfig {
-    /// The paper's `SRdyn` parameters.
+    /// The paper's `SRdyn` parameters: initial threshold 1, window 50,
+    /// adaptation band `[0.4, 0.6]`.
     pub fn paper_dynamic() -> Self {
         PolicyConfig::Dynamic {
             initial_threshold: 1,
@@ -237,29 +54,83 @@ impl PolicyConfig {
         }
     }
 
-    /// Builds a fresh policy instance from this configuration.
-    pub fn build(&self) -> Box<dyn AcceptPolicy> {
-        match *self {
-            PolicyConfig::AlwaysAccept => Box::new(AlwaysAccept),
-            PolicyConfig::NeverAccept => Box::new(NeverAccept),
-            PolicyConfig::Static { threshold } => Box::new(StaticThreshold::new(threshold)),
+    /// A short name for reports (`"SR4"`, `"SRdyn"`, …).
+    pub fn name(&self) -> String {
+        match self {
+            PolicyConfig::AlwaysAccept => "always-accept".to_string(),
+            PolicyConfig::NeverAccept => "never-accept".to_string(),
+            PolicyConfig::Static { threshold } => format!("SR{threshold}"),
+            PolicyConfig::Dynamic { .. } => "SRdyn".to_string(),
+        }
+    }
+}
+
+/// A server's acceptance state: its policy, plus SRdyn's current threshold
+/// and the current window's counts.
+#[derive(Debug)]
+pub(crate) struct Acceptance {
+    policy: PolicyConfig,
+    threshold: usize,
+    attempts: u32,
+    accepted: u32,
+}
+
+impl Acceptance {
+    pub(crate) fn new(policy: PolicyConfig) -> Self {
+        let threshold = match policy {
+            PolicyConfig::Static { threshold } => threshold,
             PolicyConfig::Dynamic {
-                initial_threshold,
-                window_size,
-                low_ratio,
-                high_ratio,
-            } => Box::new(DynamicThreshold::new(
-                initial_threshold,
-                window_size,
-                low_ratio,
-                high_ratio,
-            )),
+                initial_threshold, ..
+            } => initial_threshold,
+            PolicyConfig::AlwaysAccept | PolicyConfig::NeverAccept => 0,
+        };
+        Acceptance {
+            policy,
+            threshold,
+            attempts: 0,
+            accepted: 0,
         }
     }
 
-    /// A short name for reports (`"SR4"`, `"SRdyn"`, …).
-    pub fn name(&self) -> String {
-        self.build().name()
+    /// Decides one hunted connection with `busy` of `total` workers busy.
+    pub(crate) fn accepts(&mut self, busy: usize, total: usize) -> bool {
+        match self.policy {
+            PolicyConfig::AlwaysAccept => true,
+            PolicyConfig::NeverAccept => false,
+            PolicyConfig::Static { .. } => busy < self.threshold,
+            PolicyConfig::Dynamic {
+                window_size,
+                low_ratio,
+                high_ratio,
+                ..
+            } => {
+                // Algorithm 2: count the attempt, adapt when the counter
+                // reaches the window size, then decide.
+                self.attempts += 1;
+                if self.attempts == window_size {
+                    let ratio = self.accepted as f64 / window_size as f64;
+                    if ratio < low_ratio && self.threshold < total {
+                        self.threshold += 1;
+                    } else if ratio > high_ratio && self.threshold > 0 {
+                        self.threshold -= 1;
+                    }
+                    self.attempts = 0;
+                    self.accepted = 0;
+                }
+                let accept = busy < self.threshold;
+                self.accepted += u32::from(accept);
+                accept
+            }
+        }
+    }
+
+    /// The threshold `c` in force, for the policies that have one.
+    #[cfg(test)]
+    pub(crate) fn current_threshold(&self) -> Option<usize> {
+        match self.policy {
+            PolicyConfig::Static { .. } | PolicyConfig::Dynamic { .. } => Some(self.threshold),
+            PolicyConfig::AlwaysAccept | PolicyConfig::NeverAccept => None,
+        }
     }
 }
 
@@ -267,58 +138,67 @@ impl PolicyConfig {
 mod tests {
     use super::*;
 
-    fn sb(busy: usize, total: usize) -> Scoreboard {
-        Scoreboard { busy, total }
+    fn dynamic(initial_threshold: usize, window_size: u32) -> Acceptance {
+        Acceptance::new(PolicyConfig::Dynamic {
+            initial_threshold,
+            window_size,
+            low_ratio: 0.4,
+            high_ratio: 0.6,
+        })
     }
 
     #[test]
     fn static_policy_matches_algorithm1() {
-        let mut p = StaticThreshold::new(4);
-        assert!(p.decide(sb(0, 32)).is_accept());
-        assert!(p.decide(sb(3, 32)).is_accept());
-        assert_eq!(p.decide(sb(4, 32)), AcceptDecision::PassOn);
-        assert_eq!(p.decide(sb(31, 32)), AcceptDecision::PassOn);
+        let mut p = Acceptance::new(PolicyConfig::Static { threshold: 4 });
+        assert!(p.accepts(0, 32));
+        assert!(p.accepts(3, 32));
+        assert!(!p.accepts(4, 32));
+        assert!(!p.accepts(31, 32));
         assert_eq!(p.current_threshold(), Some(4));
-        assert_eq!(p.name(), "SR4");
     }
 
     #[test]
     fn degenerate_static_policies_match_always_and_never() {
         // c = 0: never accept at the first candidate.
-        let mut zero = StaticThreshold::new(0);
-        assert_eq!(zero.decide(sb(0, 32)), AcceptDecision::PassOn);
+        assert!(!Acceptance::new(PolicyConfig::Static { threshold: 0 }).accepts(0, 32));
         // c = n + 1: always accept.
-        let mut all = StaticThreshold::new(33);
-        assert!(all.decide(sb(32, 32)).is_accept());
+        assert!(Acceptance::new(PolicyConfig::Static { threshold: 33 }).accepts(32, 32));
 
-        let mut always = AlwaysAccept;
-        let mut never = NeverAccept;
-        assert!(always.decide(sb(32, 32)).is_accept());
-        assert_eq!(never.decide(sb(0, 32)), AcceptDecision::PassOn);
+        let mut always = Acceptance::new(PolicyConfig::AlwaysAccept);
+        let mut never = Acceptance::new(PolicyConfig::NeverAccept);
+        assert!(always.accepts(32, 32));
+        assert!(!never.accepts(0, 32));
         assert_eq!(always.current_threshold(), None);
-        assert_eq!(never.name(), "never-accept");
-        assert_eq!(always.name(), "always-accept");
+        assert_eq!(never.current_threshold(), None);
+    }
+
+    #[test]
+    fn names_match_the_reports() {
+        assert_eq!(PolicyConfig::Static { threshold: 8 }.name(), "SR8");
+        assert_eq!(PolicyConfig::paper_dynamic().name(), "SRdyn");
+        assert_eq!(PolicyConfig::AlwaysAccept.name(), "always-accept");
+        assert_eq!(PolicyConfig::NeverAccept.name(), "never-accept");
     }
 
     #[test]
     fn dynamic_policy_raises_threshold_under_low_acceptance() {
         // Busy count always high: nothing is accepted, so at each window end
         // the threshold should rise by one (until it reaches total workers).
-        let mut p = DynamicThreshold::paper_default();
+        let mut p = Acceptance::new(PolicyConfig::paper_dynamic());
         assert_eq!(p.current_threshold(), Some(1));
         for _ in 0..50 {
-            p.decide(sb(32, 32));
+            p.accepts(32, 32);
         }
         assert_eq!(p.current_threshold(), Some(2));
         for _ in 0..(50 * 40) {
-            p.decide(sb(32, 32));
+            p.accepts(32, 32);
         }
         assert_eq!(p.current_threshold(), Some(32), "threshold is capped at n");
     }
 
     #[test]
     fn dynamic_policy_lowers_threshold_under_high_acceptance() {
-        let mut p = DynamicThreshold::new(5, 50, 0.4, 0.6);
+        let mut p = dynamic(5, 50);
         // Idle server: everything is accepted while the threshold is above
         // zero, so the threshold falls.  Once it reaches 0 the acceptance
         // ratio collapses and the policy pushes it back to 1, so in steady
@@ -326,7 +206,7 @@ mod tests {
         // paper describes: c = 0 degenerates to second-candidate-only).
         let mut reached_zero = false;
         for _ in 0..(50 * 10) {
-            p.decide(sb(0, 32));
+            p.accepts(0, 32);
             if p.current_threshold() == Some(0) {
                 reached_zero = true;
             }
@@ -338,49 +218,69 @@ mod tests {
     #[test]
     fn dynamic_policy_stays_put_in_band() {
         // Alternate accept / pass-on so the ratio is exactly 0.5.
-        let mut p = DynamicThreshold::new(4, 50, 0.4, 0.6);
+        let mut p = dynamic(4, 50);
         for i in 0..500 {
             let busy = if i % 2 == 0 { 0 } else { 32 };
-            p.decide(sb(busy, 32));
+            p.accepts(busy, 32);
         }
         assert_eq!(p.current_threshold(), Some(4));
     }
 
     #[test]
     fn dynamic_policy_window_resets_counters() {
-        let mut p = DynamicThreshold::new(1, 10, 0.4, 0.6);
+        let mut p = dynamic(1, 10);
         // First window: all pass-on -> threshold 2.
         for _ in 0..10 {
-            p.decide(sb(32, 32));
+            p.accepts(32, 32);
         }
         assert_eq!(p.current_threshold(), Some(2));
         // Second window: all accepted -> threshold back to 1.
         for _ in 0..10 {
-            p.decide(sb(0, 32));
+            p.accepts(0, 32);
         }
         assert_eq!(p.current_threshold(), Some(1));
     }
 
     #[test]
-    fn config_builds_matching_policies() {
-        assert_eq!(PolicyConfig::Static { threshold: 8 }.name(), "SR8");
-        assert_eq!(PolicyConfig::paper_dynamic().name(), "SRdyn");
-        assert_eq!(PolicyConfig::AlwaysAccept.name(), "always-accept");
-        assert_eq!(PolicyConfig::NeverAccept.name(), "never-accept");
-        let mut built = PolicyConfig::Static { threshold: 2 }.build();
-        assert!(built.decide(sb(1, 32)).is_accept());
-        assert!(!built.decide(sb(2, 32)).is_accept());
+    fn dynamic_window_ratio_is_compared_strictly() {
+        // The window closes on its 50th attempt, before that attempt is
+        // decided: 20 of 50 is exactly `low_ratio` and 30 of 50 exactly
+        // `high_ratio`, and neither moves the threshold.
+        for accepted in [20, 30] {
+            let mut p = dynamic(40, 50);
+            for i in 0..50 {
+                p.accepts(if i < accepted { 0 } else { 40 }, 64);
+            }
+            assert_eq!(p.current_threshold(), Some(40), "{accepted} of 50");
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "window size")]
-    fn zero_window_panics() {
-        DynamicThreshold::new(1, 0, 0.4, 0.6);
-    }
+    proptest::proptest! {
+        /// The static policy is monotone in the busy count: if it refuses at
+        /// some load it refuses at every higher load, and it accepts exactly
+        /// the loads strictly below the threshold.
+        #[test]
+        fn static_policy_is_monotone(threshold in 0usize..40, total in 1usize..40) {
+            let mut p = Acceptance::new(PolicyConfig::Static { threshold });
+            for busy in 0..=total {
+                proptest::prop_assert_eq!(p.accepts(busy, total), busy < threshold);
+            }
+        }
 
-    #[test]
-    #[should_panic(expected = "ratios")]
-    fn inverted_ratios_panic() {
-        DynamicThreshold::new(1, 10, 0.7, 0.3);
+        /// The dynamic policy's threshold always stays within [0, total
+        /// workers], regardless of the load pattern it observes.
+        #[test]
+        fn dynamic_policy_threshold_stays_in_bounds(
+            window in 1u32..100,
+            total in 1usize..64,
+            loads in proptest::collection::vec(0usize..64, 0..500),
+        ) {
+            let mut p = dynamic(1, window);
+            for busy in loads {
+                p.accepts(busy.min(total), total);
+                let c = p.current_threshold().unwrap();
+                proptest::prop_assert!(c <= total, "threshold {c} exceeded total {total}");
+            }
+        }
     }
 }

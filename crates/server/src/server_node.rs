@@ -6,7 +6,7 @@
 //! TCP-over-SRv6 protocol of the experiments:
 //!
 //! 1. a hunted **SYN** arrives with the Service Hunting SRH; the server
-//!    decides locally (accept / pass on) from the scoreboard,
+//!    decides locally (accept / pass on) from its busy worker count,
 //! 2. on acceptance the server answers with a **SYN-ACK** carrying the
 //!    acceptance SRH `[server, load-balancer, client]` so the load balancer
 //!    learns the owner of the flow,
@@ -22,7 +22,7 @@
 //! 5. when service completes the server sends the **response** directly to
 //!    the client and pulls the next request from the backlog.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 
 use serde::{Deserialize, Serialize};
@@ -30,10 +30,9 @@ use serde::{Deserialize, Serialize};
 use srlb_net::{FlowKey, Packet, PacketBuilder, PassthroughHashBuilder, Payload, TcpFlags};
 use srlb_sim::{Context, Node, NodeId, SimDuration, SimTime, TimerToken};
 
-use crate::backlog::Backlog;
 use crate::cpu::ProcessorSharingCpu;
 use crate::directory::Directory;
-use crate::policy::{AcceptPolicy, PolicyConfig};
+use crate::policy::{Acceptance, PolicyConfig};
 use crate::worker::{WorkerId, WorkerPool};
 
 /// Static configuration of one backend server.
@@ -144,21 +143,32 @@ impl ServerStats {
     }
 }
 
-/// Per-flow connection state.
+/// Per-flow connection state: the one record of a flow on its server.
 ///
-/// An entry is created when the hunted SYN is accepted and lives until the
-/// peer closes (RST/FIN) — **including after the response was sent**: the
+/// An entry is created when the hunted SYN is accepted (or a request
+/// arrives) and stays for the rest of the run unless a backlog overflow
+/// resets the connection — **including after the response was sent**: the
 /// completed request's id is retained so a retransmitted request whose
-/// response was lost on the way back is answered from this state instead of
-/// being re-served (or, after a load-balancer failover wiped the flow
+/// response was lost on the way back is answered from this state instead
+/// of being re-served (or, after a load-balancer failover wiped the flow
 /// table, orphaned as unrecoverable).  Flows are never reused within a run
 /// (each request gets a unique client `(address, port)` pair), so a
 /// retained entry can only ever match its own request's retransmissions.
+/// Retiring entries once no retransmission can arrive is ROADMAP item 13.
 #[derive(Debug, Clone, Copy)]
-struct Connection {
-    /// Id of the request this connection completed, once the response has
-    /// been sent.
-    completed: Option<u64>,
+enum Connection {
+    /// Accepted; no request admitted yet.
+    Open,
+    /// The request is running or waiting in the backlog.
+    Serving {
+        /// Id of the admitted request.
+        request_id: u64,
+    },
+    /// The response has been sent.
+    Done {
+        /// Id of the completed request.
+        request_id: u64,
+    },
 }
 
 /// A request waiting in the backlog for a worker thread.
@@ -265,10 +275,14 @@ pub fn decode_load_hint(payload: &[u8]) -> Option<(u32, u32, u32)> {
 pub struct ServerNode {
     config: ServerConfig,
     directory: Directory,
-    policy: Box<dyn AcceptPolicy>,
+    acceptance: Acceptance,
     pool: WorkerPool,
     cpu: ProcessorSharingCpu,
-    backlog: Backlog<PendingJob>,
+    /// The TCP accept queue, bounded by `config.backlog`.  A request that
+    /// finds it full resets its connection (`tcp_abort_on_overflow`, which
+    /// the paper enables so that overflow shows at once instead of hiding
+    /// behind the client's retransmissions).
+    backlog: VecDeque<PendingJob>,
     /// Keyed by the flow key's cached hash (no re-hashing per packet).
     connections: HashMap<FlowKey, Connection, PassthroughHashBuilder>,
     /// Keyed by this server's own sequential job tokens.
@@ -285,17 +299,13 @@ pub struct ServerNode {
 impl ServerNode {
     /// Creates a server node.
     pub fn new(config: ServerConfig, directory: Directory) -> Self {
-        let policy = config.policy.build();
-        let pool = WorkerPool::new(config.workers);
-        let cpu = ProcessorSharingCpu::new(config.cores);
-        let backlog = Backlog::new(config.backlog);
         ServerNode {
+            acceptance: Acceptance::new(config.policy),
+            pool: WorkerPool::new(config.workers),
+            cpu: ProcessorSharingCpu::new(config.cores),
+            backlog: VecDeque::new(),
             config,
             directory,
-            policy,
-            pool,
-            cpu,
-            backlog,
             connections: HashMap::default(),
             running: HashMap::default(),
             next_job_token: 0,
@@ -414,8 +424,12 @@ impl ServerNode {
     fn accept_connection(&mut self, packet: &Packet, ctx: &mut Context<'_, Packet>) {
         let flow = packet.flow_key_forward();
         let client = flow.client();
-        self.connections
-            .insert(flow, Connection { completed: None });
+        // A duplicate SYN must not forget a request already admitted; any
+        // other SYN (re)opens the connection.
+        let conn = self.connections.entry(flow).or_insert(Connection::Open);
+        if !matches!(conn, Connection::Serving { .. }) {
+            *conn = Connection::Open;
+        }
 
         // The active segment of the acceptance route is the load balancer —
         // specifically the tier instance this flow is ECMP-steered to, so
@@ -442,59 +456,55 @@ impl ServerNode {
         let Some((request_id, service)) = decode_request_payload(&packet.payload) else {
             return; // bare ACK / FIN of the handshake: nothing to do
         };
-        // A retransmitted request for an already-completed connection means
-        // the response was lost on the way back: replay it from connection
-        // state instead of re-serving the job.
-        if let Some(done) = self.connections.get(&flow).and_then(|c| c.completed) {
-            if done == request_id {
-                self.stats.responses_replayed += 1;
-                self.send_response(&flow, request_id, ctx);
+        match self.connections.get(&flow) {
+            // A retransmitted request for an already-completed connection
+            // means the response was lost on the way back: replay it from
+            // connection state instead of re-serving the job.
+            Some(&Connection::Done { request_id: done }) => {
+                if done == request_id {
+                    self.stats.responses_replayed += 1;
+                    self.send_response(&flow, request_id, ctx);
+                }
+                return;
             }
-            return;
-        }
-        // Duplicate-segment suppression: a retransmitted request whose
-        // original is already running or backlogged (a spurious client
-        // timeout, or a drop between here and the client while the job is
-        // still in service) must not be served twice — the in-flight job's
-        // response answers the retransmission.  Without this, spurious
-        // retransmits under load feed back into longer queues and collapse
-        // the server, exactly the storm TCP's sequence numbers prevent.
-        if self
-            .running
-            // srlb-lint: allow(unordered-iter) -- `.any()` over an existence predicate is order-independent; no order-sensitive value escapes
-            .values()
-            .any(|j| j.flow == flow && j.request_id == request_id)
-            || self
-                .backlog
-                .iter()
-                .any(|j| j.flow == flow && j.request_id == request_id)
-        {
-            self.stats.duplicates_ignored += 1;
-            return;
+            // Duplicate-segment suppression: a retransmitted request whose
+            // original is already running or backlogged (a spurious client
+            // timeout, or a drop between here and the client while the job
+            // is still in service) must not be served twice — the in-flight
+            // job's response answers the retransmission.  Without this,
+            // spurious retransmits under load feed back into longer queues
+            // and collapse the server, exactly the storm TCP's sequence
+            // numbers prevent.
+            Some(&Connection::Serving {
+                request_id: serving,
+            }) if serving == request_id => {
+                self.stats.duplicates_ignored += 1;
+                return;
+            }
+            _ => {}
         }
         let job = PendingJob {
             flow,
             request_id,
             service,
         };
-        if self.pool.is_saturated() {
-            match self.backlog.push(job) {
-                Ok(()) => {
-                    self.stats.queued += 1;
-                }
-                Err(job) => {
-                    // tcp_abort_on_overflow: reset the connection.
-                    self.stats.resets += 1;
-                    self.connections.remove(&job.flow);
-                    self.send_reset(&job.flow, ctx);
-                }
-            }
-        } else {
+        if !self.pool.is_saturated() {
             self.stats.served_immediately += 1;
             self.start_service(job, ctx.now());
             self.record_load(ctx.now());
             self.reschedule_cpu_timer(ctx);
+        } else if self.backlog.len() < self.config.backlog {
+            self.stats.queued += 1;
+            self.backlog.push_back(job);
+        } else {
+            // tcp_abort_on_overflow: reset the connection.
+            self.stats.resets += 1;
+            self.connections.remove(&flow);
+            self.send_reset(&flow, ctx);
+            return;
         }
+        self.connections
+            .insert(flow, Connection::Serving { request_id });
     }
 
     /// Claims a worker thread and adds the job's CPU demand to the shared
@@ -527,17 +537,17 @@ impl ServerNode {
         self.stats.completed += 1;
         // The connection lingers with the completed request id recorded, so
         // a retransmission of the request (lost response) can be answered
-        // from state; the entry is dropped when the peer closes (RST/FIN).
+        // from state.
         self.connections.insert(
             job.flow,
-            Connection {
-                completed: Some(job.request_id),
+            Connection::Done {
+                request_id: job.request_id,
             },
         );
         self.send_response(&job.flow, job.request_id, ctx);
 
         // Pull the next waiting request onto the freed worker thread.
-        if let Some(next) = self.backlog.pop() {
+        if let Some(next) = self.backlog.pop_front() {
             self.start_service(next, ctx.now());
         }
     }
@@ -601,33 +611,28 @@ impl ServerNode {
         let flow = packet.flow_key_forward();
         let segments_left = packet.srh.as_ref().map_or(0, |s| s.segments_left());
         match self.connections.get(&flow).copied() {
-            Some(conn) if conn.completed.is_none() => {
+            Some(Connection::Open | Connection::Serving { .. }) => {
                 if packet.set_segments_left(0).is_err() {
                     return None;
                 }
                 self.stats.ownership_adverts += 1;
                 self.send_ownership_advert(&flow, ctx);
-                self.deliver_established(packet, ctx);
+                self.handle_request(packet, ctx);
                 return None;
             }
-            Some(conn) => {
-                // The connection completed and lingers only to answer
-                // retransmissions: replay a matching request, but never
-                // advert ownership — the flow is dead, and a re-hunt must
-                // not re-install it in the load balancer's table.
-                if let Some((request_id, _)) = decode_request_payload(&packet.payload) {
-                    if conn.completed == Some(request_id) {
-                        self.stats.responses_replayed += 1;
-                        self.send_response(&flow, request_id, ctx);
-                        return None;
-                    }
-                }
-                if packet.is_rst() || packet.is_fin() {
-                    self.connections.remove(&flow);
-                    return None;
-                }
+            // The connection completed and lingers only to answer
+            // retransmissions: replay a matching request, but never advert
+            // ownership — the flow is dead, and a re-hunt must not
+            // re-install it in the load balancer's table.
+            Some(Connection::Done { request_id })
+                if decode_request_payload(&packet.payload)
+                    .is_some_and(|(id, _)| id == request_id) =>
+            {
+                self.stats.responses_replayed += 1;
+                self.send_response(&flow, request_id, ctx);
+                return None;
             }
-            None => {}
+            Some(Connection::Done { .. }) | None => {}
         }
         if segments_left >= 2 {
             packet.advance_segment().ok()
@@ -674,7 +679,7 @@ impl ServerNode {
     ///   server: deliver locally,
     /// * `SegmentsLeft == 1` — the last candidate before the VIP must
     ///   accept: deliver locally with `SegmentsLeft ← 0`,
-    /// * `SegmentsLeft >= 2` — the policy decides from the scoreboard:
+    /// * `SegmentsLeft >= 2` — the policy decides from the busy worker count:
     ///   deliver locally with `SegmentsLeft ← 0`, or pass the packet on to
     ///   the next candidate.
     ///
@@ -693,7 +698,10 @@ impl ServerNode {
                 false
             }
             _ => {
-                if !self.policy.decide(self.pool.scoreboard()).is_accept() {
+                if !self
+                    .acceptance
+                    .accepts(self.pool.busy_count(), self.pool.total())
+                {
                     let next_hop = packet.advance_segment().ok()?;
                     self.stats.passed_on += 1;
                     return Some(next_hop);
@@ -710,19 +718,9 @@ impl ServerNode {
             }
             self.accept_connection(packet, ctx);
         } else {
-            self.deliver_established(packet, ctx);
-        }
-        None
-    }
-
-    /// Handles a locally delivered non-SYN packet of an established flow.
-    fn deliver_established(&mut self, packet: &Packet, ctx: &mut Context<'_, Packet>) {
-        if packet.is_rst() || packet.is_fin() {
-            // Connection aborted or closed by the peer.
-            self.connections.remove(&packet.flow_key_forward());
-        } else {
             self.handle_request(packet, ctx);
         }
+        None
     }
 }
 
@@ -771,20 +769,24 @@ mod tests {
     const CLIENT: u16 = 100;
     const VIP: u16 = 200;
 
-    /// Sends one packet to the first server and records every packet that
-    /// leaves the servers: it stands in for the client, the load balancer
-    /// and the VIP.
+    /// Sends its script, `(milliseconds from the start, packet)`, to the
+    /// first server and records every packet that leaves the servers: it
+    /// stands in for the client, the load balancer and the VIP.
     #[derive(Debug)]
     struct Probe {
-        packet: Option<Packet>,
+        script: Vec<(u64, Packet)>,
         seen: Vec<Packet>,
     }
 
     impl Node<Packet> for Probe {
         fn on_start(&mut self, ctx: &mut Context<'_, Packet>) {
-            if let Some(packet) = self.packet.take() {
-                ctx.send(NodeId(1), packet);
+            for (i, &(at_ms, _)) in self.script.iter().enumerate() {
+                ctx.schedule_timer(SimDuration::from_millis(at_ms), TimerToken(i as u64));
             }
+        }
+
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Packet>) {
+            ctx.send(NodeId(1), self.script[token.0 as usize].1.clone());
         }
 
         fn on_message(&mut self, packet: Packet, _from: NodeId, _ctx: &mut Context<'_, Packet>) {
@@ -795,25 +797,39 @@ mod tests {
     /// Runs `packet` into servers at `addr(1)`, `addr(2)`, … with the given
     /// policies; returns the servers and what reached the probe.
     fn run(policies: &[PolicyConfig], packet: Packet) -> (Vec<ServerNode>, Vec<Packet>) {
+        let configs = policies
+            .iter()
+            .enumerate()
+            .map(|(i, &policy)| ServerConfig::paper(i as u32, addr(i as u16 + 1), addr(LB), policy))
+            .collect();
+        run_script(configs, vec![(0, packet)])
+    }
+
+    /// Runs `script` into servers built from `configs` (the i-th at
+    /// `addr(i + 1)`); returns the servers and what reached the probe.
+    fn run_script(
+        configs: Vec<ServerConfig>,
+        script: Vec<(u64, Packet)>,
+    ) -> (Vec<ServerNode>, Vec<Packet>) {
         let probe = NodeId(0);
         let mut directory = Directory::new();
         for a in [LB, CLIENT, VIP] {
             directory.register(addr(a), probe);
         }
-        for i in 0..policies.len() {
+        for i in 0..configs.len() {
             directory.register(addr(i as u16 + 1), NodeId(i + 1));
         }
         let mut net = Network::new(1, Topology::datacenter());
         net.add_node(Probe {
-            packet: Some(packet),
+            script,
             seen: Vec::new(),
         });
-        for (i, &policy) in policies.iter().enumerate() {
-            let config = ServerConfig::paper(i as u32, addr(i as u16 + 1), addr(LB), policy);
+        let servers = configs.len();
+        for config in configs {
             net.add_node(ServerNode::new(config, directory.clone()));
         }
         net.run_until(RunUntil::Drained);
-        let servers = (1..=policies.len())
+        let servers = (1..=servers)
             .map(|i| net.take_node(NodeId(i)).unwrap())
             .collect();
         let probe: Probe = net.take_node(probe).unwrap();
@@ -831,13 +847,37 @@ mod tests {
             .build()
     }
 
-    /// A request for 1 ms of CPU from the client, addressed to `dst`.
-    fn request(dst: Ipv6Addr) -> Packet {
-        PacketBuilder::tcp(addr(CLIENT), dst)
-            .ports(40_000, 80)
+    /// Request `id` for `service_ms` of CPU from the client's `port`,
+    /// steered by the load balancer to the first server (`[server, VIP]`).
+    fn request(port: u16, id: u64, service_ms: u64) -> Packet {
+        let mut packet = PacketBuilder::tcp(addr(CLIENT), addr(VIP))
+            .ports(port, 80)
             .flags(TcpFlags::ACK | TcpFlags::PSH)
-            .payload(encode_request_payload(7, SimDuration::from_millis(1)))
-            .build()
+            .payload(encode_request_payload(
+                id,
+                SimDuration::from_millis(service_ms),
+            ))
+            .build();
+        packet.set_route(&[addr(1), addr(VIP)], 0).unwrap();
+        packet
+    }
+
+    /// A single server with `workers` threads and a backlog of `backlog`.
+    fn small_server(workers: usize, backlog: usize) -> Vec<ServerConfig> {
+        let mut config = ServerConfig::paper(0, addr(1), addr(LB), PolicyConfig::AlwaysAccept);
+        config.workers = workers;
+        config.backlog = backlog;
+        vec![config]
+    }
+
+    /// The request ids of the responses that reached the probe, in order
+    /// (SYN-ACKs and adverts carry a load hint and an SRH; responses don't).
+    fn responses(seen: &[Packet]) -> Vec<u64> {
+        seen.iter()
+            .filter(|p| p.srh.is_none())
+            .filter_map(|p| decode_response_payload(&p.payload))
+            .map(|(id, _)| id)
+            .collect()
     }
 
     const NEVER: PolicyConfig = PolicyConfig::NeverAccept;
@@ -924,7 +964,9 @@ mod tests {
 
     #[test]
     fn steered_request_without_srh_is_served() {
-        let (servers, seen) = run(&[NEVER], request(addr(1)));
+        let mut bare = request(40_000, 7, 1);
+        bare.strip_srh();
+        let (servers, seen) = run(&[NEVER], bare);
         assert_eq!(servers[0].stats().completed, 1);
         assert_eq!(servers[0].stats().passed_on, 0);
         assert_eq!(decode_response_payload(&seen[0].payload), Some((7, 0)));
@@ -1009,5 +1051,140 @@ mod tests {
         assert_eq!(node.addr(), "fd00::3".parse::<Ipv6Addr>().unwrap());
         assert_eq!(node.stats(), ServerStats::default());
         assert_eq!(Node::<Packet>::name(&node), "server-3");
+    }
+
+    #[test]
+    fn retransmitted_request_is_ignored_while_its_original_runs() {
+        let script = vec![
+            (0, hunted_syn(&[1])),
+            (1, request(40_000, 7, 10)),
+            (2, request(40_000, 7, 10)),
+        ];
+        let (servers, seen) = run_script(small_server(32, 128), script);
+        let stats = servers[0].stats();
+        assert_eq!(
+            (
+                stats.served_immediately,
+                stats.duplicates_ignored,
+                stats.completed
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(responses(&seen), vec![7]);
+    }
+
+    #[test]
+    fn retransmitted_request_is_ignored_while_its_original_is_backlogged() {
+        let script = vec![
+            (0, request(40_001, 1, 10)),
+            (1, request(40_000, 7, 1)),
+            (2, request(40_000, 7, 1)),
+        ];
+        let (servers, seen) = run_script(small_server(1, 4), script);
+        let stats = servers[0].stats();
+        assert_eq!(
+            (stats.queued, stats.duplicates_ignored, stats.completed),
+            (1, 1, 2)
+        );
+        assert_eq!(responses(&seen), vec![1, 7]);
+    }
+
+    #[test]
+    fn request_retransmitted_after_completion_gets_one_replayed_response() {
+        let script = vec![
+            (0, hunted_syn(&[1])),
+            (1, request(40_000, 7, 1)),
+            (10, request(40_000, 7, 1)),
+        ];
+        let (servers, seen) = run_script(small_server(32, 128), script);
+        let stats = servers[0].stats();
+        assert_eq!(
+            (
+                stats.completed,
+                stats.responses_replayed,
+                stats.duplicates_ignored
+            ),
+            (1, 1, 0)
+        );
+        assert_eq!(responses(&seen), vec![7, 7]);
+    }
+
+    #[test]
+    fn rehunted_packet_of_a_completed_flow_is_replayed_without_an_advert() {
+        let mut rehunted = request(40_000, 7, 1);
+        rehunted
+            .set_route(&[addr(LB), addr(1), addr(VIP)], 1)
+            .unwrap();
+        let script = vec![
+            (0, hunted_syn(&[1])),
+            (1, request(40_000, 7, 1)),
+            (10, rehunted),
+        ];
+        let (servers, seen) = run_script(small_server(32, 128), script);
+        let stats = servers[0].stats();
+        assert_eq!(
+            (
+                stats.responses_replayed,
+                stats.ownership_adverts,
+                stats.orphaned
+            ),
+            (1, 0, 0)
+        );
+        assert_eq!(responses(&seen), vec![7, 7]);
+        let routed: Vec<&Packet> = seen.iter().filter(|p| p.srh.is_some()).collect();
+        assert!(
+            matches!(routed[..], [p] if p.is_syn_ack()),
+            "only the SYN-ACK carries an SRH: {routed:?}"
+        );
+    }
+
+    #[test]
+    fn backlog_overflow_resets_the_connection() {
+        let script = vec![
+            (0, request(40_001, 1, 10)),
+            (1, request(40_002, 2, 10)),
+            (2, hunted_syn(&[1])),
+            (3, request(40_000, 7, 10)),
+        ];
+        let (servers, seen) = run_script(small_server(1, 1), script);
+        let stats = servers[0].stats();
+        assert_eq!(
+            (
+                stats.served_immediately,
+                stats.queued,
+                stats.resets,
+                stats.completed
+            ),
+            (1, 1, 1, 2)
+        );
+        assert_eq!(responses(&seen), vec![1, 2]);
+        let resets: Vec<u16> = seen
+            .iter()
+            .filter(|p| p.is_rst())
+            .map(|p| p.tcp.destination_port)
+            .collect();
+        assert_eq!(resets, vec![40_000]);
+    }
+
+    proptest::proptest! {
+        /// The backlog holds at most its capacity and loses or duplicates
+        /// no request: of `n` requests reaching a one-worker server back to
+        /// back, the first is served, the next `backlog` wait, the rest are
+        /// reset, and every admitted one is answered in arrival order.
+        #[test]
+        fn backlog_is_bounded_and_lossless(backlog in 0usize..16, n in 1usize..40) {
+            let script = (0..n)
+                .map(|i| (0, request(40_000 + i as u16, i as u64, 5)))
+                .collect();
+            let (servers, seen) = run_script(small_server(1, backlog), script);
+            let stats = servers[0].stats();
+            let admitted = n.min(backlog + 1);
+            proptest::prop_assert_eq!(
+                (stats.served_immediately, stats.queued, stats.resets, stats.completed),
+                (1, admitted as u64 - 1, (n - admitted) as u64, admitted as u64)
+            );
+            proptest::prop_assert_eq!(responses(&seen), (0..admitted as u64).collect::<Vec<_>>());
+            proptest::prop_assert_eq!(seen.iter().filter(|p| p.is_rst()).count(), n - admitted);
+        }
     }
 }

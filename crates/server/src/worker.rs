@@ -1,9 +1,9 @@
-//! The worker-thread pool and its scoreboard.
+//! The worker-thread pool.
 //!
 //! Models Apache's `mpm_prefork` worker model used in the paper's testbed:
 //! a fixed pool of worker threads, each either idle or busy serving exactly
-//! one request.  The pool's [`Scoreboard`] (busy/idle counts) is the
-//! application state the SRLB agent exposes to the virtual router.
+//! one request.  The pool's busy count is the application state the SRLB
+//! agent reads from Apache's scoreboard and exposes to the virtual router.
 
 use serde::{Deserialize, Serialize};
 
@@ -11,23 +11,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 // srlb-lint: allow(unused-pub) -- reached through srlb_server::WorkerPool::claim
 pub struct WorkerId(pub usize);
-
-/// A snapshot of the pool state, equivalent to what the paper's agent reads
-/// from Apache's scoreboard shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Scoreboard {
-    /// Number of busy worker threads.
-    pub busy: usize,
-    /// Total number of worker threads.
-    pub total: usize,
-}
-
-impl Scoreboard {
-    /// Number of idle worker threads.
-    pub fn idle(&self) -> usize {
-        self.total - self.busy
-    }
-}
 
 /// A pool of worker threads.
 ///
@@ -114,14 +97,6 @@ impl WorkerPool {
         self.busy_count == self.total()
     }
 
-    /// Current scoreboard snapshot.
-    pub fn scoreboard(&self) -> Scoreboard {
-        Scoreboard {
-            busy: self.busy_count,
-            total: self.total(),
-        }
-    }
-
     /// Claims an idle worker, marking it busy.  Returns `None` if the pool is
     /// saturated.
     pub fn claim(&mut self) -> Option<WorkerId> {
@@ -185,16 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn scoreboard_reflects_pool() {
+    fn paper_default_has_32_idle_workers() {
         let mut pool = WorkerPool::paper_default();
         assert_eq!(pool.total(), 32);
         for _ in 0..10 {
             pool.claim();
         }
-        let sb = pool.scoreboard();
-        assert_eq!(sb.busy, 10);
-        assert_eq!(sb.total, 32);
-        assert_eq!(sb.idle(), 22);
+        assert_eq!(pool.busy_count(), 10);
+        assert_eq!(pool.idle_count(), 22);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   ([`srlb_metrics`]),
 //! * [`workload`] — Poisson and Wikipedia-like workload generators
 //!   ([`srlb_workload`]),
-//! * [`server`] — backend server model: worker pool, backlog, scoreboard,
-//!   acceptance policies, SR-aware virtual router ([`srlb_server`]),
+//! * [`server`] — backend server model: worker pool, processor-sharing
+//!   CPU, accept backlog, acceptance policies, SR-aware virtual router
+//!   ([`srlb_server`]),
 //! * [`core`] — the load balancer itself (dispatchers, flow state, the LB
 //!   and client nodes) and the one experiment API: an
 //!   [`ExperimentSpec`](srlb_core::ExperimentSpec) describes a run —
