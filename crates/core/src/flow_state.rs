@@ -21,6 +21,15 @@
 //! * **Incremental expiry** — [`FlowState::expire_idle`] pops only the
 //!   expired prefix of the recency list: cost is O(entries actually
 //!   expired), not O(table size) as a full-scan `retain` would be.
+//! * **Retirement at the retransmission horizon** — an unbounded table with
+//!   no sweep would otherwise hold every flow of the run.  Its load
+//!   balancer retires the prefix of the recency list idle beyond the run's
+//!   retransmission horizon, past which no packet of the flow can arrive,
+//!   with the same O(retired) pop.  A retired entry is counted nowhere: it
+//!   is neither an expiry nor an eviction, and no output can tell it from
+//!   an entry kept.  Debug builds remember the retired keys and count any
+//!   later learn or lookup of one, which the runner's tests require to be
+//!   zero.
 //! * **Alloc-free steady state** — slots are recycled through the free list,
 //!   so the warm learn/lookup/evict path performs no heap allocation (pinned
 //!   by the counting-allocator test suite).
@@ -34,6 +43,8 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+#[cfg(debug_assertions)]
+use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use srlb_metrics::{EvictionBreakdown, EvictionCause, OccupancyGauge};
@@ -166,6 +177,11 @@ pub struct FlowState {
     inserted: u64,
     expired: u64,
     evictions: EvictionBreakdown,
+    /// Keys retired at the horizon, and learns or lookups of them since.
+    #[cfg(debug_assertions)]
+    retired: HashSet<FlowKey, PassthroughHashBuilder>,
+    #[cfg(debug_assertions)]
+    retired_hits: u64,
 }
 
 impl FlowState {
@@ -182,6 +198,10 @@ impl FlowState {
             inserted: 0,
             expired: 0,
             evictions: EvictionBreakdown::default(),
+            #[cfg(debug_assertions)]
+            retired: HashSet::with_hasher(PassthroughHashBuilder),
+            #[cfg(debug_assertions)]
+            retired_hits: 0,
         }
     }
 
@@ -336,6 +356,8 @@ impl FlowState {
     /// classified and counted).
     pub fn learn(&mut self, flow: FlowKey, server: Ipv6Addr, now: SimTime) {
         self.inserted += 1;
+        #[cfg(debug_assertions)]
+        self.audit(&flow);
         if let Some(idx) = self.find(&flow) {
             self.slots[idx as usize].server = server;
             self.touch(idx, now);
@@ -378,6 +400,8 @@ impl FlowState {
 
     /// Looks up the owner of `flow`, refreshing its activity timestamp.
     pub fn lookup(&mut self, flow: &FlowKey, now: SimTime) -> Option<Ipv6Addr> {
+        #[cfg(debug_assertions)]
+        self.audit(flow);
         let idx = self.find(flow)?;
         self.touch(idx, now);
         Some(self.slots[idx as usize].server)
@@ -403,18 +427,52 @@ impl FlowState {
     /// Cost is O(removed): the expired prefix of the recency list is popped,
     /// stopping at the first survivor.
     pub fn expire_idle(&mut self, now: SimTime) -> usize {
-        let timeout = self.config.idle_timeout;
         let mut removed = 0usize;
-        while self.head != NIL {
-            let idx = self.head;
-            if now.duration_since(self.slots[idx as usize].last_active) <= timeout {
-                break;
-            }
+        while let Some(idx) = self.idle_head(now, self.config.idle_timeout) {
             self.discard(idx);
             removed += 1;
         }
         self.expired += removed as u64;
         removed
+    }
+
+    /// Drops every entry idle for longer than `horizon` and counts it
+    /// nowhere: the caller vouches that no packet of such a flow can reach
+    /// the table again, so its departure is neither an expiry nor an
+    /// eviction.  Returns how many entries were retired; O(retired), like
+    /// [`FlowState::expire_idle`].
+    pub(crate) fn retire_idle(&mut self, now: SimTime, horizon: SimDuration) -> usize {
+        let mut retired = 0usize;
+        while let Some(idx) = self.idle_head(now, horizon) {
+            #[cfg(debug_assertions)]
+            self.retired.insert(self.slots[idx as usize].key);
+            self.discard(idx);
+            retired += 1;
+        }
+        retired
+    }
+
+    /// The least-recently-touched entry, if it has been idle for longer
+    /// than `limit`.
+    fn idle_head(&self, now: SimTime, limit: SimDuration) -> Option<u32> {
+        let idx = self.head;
+        (idx != NIL && now.duration_since(self.slots[idx as usize].last_active) > limit)
+            .then_some(idx)
+    }
+
+    /// Learns and lookups of keys retired earlier: zero when the horizon
+    /// holds.  Counted in debug builds only.
+    #[cfg(debug_assertions)]
+    pub(crate) fn retired_hits(&self) -> u64 {
+        self.retired_hits
+    }
+
+    /// Counts a learn or lookup of a retired key.
+    #[cfg(debug_assertions)]
+    fn audit(&mut self, flow: &FlowKey) {
+        if self.retired.contains(flow) {
+            self.retired_hits += 1;
+        }
     }
 
     /// Drops all entries (a fail-over wipe) while keeping the configuration
@@ -661,6 +719,27 @@ mod tests {
     }
 
     #[test]
+    fn retirement_counts_nothing_and_later_hits_are_audited() {
+        let mut table = FlowState::new(SimDuration::from_secs(10));
+        table.learn(flow(1), server(1), at(0));
+        table.learn(flow(2), server(2), at(2));
+        assert_eq!(table.retire_idle(at(3), SimDuration::from_secs(1)), 1);
+        assert_eq!(table.peek(&flow(1)), None);
+        assert_eq!(table.peek(&flow(2)), Some(server(2)));
+        assert_eq!(table.stats().expired, 0);
+        assert_eq!(table.stats().evictions.total(), 0);
+        // Idle for exactly the horizon survives, as with expiry.
+        assert_eq!(table.retire_idle(at(3), SimDuration::from_secs(1)), 0);
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(table.retired_hits(), 0);
+            assert_eq!(table.lookup(&flow(1), at(4)), None);
+            assert_eq!(table.lookup(&flow(2), at(4)), Some(server(2)));
+            assert_eq!(table.retired_hits(), 1, "only the retired key counts");
+        }
+    }
+
+    #[test]
     fn wipe_keeps_config_and_stats() {
         let mut table = bounded(2, 100);
         table.learn(flow(1), server(1), at(0));
@@ -769,21 +848,25 @@ mod tests {
     proptest! {
         /// With the index folded to two bits (`index_hash` under
         /// `cfg(test)`), up to 96 distinct keys share four index entries, so
-        /// learn, lookup, peek, remove, capacity eviction, expiry and wipe
-        /// all find, push and unlink slots in the middle of hash chains.
-        /// The table must still match the flat reference model entry for
-        /// entry and counter for counter.
+        /// learn, lookup, peek, remove, capacity eviction, expiry, retirement
+        /// and wipe all find, push and unlink slots in the middle of hash
+        /// chains.  The table must still match the flat reference model
+        /// entry for entry and counter for counter; retirement removes the
+        /// entries idle beyond the horizon and moves neither `expired` nor
+        /// `evictions`.
         #[test]
         fn colliding_index_matches_the_model(
             ops in prop::collection::vec(
                 // (op selector, client, port, server, time advance in µs)
-                (0u8..12, 0u16..8, 1u16..13, 0u16..12, 0u64..2_000_000),
+                (0u8..13, 0u16..8, 1u16..13, 0u16..12, 0u64..2_000_000),
                 1..250,
             ),
             capacity in 2usize..40,
             timeout_s in 1u64..4,
+            horizon_ms in 0u64..4_000,
         ) {
             let timeout = SimDuration::from_secs(timeout_s);
+            let horizon = SimDuration::from_millis(horizon_ms);
             let mut model = model::Model::new(capacity, timeout);
             let mut table = bounded(capacity, timeout_s);
             let mut now = SimTime::ZERO;
@@ -805,7 +888,16 @@ mod tests {
                     7 => prop_assert_eq!(table.peek(&f), model.peek(&f)),
                     8 | 9 => prop_assert_eq!(table.remove(&f), model.remove(&f)),
                     10 => prop_assert_eq!(table.expire_idle(now), model.expire_idle(now)),
-                    _ => prop_assert_eq!(table.wipe(), model.wipe()),
+                    11 => prop_assert_eq!(table.wipe(), model.wipe()),
+                    _ => {
+                        let before = table.stats();
+                        prop_assert_eq!(
+                            table.retire_idle(now, horizon),
+                            model.retire_idle(now, horizon)
+                        );
+                        prop_assert_eq!(table.stats(), before);
+                        prop_assert!(model.entries.iter().all(|e| now - e.2 <= horizon));
+                    }
                 }
                 prop_assert_eq!(table.len(), model.entries.len());
                 prop_assert!(table.map.len() <= 4);

@@ -48,7 +48,8 @@ pub struct LbStats {
     /// Packets forwarded by plain destination routing.
     pub forwarded: u64,
     /// Flow-table entries removed by idle expiry.  Zero unless an expiry
-    /// sweep is configured.
+    /// sweep is configured.  Entries retired at the retransmission horizon
+    /// (unbounded tables with no sweep) are not counted anywhere.
     #[serde(default, skip_serializing_if = "flow_stat_is_zero")]
     pub flow_expired: u64,
     /// Flow-table entries evicted under capacity pressure that had already
@@ -72,8 +73,9 @@ pub struct LbStats {
 }
 
 /// Serde skip predicate for the flow-state counters of [`LbStats`], keeping
-/// serialized stats of default (unbounded, sweep-less) configurations
-/// byte-identical to the pre-flow-state form.
+/// serialized stats of default configurations — an unbounded table with no
+/// sweep, whose only departures are uncounted retirements — byte-identical
+/// to the pre-flow-state form.
 fn flow_stat_is_zero(n: &u64) -> bool {
     *n == 0
 }
@@ -144,6 +146,11 @@ pub struct LoadBalancerNode {
     /// happens at the instant it always did.
     sweep_start: SimTime,
     sweep_armed: bool,
+    /// The run's retransmission horizon, when set: each `learn` first
+    /// retires the entries idle beyond it, which no packet can touch again.
+    /// Set only on an unbounded table with no sweep, where residency
+    /// reaches no output; a bounded or swept table reports its departures.
+    retire_horizon: Option<SimDuration>,
     /// When `true`, an established-flow packet with no flow-table entry is
     /// re-hunted through the candidate list (and the owning server adverts
     /// itself back) instead of being dropped — the in-band SYN-ACK-style
@@ -176,6 +183,7 @@ impl LoadBalancerNode {
             expiry_interval: None,
             sweep_start: SimTime::ZERO,
             sweep_armed: false,
+            retire_horizon: None,
             recover_flows: false,
             failed_over_at: None,
             last_rehunt_at: None,
@@ -186,6 +194,14 @@ impl LoadBalancerNode {
     /// Enables a periodic flow-table expiry sweep with the given interval.
     pub fn with_expiry_sweep(mut self, interval: SimDuration) -> Self {
         self.expiry_interval = Some(interval);
+        self
+    }
+
+    /// Retires flow-table entries idle beyond `horizon` on every learn:
+    /// the run's retransmission horizon, past which no packet of a flow
+    /// arrives.  Only for an unbounded table with no sweep.
+    pub(crate) fn with_retire_horizon(mut self, horizon: SimDuration) -> Self {
+        self.retire_horizon = Some(horizon);
         self
     }
 
@@ -251,6 +267,13 @@ impl LoadBalancerNode {
     /// Number of live flow-table entries.
     pub fn flow_table_len(&self) -> usize {
         self.flow_table.len()
+    }
+
+    /// Steered packets and learns of flows the table had retired: zero
+    /// when the retransmission horizon holds.  Debug builds only.
+    #[cfg(debug_assertions)]
+    pub(crate) fn retired_hits(&self) -> u64 {
+        self.flow_table.retired_hits()
     }
 
     /// The dispatcher's name (for reports).
@@ -380,6 +403,9 @@ impl LoadBalancerNode {
     ) -> Option<Ipv6Addr> {
         let server = packet.srh.as_ref()?.first_segment();
         let flow = packet.flow_key_reverse();
+        if let Some(horizon) = self.retire_horizon {
+            self.flow_table.retire_idle(ctx.now(), horizon);
+        }
         self.flow_table.learn(flow, server, ctx.now());
         self.stats.flows_learned += 1;
         self.wake_sweep(ctx);

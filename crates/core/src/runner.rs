@@ -55,7 +55,7 @@ use srlb_net::{AddressPlan, Packet, ServerId};
 use srlb_server::{tier_members, Directory, ServerConfig, ServerNode, ServerStats};
 use srlb_sim::{
     ExecMode, Network, NodeId, Observer, PoolPolicy, RunUntil, ShardPlan, SimDuration, SimStats,
-    SimTime, Steering,
+    SimTime, Steering, TopologyModel,
 };
 
 use crate::client::{client_addr_count, ClientNode};
@@ -119,6 +119,20 @@ pub struct RunOutcome {
     /// lookahead, or the pool policy collapsed a multi-shard plan).  Purely
     /// informational: placement never affects any other field.
     pub shard_plan: Option<String>,
+    /// Connection records the live servers still held when the run ended:
+    /// the flows within the retransmission horizon of their last state
+    /// change (see [`ServerNode::with_retire_horizon`]).
+    pub resident_connections: usize,
+    /// Flow-table entries the load balancers still held when the run
+    /// ended.  An unbounded table with no sweep retires entries idle beyond
+    /// the horizon; a bounded or swept one keeps what its capacity and
+    /// idle timeout let it.
+    pub resident_lb_entries: usize,
+    /// Segments and flow-table lookups that reached a server or load
+    /// balancer for a flow it had retired, summed over the run: zero
+    /// whenever the horizon holds.  Counted in debug builds only.
+    #[cfg(debug_assertions)]
+    pub retired_hits: u64,
 }
 
 impl RunOutcome {
@@ -217,6 +231,81 @@ fn rebuild_tier(
             .expect("load balancer present")
             .set_dispatcher(dispatcher.boxed_clone());
     }
+}
+
+/// Hops in the longest walk from a client send to the last state it
+/// touches, or between two touches of one flow's state: the handshake round
+/// trip (client → LB → up to `MAX_SEGMENTS` hunted candidates → LB →
+/// client), then a request re-hunted through the candidates whose owner
+/// adverts itself back to the LB.
+const HORIZON_HOPS: u64 = 2 * srlb_net::MAX_SEGMENTS as u64 + 5;
+
+/// The run's retransmission horizon `H`: every segment of a flow reaches
+/// the load balancers and servers within `H` of the first one, so state
+/// untouched for longer than `H` (LB entries), or kept `H` past the
+/// connection's opening or completion (server records), can never be
+/// touched again.
+///
+/// `H` = think time + the client's retransmission budget + `HORIZON_HOPS`
+/// × the slowest hop.  Retries count across the SYN and request phases, so
+/// the last send comes at most think time + Σ_{i≤max_retries} of the
+/// maximal timeouts (jitter included) after the first; a fault-free client
+/// never retransmits, and its one request trails the SYN by think time plus
+/// the handshake round trip that `HORIZON_HOPS` covers.  The slowest hop is
+/// the topology's longest link scaled by every slow node's multiplier, plus
+/// the longest queue-rule drain (`capacity / drain_pps`).  Every sum
+/// saturates, and a saturated horizon retires nothing.
+pub(crate) fn retransmission_horizon(spec: &ExperimentSpec) -> SimDuration {
+    let faults = &spec.faults;
+    let longest_link_ns = match spec.topology {
+        TopologyModel::Uniform { latency_us } => latency_us,
+        TopologyModel::RackZone {
+            intra_rack_us,
+            cross_rack_us,
+            client_link_us,
+            ..
+        } => intra_rack_us.max(cross_rack_us).max(client_link_us),
+    }
+    .saturating_mul(1_000);
+    // Rounded per slow node, as `Topology::scale_links_of` does.
+    let slowest_link_ns = faults.slow_nodes.iter().fold(longest_link_ns, |ns, slow| {
+        (ns as f64 * slow.multiplier.max(1.0)).round() as u64
+    });
+    let longest_drain_ns = faults
+        .queues
+        .iter()
+        .map(|q| {
+            q.capacity
+                .saturating_mul((1e9 / q.drain_pps).round() as u64)
+        })
+        .max()
+        .unwrap_or(0);
+    let hop = SimDuration::from_nanos(slowest_link_ns) + SimDuration::from_nanos(longest_drain_ns);
+    let retransmits = if faults.is_empty() {
+        SimDuration::ZERO
+    } else {
+        retransmit_budget(&faults.effective_recovery())
+    };
+    SimDuration::from_millis_f64(spec.request_delay_ms) + retransmits + hop * HORIZON_HOPS
+}
+
+/// An upper bound on Σ_{i=0}^{max_retries} of the timeouts a client arms
+/// under `policy`, each `timeout_nanos(i) + max_jitter_nanos(i)` at most.
+/// The geometric series is summed in closed form (O(1) for any
+/// `max_retries`); the margin covers each term's two roundings to whole
+/// nanoseconds and the floating-point error of both sides.
+fn retransmit_budget(policy: &srlb_net::RetransmitPolicy) -> SimDuration {
+    let terms = f64::from(policy.max_retries) + 1.0;
+    let growth = policy.backoff - 1.0;
+    // Σ_{i<terms} backoff^i, written to stay exact as backoff → 1.
+    let series = if growth > 0.0 {
+        (terms * growth.ln_1p()).exp_m1() / growth
+    } else {
+        terms
+    };
+    let nanos = policy.timeout_ms * 1e6 * (1.0 + policy.jitter) * series;
+    // `as` saturates: an overflowing or infinite sum becomes u64::MAX.
+    SimDuration::from_nanos((nanos * (1.0 + 1e-9) + 2.0 * terms).ceil() as u64)
 }
 
 /// A node's place in a run's network.  The runner lays its nodes out as the
@@ -461,6 +550,7 @@ impl Runner {
         // Every instance of the tier: same anycast address, same VIPs, its
         // own flow table, and a clone of one dispatcher — the tables are
         // built once per membership and shared.
+        let horizon = retransmission_horizon(spec);
         let dispatcher_config = spec.policy.dispatcher();
         let dispatcher = dispatcher_config.build(alive_addrs(&alive));
         let dispatcher_name = dispatcher.name();
@@ -473,8 +563,12 @@ impl Runner {
             )
             .with_vips(vips.clone())
             .with_flow_table(cluster.flow_table.build());
-            if let Some(interval) = cluster.flow_table.sweep_interval() {
-                lb = lb.with_expiry_sweep(interval);
+            match cluster.flow_table.sweep_interval() {
+                Some(interval) => lb = lb.with_expiry_sweep(interval),
+                None if cluster.flow_table.capacity.is_none() => {
+                    lb = lb.with_retire_horizon(horizon);
+                }
+                None => {}
             }
             if cluster.recover_flows {
                 lb = lb.with_flow_recovery();
@@ -497,9 +591,12 @@ impl Runner {
                 record_load: cluster.record_load,
             }
         };
+        let server_node = |i: usize, directory: &Directory| {
+            ServerNode::new(server_config(i), directory.clone()).with_retire_horizon(horizon)
+        };
         for (i, up) in alive.iter().enumerate() {
             if *up {
-                let added = network.add_node(ServerNode::new(server_config(i), directory.clone()));
+                let added = network.add_node(server_node(i, &directory));
                 debug_assert_eq!(self.role_of(added), NodeRole::Server(i));
             } else {
                 let reserved = network.reserve_node();
@@ -511,10 +608,16 @@ impl Runner {
         let mut merged_stats = vec![ServerStats::default(); cluster.max_servers];
         let mut load_series: Vec<Vec<(f64, usize)>> = vec![Vec::new(); cluster.max_servers];
         let mut acceptance_ratios = vec![0.0f64; cluster.max_servers];
+        #[cfg(debug_assertions)]
+        let mut retired_hits = 0u64;
         let mut harvest = |node: ServerNode, i: usize| {
             merged_stats[i].absorb(node.stats());
             load_series[i].extend_from_slice(node.load_samples());
             acceptance_ratios[i] = node.acceptance_ratio();
+            #[cfg(debug_assertions)]
+            {
+                retired_hits += node.retired_hits();
+            }
         };
 
         // Re-advertises `tier` in the runner's own directory (which later
@@ -549,10 +652,7 @@ impl Runner {
             match timed.event {
                 ScenarioEvent::AddServer { server } => {
                     let i = server as usize;
-                    network.insert_node(
-                        server_node_id(i),
-                        ServerNode::new(server_config(i), directory.clone()),
-                    );
+                    network.insert_node(server_node_id(i), server_node(i, &directory));
                     alive[i] = true;
                     rebuild_tier(
                         &mut network,
@@ -630,12 +730,14 @@ impl Runner {
         let stats = self.drive(&mut network, limit);
         let observers = network.take_observers();
 
+        let mut resident_connections = 0;
         for (i, up) in alive.iter().enumerate() {
             if *up {
                 let node: ServerNode = network
                     .take_node(server_node_id(i))
                     // srlb-lint: allow(panic-hygiene) -- `alive[i]` tracks exactly which server nodes the runner inserted and never removed
                     .expect("live server present after run");
+                resident_connections += node.connection_count();
                 harvest(node, i);
             }
         }
@@ -644,11 +746,17 @@ impl Runner {
         // of the per-instance counters.
         let mut per_lb_stats = Vec::with_capacity(lb_count);
         let mut reconstruction_latency_s: Option<f64> = None;
+        let mut resident_lb_entries = 0;
         for j in 0..lb_count {
             let lb_node: LoadBalancerNode = network
                 .take_node(lb_node_id(j))
                 // srlb-lint: allow(panic-hygiene) -- every tier instance is created up front and withdrawal never removes the node
                 .expect("load balancer present after run");
+            resident_lb_entries += lb_node.flow_table_len();
+            #[cfg(debug_assertions)]
+            {
+                retired_hits += lb_node.retired_hits();
+            }
             if let Some(latency) = lb_node.reconstruction_latency_seconds() {
                 reconstruction_latency_s =
                     Some(reconstruction_latency_s.map_or(latency, |best| best.max(latency)));
@@ -684,6 +792,10 @@ impl Runner {
             aborted: collector.aborted_count() as u64,
             collector,
             shard_plan: shard_plan_summary,
+            resident_connections,
+            resident_lb_entries,
+            #[cfg(debug_assertions)]
+            retired_hits,
         };
         (outcome, observers)
     }
@@ -1392,5 +1504,107 @@ mod tests {
             Runner::new(spec.with_seed(seed)).unwrap().run()
         };
         assert_eq!(run(1).collector.records(), run(1).collector.records());
+    }
+
+    /// The client's maximal waits summed term by term: the sum the closed
+    /// form must bound.
+    fn exact_budget(policy: &srlb_net::RetransmitPolicy) -> u64 {
+        (0..=policy.max_retries).fold(0u64, |sum, i| {
+            sum.saturating_add(policy.timeout_nanos(i))
+                .saturating_add(policy.max_jitter_nanos(i))
+        })
+    }
+
+    fn path(hop: SimDuration) -> SimDuration {
+        hop * HORIZON_HOPS
+    }
+
+    #[test]
+    fn fault_free_horizon_is_think_time_plus_path() {
+        let mut spec = quick_spec(0.5, PolicyKind::Dynamic);
+        assert_eq!(
+            retransmission_horizon(&spec),
+            path(SimDuration::from_micros(50))
+        );
+        spec.request_delay_ms = 200.0;
+        spec.topology = TopologyModel::rack_zone_default();
+        assert_eq!(
+            retransmission_horizon(&spec),
+            SimDuration::from_millis(200) + path(SimDuration::from_micros(300)),
+            "the client link is the rack/zone model's longest"
+        );
+    }
+
+    #[test]
+    fn default_recovery_adds_its_13_86_s_budget() {
+        let mut spec = quick_spec(0.5, PolicyKind::Dynamic);
+        spec.faults.recovery = Some(srlb_net::RetransmitPolicy::default());
+        // 200 ms × (2⁶ − 1) × 1.1 of jitter.
+        let exact = SimDuration::from_millis(13_860);
+        assert_eq!(
+            exact_budget(&spec.faults.effective_recovery()),
+            exact.as_nanos()
+        );
+        let budget = retransmission_horizon(&spec) - path(SimDuration::from_micros(50));
+        assert!(budget >= exact, "{budget} < {exact}");
+        assert!(budget - exact < SimDuration::from_micros(1), "{budget}");
+    }
+
+    #[test]
+    fn incast_horizon_counts_its_queue_and_slow_node() {
+        let spec: ExperimentSpec =
+            serde_json::from_str(include_str!("../../../examples/specs/incast.json")).unwrap();
+        // A 50 µs link on the 4× slow server, plus 4 queued packets
+        // drained at 20 per second.
+        let hop = SimDuration::from_micros(200) + SimDuration::from_millis(200);
+        let rest = SimDuration::from_millis(200) + path(hop);
+        let budget = retransmission_horizon(&spec) - rest;
+        let exact = SimDuration::from_millis(13_860);
+        assert!(budget >= exact && budget - exact < SimDuration::from_micros(1));
+    }
+
+    #[test]
+    fn unbounded_retries_saturate_in_constant_time() {
+        let mut spec = quick_spec(0.5, PolicyKind::Dynamic);
+        let mut policy = srlb_net::RetransmitPolicy {
+            max_retries: u32::MAX,
+            ..Default::default()
+        };
+        spec.faults.recovery = Some(policy);
+        assert_eq!(
+            retransmission_horizon(&spec),
+            SimDuration::from_nanos(u64::MAX)
+        );
+        // Without backoff the sum stays finite: 2³² timeouts of 220 ms.
+        policy.backoff = 1.0;
+        let exact = (1u64 << 32) * 220_000_000;
+        let budget = retransmit_budget(&policy).as_nanos();
+        let slack = exact / 400_000_000 + 3 * (1 << 32);
+        assert!(budget >= exact && budget - exact <= slack, "{budget}");
+    }
+
+    #[test]
+    fn retransmit_budget_bounds_the_exact_sum_tightly() {
+        for backoff in [1.0, 1.000_000_1, 1.5, 2.0, 3.0] {
+            for timeout_ms in [0.001, 1.7, 200.0, 3_000.0] {
+                for jitter in [0.0, 0.1, 1.0] {
+                    for max_retries in [0, 1, 5, 30] {
+                        let policy = srlb_net::RetransmitPolicy {
+                            timeout_ms,
+                            backoff,
+                            jitter,
+                            max_retries,
+                        };
+                        let exact = exact_budget(&policy);
+                        let budget = retransmit_budget(&policy).as_nanos();
+                        let slack = exact / 400_000_000 + 3 * u64::from(max_retries + 1);
+                        assert!(
+                            budget >= exact && budget - exact <= slack,
+                            "{policy:?}: {budget} vs {exact}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -107,6 +107,17 @@ impl Model {
         removed
     }
 
+    /// Retirement at a horizon: every entry idle for longer than `horizon`
+    /// goes, and no counter moves — a retired flow is neither expired nor
+    /// evicted.  `FlowState::retire_idle` is crate-private, so only the unit
+    /// tests call this.
+    #[allow(dead_code)]
+    pub(crate) fn retire_idle(&mut self, now: SimTime, horizon: SimDuration) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| now.duration_since(e.2) <= horizon);
+        before - self.entries.len()
+    }
+
     /// A fail-over wipe: every entry goes, the counters stay.  `FlowState::wipe`
     /// is crate-private, so only the unit tests call this.
     #[allow(dead_code)]

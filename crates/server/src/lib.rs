@@ -19,7 +19,8 @@
 //! * [`ServerNode`] — the [`srlb_sim::Node`] tying it all together: the SR
 //!   endpoint behaviour of Algorithm 1 (deliver a hunted connection to the
 //!   application or forward it to the next candidate, as the policy
-//!   decides), TCP handshakes, one connection record per flow, request
+//!   decides), TCP handshakes, one connection record per flow (kept until
+//!   no retransmission of the flow can arrive any more), request
 //!   service with per-request CPU demand, the TCP accept backlog and its
 //!   RST on overflow (`tcp_abort_on_overflow`), and response generation,
 //! * [`Directory`] — the mapping between data-plane IPv6 addresses and

@@ -22,6 +22,9 @@
 //! 5. when service completes the server sends the **response** directly to
 //!    the client and pulls the next request from the backlog.
 
+use std::collections::hash_map::Entry;
+#[cfg(debug_assertions)]
+use std::collections::HashSet;
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv6Addr;
 
@@ -146,15 +149,20 @@ impl ServerStats {
 /// Per-flow connection state: the one record of a flow on its server.
 ///
 /// An entry is created when the hunted SYN is accepted (or a request
-/// arrives) and stays for the rest of the run unless a backlog overflow
-/// resets the connection — **including after the response was sent**: the
-/// completed request's id is retained so a retransmitted request whose
-/// response was lost on the way back is answered from this state instead
-/// of being re-served (or, after a load-balancer failover wiped the flow
-/// table, orphaned as unrecoverable).  Flows are never reused within a run
-/// (each request gets a unique client `(address, port)` pair), so a
-/// retained entry can only ever match its own request's retransmissions.
-/// Retiring entries once no retransmission can arrive is ROADMAP item 13.
+/// arrives) and outlives the response: the completed request's id is
+/// retained so a retransmitted request whose response was lost on the way
+/// back is answered from this state instead of being re-served (or, after a
+/// load-balancer failover wiped the flow table, orphaned as
+/// unrecoverable).  Flows are never reused within a run (each request gets
+/// a unique client `(address, port)` pair), so a retained entry can only
+/// ever match its own request's retransmissions.
+///
+/// The entry ends with a backlog-overflow reset, or once the run's
+/// retransmission horizon has passed since the connection opened or
+/// completed: no segment of the flow can arrive after that, so an entry
+/// that is not serving a request is retired (see
+/// [`ServerNode::with_retire_horizon`]).  Without a horizon it stays for
+/// the rest of the run.
 #[derive(Debug, Clone, Copy)]
 enum Connection {
     /// Accepted; no request admitted yet.
@@ -285,6 +293,17 @@ pub struct ServerNode {
     backlog: VecDeque<PendingJob>,
     /// Keyed by the flow key's cached hash (no re-hashing per packet).
     connections: HashMap<FlowKey, Connection, PassthroughHashBuilder>,
+    /// How long after a connection opened or completed a segment of its
+    /// flow can still arrive; `None` keeps every connection for the run.
+    retire_horizon: Option<SimDuration>,
+    /// `(time, flow)` of every connection opened or completed, oldest
+    /// first: the flows to retire once the horizon has passed.
+    retiring: VecDeque<(SimTime, FlowKey)>,
+    /// Flows retired so far, and segments of them that arrived since.
+    #[cfg(debug_assertions)]
+    retired: HashSet<FlowKey, PassthroughHashBuilder>,
+    #[cfg(debug_assertions)]
+    retired_hits: u64,
     /// Keyed by this server's own sequential job tokens.
     running: HashMap<u64, RunningJob, PassthroughHashBuilder>,
     next_job_token: u64,
@@ -307,12 +326,31 @@ impl ServerNode {
             config,
             directory,
             connections: HashMap::default(),
+            retire_horizon: None,
+            retiring: VecDeque::new(),
+            #[cfg(debug_assertions)]
+            retired: HashSet::default(),
+            #[cfg(debug_assertions)]
+            retired_hits: 0,
             running: HashMap::default(),
             next_job_token: 0,
             cpu_timer_generation: 0,
             stats: ServerStats::default(),
             load_samples: Vec::new(),
         }
+    }
+
+    /// Retires connections once `horizon` has passed since they opened or
+    /// completed.  The horizon must bound how long after a flow's first
+    /// segment its last one can reach this server (the runner derives it
+    /// from the client's retransmission budget, think time and path
+    /// latency); retirement then changes no output.  A connection still
+    /// serving a request is kept, and retired after it completes.
+    /// Retirement rides on the events the server handles anyway: it adds no
+    /// timer.
+    pub fn with_retire_horizon(mut self, horizon: SimDuration) -> Self {
+        self.retire_horizon = Some(horizon);
+        self
     }
 
     /// The server's address.
@@ -339,6 +377,18 @@ impl ServerNode {
         } else {
             self.stats.accepted_by_policy as f64 / consulted as f64
         }
+    }
+
+    /// Connection records currently held.
+    pub fn connection_count(&self) -> usize {
+        self.connections.len()
+    }
+
+    /// Segments that arrived for flows this server had retired: zero when
+    /// the retransmission horizon holds.  Debug builds only.
+    #[cfg(debug_assertions)]
+    pub fn retired_hits(&self) -> u64 {
+        self.retired_hits
     }
 
     /// Per-change `(time_seconds, busy_workers)` samples (empty unless
@@ -407,6 +457,34 @@ impl ServerNode {
         )
     }
 
+    /// Queues `flow` for retirement one horizon after `now`.
+    fn retire_later(&mut self, flow: FlowKey, now: SimTime) {
+        if self.retire_horizon.is_some() {
+            self.retiring.push_back((now, flow));
+        }
+    }
+
+    /// Retires the connections queued more than one horizon ago, unless
+    /// they are serving a request (whose completion queues them again).
+    fn retire_connections(&mut self, now: SimTime) {
+        let Some(horizon) = self.retire_horizon else {
+            return;
+        };
+        while let Some(&(since, flow)) = self.retiring.front() {
+            if now.duration_since(since) <= horizon {
+                break;
+            }
+            self.retiring.pop_front();
+            if let Entry::Occupied(conn) = self.connections.entry(flow) {
+                if !matches!(conn.get(), Connection::Serving { .. }) {
+                    conn.remove();
+                    #[cfg(debug_assertions)]
+                    self.retired.insert(flow);
+                }
+            }
+        }
+    }
+
     /// Bumps the timer generation and schedules a wake-up at the CPU's next
     /// completion instant (if any).  Must be called after every change to the
     /// set of running jobs.
@@ -429,6 +507,7 @@ impl ServerNode {
         let conn = self.connections.entry(flow).or_insert(Connection::Open);
         if !matches!(conn, Connection::Serving { .. }) {
             *conn = Connection::Open;
+            self.retire_later(flow, ctx.now());
         }
 
         // The active segment of the acceptance route is the load balancer —
@@ -537,13 +616,14 @@ impl ServerNode {
         self.stats.completed += 1;
         // The connection lingers with the completed request id recorded, so
         // a retransmission of the request (lost response) can be answered
-        // from state.
+        // from state, until the horizon has passed.
         self.connections.insert(
             job.flow,
             Connection::Done {
                 request_id: job.request_id,
             },
         );
+        self.retire_later(job.flow, ctx.now());
         self.send_response(&job.flow, job.request_id, ctx);
 
         // Pull the next waiting request onto the freed worker thread.
@@ -726,6 +806,11 @@ impl ServerNode {
 
 impl Node<Packet> for ServerNode {
     fn on_message(&mut self, mut packet: Packet, _from: NodeId, ctx: &mut Context<'_, Packet>) {
+        self.retire_connections(ctx.now());
+        #[cfg(debug_assertions)]
+        if self.retired.contains(&packet.flow_key_forward()) {
+            self.retired_hits += 1;
+        }
         // The packet is rewritten where it arrived and, if it travels on,
         // sent once from here; the helpers only borrow it.
         let next_hop = if self.is_rehunt(&packet) {
@@ -739,6 +824,7 @@ impl Node<Packet> for ServerNode {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Context<'_, Packet>) {
+        self.retire_connections(ctx.now());
         if token.0 != self.cpu_timer_generation {
             return; // stale wake-up from before the last CPU change
         }
